@@ -22,18 +22,15 @@ from .distributions import (
 from .estimators import (
     CovarianceLadder,
     EstimateResult,
-    MomentDiagnostics,
     NoClosedFormError,
     closed_form,
     cross_term,
     estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
-    moment_diagnostics,
     trajectory_lambda,
 )
 from .product import (
-    Matrix2,
     ProductAccumulator,
     accumulator_init,
     accumulator_step,
@@ -52,8 +49,6 @@ __all__ = [
     "DistributionSpec",
     "EntryTriple",
     "EstimateResult",
-    "Matrix2",
-    "MomentDiagnostics",
     "NoClosedFormError",
     "NotDiscreteError",
     "ProductAccumulator",
@@ -74,7 +69,6 @@ __all__ = [
     "load_spec",
     "log_norm",
     "make_stream",
-    "moment_diagnostics",
     "parse_spec",
     "sample_triple",
     "sample_triples",

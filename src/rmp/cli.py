@@ -25,7 +25,7 @@ import math
 import sys
 
 from .clt import CltReport, degeneracy_check, simulate_normalized
-from .distributions import NotDiscreteError, SpecError, load_spec
+from .distributions import _MASK64, NotDiscreteError, SpecError, load_spec
 from .estimators import (
     EstimateResult,
     NoClosedFormError,
@@ -35,7 +35,15 @@ from .estimators import (
     exact_discrete,
 )
 
-_MASK64 = (1 << 64) - 1
+# exception -> exit code, most specific first: NoClosedFormError is a
+# ValueError, so it must match before the generic entry
+_EXIT_CODES = (
+    (NoClosedFormError, 2),
+    (SpecError, 1),
+    (NotDiscreteError, 1),
+    (OSError, 1),
+    (ValueError, 1),
+)
 
 
 def _jsonify(x):
@@ -263,21 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "clt" and args.source == "closed-form":
-        # distinguished exit code for a missing closed form
-        try:
-            return args.fn(args)
-        except NoClosedFormError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        except (SpecError, NotDiscreteError, OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
     try:
         return args.fn(args)
-    except (SpecError, NotDiscreteError, OSError, ValueError) as e:
+    except tuple(exc for exc, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for exc, code in _EXIT_CODES if isinstance(e, exc))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,15 @@ other:
 
 The variance of the chain is sigma^2 = C_0 + 2 C_1 where C_0, C_1 are
 the lag-0 and lag-1 autocovariances of the cross-term sequence (lags
-beyond 1 vanish because the sequence is 1-dependent).
+beyond 1 vanish because the sequence is 1-dependent), both centered at
+lambda.  The Monte Carlo estimators share one streaming reducer of
+centered co-moments merged in chunk order, so memory is O(SAMPLE_CHUNK)
+and standard errors come from the delta method on those co-moments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -23,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    BINARY_HILL,
+    CAUCHY_RANK_ONE,
+    EXPONENTIAL_RANK_ONE,
+    UNIFORM_RANK_ONE,
     DistributionSpec,
     EntryTriple,
     enumerate_atoms,
@@ -97,7 +105,7 @@ def cross_terms(t1, t2) -> np.ndarray:
         return np.log(np.abs(a1 + b2 * c1 / a2))
 
 
-# -- streaming mean/variance merge ----------------------------------------
+# -- streaming co-moment reducer ---------------------------------------------
 
 def _mean(xs: np.ndarray) -> float:
     """Sample mean; exact (not just to rounding) for a constant batch."""
@@ -107,36 +115,106 @@ def _mean(xs: np.ndarray) -> float:
     return float(xs.mean())
 
 
-def _moments(xs: np.ndarray):
-    """(count, mean, sum of squared deviations) of a finite batch."""
-    n = xs.size
-    if n == 0:
-        return 0, 0.0, 0.0
-    mean = _mean(xs)
-    m2 = float(((xs - mean) ** 2).sum())
-    return n, mean, m2
+def _summary(x: np.ndarray, y: np.ndarray | None, order: int, j_max: int):
+    """(center m, power sums S) of one chunk of rows (x, y).
+
+    m = _mean(x), and S[i, j] = sum (x - m)^i (y - m)^j for j <= j_max
+    and i + j <= order (other entries are 0), so S[0, 0] is the row
+    count; y is None when j_max = 0.  x and y are centered in place.
+    The sums run in einsum's own loops (never BLAS), so a chunk's
+    summary does not depend on the thread that computed it.
+    """
+    shape = (order + 1, j_max + 1)
+    if not x.size:
+        return 0.0, np.zeros(shape)
+    m = _mean(x)
+    x -= m
+    if y is not None:
+        y -= m
+    # x^2 as one operand keeps every product at <= 3 einsum operands,
+    # where einsum has fast loops
+    x2 = x * x if order > 2 else None
+    S = np.zeros(shape)
+    S[0, 0] = x.size
+    for i, j in np.ndindex(shape):
+        ops = ([x] * i if x2 is None else [x2] * (i // 2) + [x] * (i % 2)) + [y] * j
+        if ops and i + j <= order:
+            S[i, j] = np.einsum(",".join("k" * len(ops)) + "->", *ops)
+    return m, S
+
+
+def _shift(S: np.ndarray, d: float) -> np.ndarray:
+    """Re-center power sums from m to m + d by the binomial expansion.
+
+    (x - m - d)^i = sum_k C(i, k) (-d)^(i-k) (x - m)^k, and likewise for
+    y, so entry (i, j) needs only entries (k <= i, l <= j).  d = 0
+    returns S unchanged, so a constant law stays exactly at 0.
+    """
+    if d == 0.0:
+        return S
+    rows, cols = S.shape  # rows >= cols
+    B = np.array(
+        [[math.comb(i, l) * (-d) ** (i - l) if l <= i else 0.0 for l in range(rows)]
+         for i in range(rows)]
+    )
+    out = B @ S @ B[:cols, :cols].T
+    out[np.add.outer(np.arange(rows), np.arange(cols)) >= rows] = 0.0  # untracked
+    return out
 
 
 def _merge(a, b):
-    na, ma, sa = a
-    nb, mb, sb = b
+    """Pairwise merge of two (center, power sums) summaries, a before b.
+
+    Chan, Golub & LeVeque (1979); Pebay, SAND2008-6212 (2008).
+    """
+    (ma, sa), (mb, sb) = a, b
+    na, nb = sa[0, 0], sb[0, 0]
     if na == 0:
         return b
     if nb == 0:
         return a
-    n = na + nb
-    delta = mb - ma
-    return n, ma + delta * nb / n, sa + sb + delta * delta * na * nb / n
+    m = ma + (mb - ma) * nb / (na + nb)
+    return m, _shift(sa, m - ma) + _shift(sb, m - mb)
 
 
-def _mean_se(parts):
-    """Combine per-chunk (count, mean, M2) into (mean, std error)."""
-    n, mean, m2 = (0, 0.0, 0.0)
-    for part in parts:
-        n, mean, m2 = _merge((n, mean, m2), part)
-    if n < 2:
-        return mean, float("nan")
-    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+def _reduce(
+    spec: DistributionSpec, n_samples: int, seed: int, threads: int, lagged: bool
+):
+    """Stream cross-term rows chunk by chunk into one merged summary.
+
+    Each sample draws (xi_1, xi_2) from its (seed, chunk) stream and
+    gives x = cross(xi_1, xi_2); with ``lagged`` it also draws xi_3 and
+    gives y = cross(xi_2, xi_3).  Rows holding a -inf are counted and
+    left out of the sums.  Returns (x events, row events, center, S)
+    (center NaN if no row is left),
+    S as in _summary at order 2 in x alone, or at order 4 with powers
+    of y up to 2 when lagged.  Memory is O(SAMPLE_CHUNK) per worker
+    whatever n_samples is.
+    """
+    if n_samples < 2:
+        raise ValueError("need n_samples >= 2")
+    sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
+    orders = (4, 2) if lagged else (2, 0)
+
+    def run(k: int):
+        gen = make_stream(seed, k)
+        m = sizes[k]
+        t1 = sample_triples(spec, m, gen)
+        t2 = sample_triples(spec, m, gen)
+        x = cross_terms(t1, t2)
+        y = cross_terms(t2, sample_triples(spec, m, gen)) if lagged else None
+        x_inf = np.isneginf(x)
+        bad = x_inf | np.isneginf(y) if lagged else x_inf
+        n_bad = int(bad.sum())
+        if n_bad:
+            x = x[~bad]
+            y = y[~bad] if lagged else None
+        return int(x_inf.sum()), n_bad, _summary(x, y, *orders)
+
+    parts = map_chunks(run, len(sizes), threads)
+    m, S = functools.reduce(_merge, (p[2] for p in parts))
+    center = float(m) if S[0, 0] else float("nan")  # no row without events
+    return sum(p[0] for p in parts), sum(p[1] for p in parts), center, S
 
 
 # -- Monte Carlo estimators ------------------------------------------------
@@ -151,34 +229,13 @@ def estimate_lambda_mc(
     cancelled sample makes the value -inf (the event count is
     reported); the mean is then -inf by convention, not an error.
     """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
     t0 = time.perf_counter()
-    sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
-
-    def run(k: int):
-        gen = make_stream(seed, k)
-        m = sizes[k]
-        t1 = sample_triples(spec, m, gen)
-        t2 = sample_triples(spec, m, gen)
-        x = cross_terms(t1, t2)
-        neg = np.isneginf(x)
-        n_inf = int(neg.sum())
-        return (*_moments(x[~neg] if n_inf else x), n_inf)
-
-    parts = map_chunks(run, len(sizes), threads)
-    n_inf = sum(p[3] for p in parts)
-    mean, se = _mean_se(p[:3] for p in parts)
+    n_inf, _, lam, S = _reduce(spec, n_samples, seed, threads, lagged=False)
     if n_inf:
-        mean, se = NEG_INF, float("nan")
-    return EstimateResult(
-        value=mean,
-        std_error=se,
-        n_samples=n_samples,
-        seed=seed,
-        minus_inf_events=n_inf,
-        wall_time_s=time.perf_counter() - t0,
-    )
+        lam, se = NEG_INF, float("nan")
+    else:
+        se = math.sqrt(S[2, 0] / (n_samples - 1)) / math.sqrt(n_samples)
+    return EstimateResult(lam, se, n_samples, seed, n_inf, time.perf_counter() - t0)
 
 
 def estimate_sigma2_mc(
@@ -187,66 +244,45 @@ def estimate_sigma2_mc(
     """CLT variance from independent non-overlapping triples.
 
     Each sample draws (xi_1, xi_2, xi_3) and contributes
-    x = cross(xi_1, xi_2) and y = cross(xi_2, xi_3); the estimate is
+    x = cross(xi_1, xi_2) and y = cross(xi_2, xi_3).  With lam the mean
+    of x from the same run and dx = x - lam, dy = y - lam,
 
-        sigma2 = c0 + 2*c1,   c0 = mean(x^2) - lam^2,
-                              c1 = mean(x*y) - lam^2,
+        sigma2 = c0 + 2*c1,   c0 = mean(dx^2),   c1 = mean(dx*dy),
 
-    with lam the mean of x from the same run (shared samples reduce the
-    variance of the assembled estimate).  Standard errors of sigma2,
-    c0, c1 come from a leave-one-out jackknife, which accounts for the
-    covariance between the moment estimates.  Returns
-    (EstimateResult, CovarianceLadder); if any cross term cancelled
-    exactly the variance is undefined (NaN) and the events are counted.
+    both centered, so a law whose sigma2 is tiny next to lam^2 keeps its
+    digits.  Standard errors come from the delta method on the centered
+    co-moments M[i, j] = mean(dx^i dy^j):
+
+        se(sigma2)^2 = (M40 + 4 M31 + 4 M22 - sigma2^2) / n,
+        se(c0)^2 = (M40 - c0^2) / n,   se(c1)^2 = (M22 - c1^2) / n,
+
+    which is asymptotically the leave-one-out jackknife.  The moments
+    are merged chunk by chunk, so memory is O(SAMPLE_CHUNK), not O(n).
+    Returns (EstimateResult, CovarianceLadder); if any cross term
+    cancelled exactly the variance is undefined (NaN), the rows with a
+    -inf are counted, and the ladder's lam is -inf if x had one.
     """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
     t0 = time.perf_counter()
-    sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
-
-    def run(k: int):
-        gen = make_stream(seed, k)
-        m = sizes[k]
-        t1 = sample_triples(spec, m, gen)
-        t2 = sample_triples(spec, m, gen)
-        t3 = sample_triples(spec, m, gen)
-        return cross_terms(t1, t2), cross_terms(t2, t3)
-
-    parts = map_chunks(run, len(sizes), threads)
-    x = np.concatenate([p[0] for p in parts])
-    y = np.concatenate([p[1] for p in parts])
-    bad = np.isneginf(x) | np.isneginf(y)
-    n_inf = int(bad.sum())
-    wall = lambda: time.perf_counter() - t0
-
+    x_inf, n_inf, lam, S = _reduce(spec, n_samples, seed, threads, lagged=True)
     if n_inf:
-        lam = NEG_INF if np.isneginf(x).any() else float(x.mean())
         nan = float("nan")
-        result = EstimateResult(nan, nan, n_samples, seed, n_inf, wall())
+        lam = NEG_INF if x_inf else lam
+        wall = time.perf_counter() - t0
+        result = EstimateResult(nan, nan, n_samples, seed, n_inf, wall)
         return result, CovarianceLadder(nan, nan, lam, nan, nan)
 
     n = n_samples
-    s1, s2, s3 = float(x.sum()), float((x * x).sum()), float((x * y).sum())
-    lam = _mean(x)
-    # centered evaluations of m2 - lam^2 and cross - lam^2 (identical
-    # algebraic quantities, immune to the raw-moment cancellation)
-    c0 = _mean((x - lam) ** 2)
-    c1 = _mean(x * y - lam * lam)
+    M = S / n
+    c0, c1 = float(M[2, 0]), float(M[1, 1])
     sigma2 = c0 + 2.0 * c1
-
-    # leave-one-out jackknife, vectorized over the removed sample
-    l1 = (s1 - x) / (n - 1)
-    l2 = (s2 - x * x) / (n - 1)
-    l3 = (s3 - x * y) / (n - 1)
-    jc0 = l2 - l1 * l1
-    jc1 = l3 - l1 * l1
-
-    def jse(t: np.ndarray) -> float:
-        return math.sqrt((n - 1) / n * float(((t - t.mean()) ** 2).sum()))
-
-    result = EstimateResult(sigma2, jse(jc0 + 2.0 * jc1), n_samples, seed, 0, wall())
-    ladder = CovarianceLadder(c0, c1, lam, jse(jc0), jse(jc1))
-    return result, ladder
+    var = (
+        M[4, 0] + 4.0 * M[3, 1] + 4.0 * M[2, 2] - sigma2 * sigma2,
+        M[4, 0] - c0 * c0,
+        M[2, 2] - c1 * c1,
+    )
+    se, c0_se, c1_se = (math.sqrt(max(float(v), 0.0) / n) for v in var)
+    result = EstimateResult(sigma2, se, n, seed, 0, time.perf_counter() - t0)
+    return result, CovarianceLadder(c0, c1, lam, c0_se, c1_se)
 
 
 def trajectory_lambda(
@@ -308,10 +344,11 @@ def exact_discrete(spec: DistributionSpec):
         nan = float("nan")
         return NEG_INF, nan, CovarianceLadder(nan, nan, NEG_INF)
     lam = float(p @ X @ p)
-    m2 = float(p @ (X * X) @ p)
-    cross = float(np.einsum("i,j,k,ij,jk->", p, p, p, X, X))
-    c0 = m2 - lam * lam
-    c1 = cross - lam * lam
+    # center before the p-weighted sums: m2 - lam^2 cancels when sigma2
+    # is tiny next to lam^2
+    D = X - lam
+    c0 = float(p @ (D * D) @ p)
+    c1 = float(np.einsum("i,j,k,ij,jk->", p, p, p, D, D))
     sigma2 = c0 + 2.0 * c1
     return lam, sigma2, CovarianceLadder(c0, c1, lam)
 
@@ -326,11 +363,11 @@ def closed_form(spec: DistributionSpec):
     returning a non-oracle value.
     """
     f = spec.family
-    if f == "CauchyRankOne":
+    if f == CAUCHY_RANK_ONE:
         return math.log(2.0), math.pi**2 / 4.0
-    if f == "ExponentialRankOne":
+    if f == EXPONENTIAL_RANK_ONE:
         return 1.0 - EULER_GAMMA - math.log(spec.theta), math.pi**2 / 6.0 - 1.0
-    if f == "UniformRankOne":
+    if f == UNIFORM_RANK_ONE:
         a, b = spec.a, spec.b
         if a == 0.0 and b > 0.0:
             return (
@@ -348,7 +385,7 @@ def closed_form(spec: DistributionSpec):
             f"no closed form for uniform support [-{a}, {b}]; "
             "solvable cases are a=0, b=0, or a=b"
         )
-    if f == "BinaryHill":
+    if f == BINARY_HILL:
         return _binary_closed_form(spec.alpha, spec.beta, spec.p)
     raise NoClosedFormError(f"no closed form for family {f}")
 
@@ -373,53 +410,3 @@ def _binary_closed_form(alpha: float, beta: float, p: float):
         - q**2 * (3.0 * p - 4.0) * p * l3**2
     )
     return lam, sigma2
-
-
-# -- moment diagnostics -------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentDiagnostics:
-    """Sample means (with std errors) of the integrability diagnostics.
-
-    log_plus_ac   : log^+(|a| + |c|)
-    log_one_plus_ba: log(1 + |b|/|a|)
-    cross_sq      : (cross term)^2
-
-    Finite sample means are evidence, not proof, that the corresponding
-    expectations are finite.
-    """
-
-    log_plus_ac: float
-    log_plus_ac_se: float
-    log_one_plus_ba: float
-    log_one_plus_ba_se: float
-    cross_sq: float
-    cross_sq_se: float
-    n_samples: int
-    seed: int
-
-
-def moment_diagnostics(
-    spec: DistributionSpec, n_samples: int, seed: int = 0, threads: int = 1
-) -> MomentDiagnostics:
-    """Estimate the three moment diagnostics from n_samples pairs."""
-    if n_samples < 100:
-        raise ValueError("need n_samples >= 100")
-    sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
-
-    def run(k: int):
-        gen = make_stream(seed, k)
-        m = sizes[k]
-        t1 = sample_triples(spec, m, gen)
-        t2 = sample_triples(spec, m, gen)
-        a1, b1, c1 = t1
-        u = np.maximum(0.0, np.log(np.abs(a1) + np.abs(c1)))
-        v = np.log1p(np.abs(b1) / np.abs(a1))
-        w = cross_terms(t1, t2) ** 2
-        return _moments(u), _moments(v), _moments(w)
-
-    parts = map_chunks(run, len(sizes), threads)
-    (mu, su) = _mean_se(p[0] for p in parts)
-    (mv, sv) = _mean_se(p[1] for p in parts)
-    (mw, sw) = _mean_se(p[2] for p in parts)
-    return MomentDiagnostics(mu, su, mv, sv, mw, sw, n_samples, seed)

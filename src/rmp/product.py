@@ -28,8 +28,6 @@ NEG_INF = float("-inf")
 CHAIN_CHUNK = 128
 STEP_BLOCK = 4096
 
-Matrix2 = np.ndarray  # 2x2 float64, row-major
-
 
 @dataclass(frozen=True)
 class ProductAccumulator:
@@ -98,7 +96,7 @@ def log_norm(acc: ProductAccumulator) -> float:
     )
 
 
-def build_matrix(xi: EntryTriple) -> Matrix2:
+def build_matrix(xi: EntryTriple) -> np.ndarray:
     """The singular matrix [[a, b], [c, b*c/a]] generated by a triple."""
     d = xi.b * xi.c / xi.a
     return np.array([[xi.a, xi.b], [xi.c, d]])

@@ -18,7 +18,13 @@ import time
 from dataclasses import dataclass
 
 from .clt import degeneracy_check, simulate_normalized
-from .distributions import DistributionSpec, EntryTriple, make_stream, sample_triples
+from .distributions import (
+    CONSTANT_TRIPLE,
+    DistributionSpec,
+    EntryTriple,
+    make_stream,
+    sample_triples,
+)
 from .estimators import (
     EULER_GAMMA,
     closed_form,
@@ -250,7 +256,7 @@ def check_law_of_large_numbers(quick=False, threads=1) -> CheckResult:
                 oracle, oracle_se = ref.value, ref.std_error
         traj = trajectory_lambda(spec, n, chains, seed=100 + i, threads=threads)
         tol = 4.0 * math.hypot(traj.std_error, oracle_se)
-        if spec.family == "ConstantTriple":
+        if spec.family == CONSTANT_TRIPLE:
             ok = abs(traj.value - oracle) <= 1e-12
         else:
             ok = abs(traj.value - oracle) <= tol

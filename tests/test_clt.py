@@ -146,6 +146,16 @@ class TestDegeneracyCheck:
                 _, sigma2, _ = exact_discrete(spec)
                 assert sigma2 > 0.0
 
+    def test_near_degenerate_two_atom_law(self):
+        # sigma2 = 2.4999997e-15 (60-digit reference); an uncentered
+        # exact_discrete returned 0.0 while the check said "not degenerate"
+        spec = DistributionSpec.discrete_atoms(
+            [((1e8, 1.0, 1.0), 0.5), ((1e8 * (1 + 1e-7), 1.0, 1.0), 0.5)]
+        )
+        verdict = degeneracy_check(spec)
+        assert not verdict.is_degenerate_candidate
+        assert verdict.sigma2 > 0.0
+
     def test_continuous_rejected(self):
         with pytest.raises(NotDiscreteError):
             degeneracy_check(DistributionSpec.cauchy_rank_one())

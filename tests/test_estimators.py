@@ -1,19 +1,34 @@
+import decimal
+import functools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from rmp.distributions import DistributionSpec, EntryTriple
+from rmp.distributions import (
+    DistributionSpec,
+    EntryTriple,
+    enumerate_atoms,
+    make_stream,
+    sample_triples,
+)
 from rmp.estimators import (
     EULER_GAMMA,
+    SAMPLE_CHUNK,
     NoClosedFormError,
+    _merge,
+    _summary,
     closed_form,
     cross_term,
+    cross_terms,
     estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
-    moment_diagnostics,
     trajectory_lambda,
 )
+from rmp.parallel import chunk_sizes
+from rmp.selftest import _spec_zoo
 
 LOG2 = math.log(2.0)
 PI2 = math.pi**2
@@ -21,6 +36,66 @@ PI2 = math.pi**2
 CANCELLING = DistributionSpec.discrete_atoms(
     [((2.0, 5.0, 1.0), 0.5), ((1.0, -2.0, 3.0), 0.5)]
 )
+
+# sigma2 = 2.4999997e-15 next to lambda^2 = 339: m2 - lambda^2 cancels
+# to 0 in float, and an uncentered c1 is off by six orders
+TWO_ATOM = DistributionSpec.discrete_atoms(
+    [((1e8, 1.0, 1.0), 0.5), ((1e8 * (1 + 1e-7), 1.0, 1.0), 0.5)]
+)
+
+
+def decimal_reference(spec, digits=60):
+    """(lambda, c0, c1) of a finite law in `digits`-digit decimal arithmetic.
+
+    Works from the stored float atoms, so it is the exact value for the
+    law the code sees, independent of the float code under test.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        atoms = [(t, D(p)) for t, p in enumerate_atoms(spec)]
+        X = [
+            [abs(D(ti.a) + D(tj.b) * D(ti.c) / D(tj.a)).ln() for tj, _ in atoms]
+            for ti, _ in atoms
+        ]
+        k = range(len(atoms))
+        p = [pr for _, pr in atoms]
+        lam = sum(p[i] * p[j] * X[i][j] for i in k for j in k)
+        c0 = sum(p[i] * p[j] * (X[i][j] - lam) ** 2 for i in k for j in k)
+        c1 = sum(
+            p[i] * p[j] * p[l] * (X[i][j] - lam) * (X[j][l] - lam)
+            for i in k for j in k for l in k
+        )
+        return float(lam), float(c0), float(c1)
+
+
+def sigma2_rows(spec, n_samples, seed):
+    """The (x, y) cross-term rows estimate_sigma2_mc draws, all chunks."""
+    xs, ys = [], []
+    for k, m in enumerate(chunk_sizes(n_samples, SAMPLE_CHUNK)):
+        gen = make_stream(seed, k)
+        t1, t2, t3 = (sample_triples(spec, m, gen) for _ in range(3))
+        xs.append(cross_terms(t1, t2))
+        ys.append(cross_terms(t2, t3))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def jackknife_se(x, y):
+    """Leave-one-out jackknife SEs of the centered (sigma2, c0, c1)."""
+    # the centered estimators are shift invariant; the median keeps the
+    # raw sums below well conditioned (and is exact for a constant law)
+    c = float(np.median(x))
+    x, y = x - c, y - c
+    n = x.size
+    lx = (x.sum() - x) / (n - 1)
+    ly = (y.sum() - y) / (n - 1)
+    c0 = ((x * x).sum() - x * x) / (n - 1) - lx * lx
+    c1 = ((x * y).sum() - x * y) / (n - 1) - lx * ly
+
+    def se(t):
+        return math.sqrt((n - 1) / n * float(((t - t.mean()) ** 2).sum()))
+
+    return se(c0 + 2.0 * c1), se(c0), se(c1)
 
 
 class TestCrossTerm:
@@ -66,10 +141,11 @@ class TestLambdaMC:
 class TestSigma2MC:
     def test_constant_exactly_zero(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
-        r, ladder = estimate_sigma2_mc(spec, 1024, seed=0)
-        assert r.value == 0.0
-        assert ladder.c0 == 0.0 and ladder.c1 == 0.0
-        assert ladder.lam == LOG2
+        for n in (1024, SAMPLE_CHUNK + 1000):  # one chunk, then a merge
+            r, ladder = estimate_sigma2_mc(spec, n, seed=0)
+            assert r.value == 0.0 and r.std_error == 0.0
+            assert ladder.c0 == 0.0 and ladder.c1 == 0.0
+            assert ladder.lam == LOG2
 
     def test_ladder_reconstruction_is_exact(self):
         r, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 50_000, seed=1)
@@ -88,9 +164,43 @@ class TestSigma2MC:
         assert r.minus_inf_events > 0
         assert ladder.lam == -math.inf
 
+    def test_no_row_left_gives_nan_lambda(self):
+        # seed 18 draws two rows whose y cancels while x does not: no
+        # row is left to average, so lam must not read as a number
+        r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=18)
+        assert math.isnan(r.value) and r.minus_inf_events == 2
+        assert math.isnan(ladder.lam)
+
     def test_rank_one_c1_small(self):
         _, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 10**5, seed=2)
         assert abs(ladder.c1) <= 4.0 * ladder.c1_std_error
+
+    def test_near_degenerate_two_atom_within_3se(self):
+        _, c0, c1 = decimal_reference(TWO_ATOM)
+        for seed in (0, 1, 2):
+            r, _ = estimate_sigma2_mc(TWO_ATOM, 10**6, seed=seed)
+            assert abs(r.value - (c0 + 2.0 * c1)) <= 3.0 * r.std_error
+
+    def test_std_errors_match_centered_jackknife(self):
+        for name, spec in sorted(_spec_zoo().items()):
+            r, ladder = estimate_sigma2_mc(spec, 10**5, seed=4)
+            jack = jackknife_se(*sigma2_rows(spec, 10**5, seed=4))
+            got = (r.std_error, ladder.c0_std_error, ladder.c1_std_error)
+            for g, j in zip(got, jack):
+                assert abs(g - j) <= 0.02 * j, (name, got, jack)
+
+    def test_memory_does_not_grow_with_samples(self):
+        spec = DistributionSpec.exponential_rank_one(1.0)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                estimate_sigma2_mc(spec, n, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 22) <= 1.5 * peak(1 << 20)
 
     def test_bitwise_deterministic(self):
         spec = DistributionSpec.uniform_rank_one(1.0, 1.0)
@@ -142,6 +252,14 @@ class TestExactDiscrete:
         atoms = [((float(i + 1), 0.0, 0.0), 1.0 / 65) for i in range(65)]
         with pytest.raises(ValueError, match="too many atoms"):
             exact_discrete(DistributionSpec.discrete_atoms(atoms))
+
+    def test_near_degenerate_two_atom_matches_decimal(self):
+        lam, c0, c1 = decimal_reference(TWO_ATOM)
+        lam_e, sigma2, ladder = exact_discrete(TWO_ATOM)
+        assert sigma2 == pytest.approx(c0 + 2.0 * c1, rel=1e-6)
+        assert ladder.c0 == pytest.approx(c0, rel=1e-6)
+        assert abs(ladder.c1 - c1) <= 1e-6 * sigma2
+        assert lam_e == pytest.approx(lam, rel=1e-15)
 
     def test_mc_agrees_with_enumeration(self):
         spec = DistributionSpec.discrete_atoms(
@@ -206,27 +324,18 @@ class TestTrajectoryLambda:
         assert r.minus_inf_events > 0
 
 
-class TestMomentDiagnostics:
-    def test_constant(self):
-        spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
-        d = moment_diagnostics(spec, 1024, seed=0)
-        assert (d.log_plus_ac, d.log_plus_ac_se) == (LOG2, 0.0)
-        assert (d.log_one_plus_ba, d.log_one_plus_ba_se) == (LOG2, 0.0)
-        assert (d.cross_sq, d.cross_sq_se) == (LOG2**2, 0.0)
-
-    def test_exponential_b_equals_a(self):
-        # rank-one families have b = a, so log(1 + |b|/|a|) = log 2 per sample
-        d = moment_diagnostics(DistributionSpec.exponential_rank_one(1.0), 4096, seed=1)
-        assert d.log_one_plus_ba == LOG2
-        assert d.log_one_plus_ba_se == 0.0
-
-    def test_cauchy_second_moment_identity(self):
-        # for rank-one laws the lag-1 cross expectation factorizes, so
-        # E[(cross)^2] = sigma2 + lambda^2
-        d = moment_diagnostics(DistributionSpec.cauchy_rank_one(), 10**6, seed=2)
-        target = PI2 / 4.0 + LOG2**2
-        assert abs(d.cross_sq - target) <= 4.0 * d.cross_sq_se
-
-    def test_minimum_samples(self):
-        with pytest.raises(ValueError):
-            moment_diagnostics(DistributionSpec.cauchy_rank_one(), 50)
+class TestReducer:
+    def test_merged_chunks_equal_one_pass(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(3000) * 3.0 + 5.0
+        y = rng.standard_normal(3000) + 5.0
+        parts = [
+            _summary(x[a:b].copy(), y[a:b].copy(), 4, 2)
+            for a, b in ((0, 700), (700, 701), (701, 701), (701, 3000))
+        ]
+        m, S = functools.reduce(_merge, parts)
+        m1, S1 = _summary(x.copy(), y.copy(), 4, 2)
+        assert m == pytest.approx(m1, rel=1e-14)
+        assert S[0, 0] == 3000.0
+        # first powers sum to ~0, so they get an absolute tolerance
+        np.testing.assert_allclose(S, S1, rtol=1e-10, atol=1e-8)
