@@ -343,57 +343,122 @@ def load_spec(path: str) -> DistributionSpec:
 
 # -- sampling ------------------------------------------------------------
 
-def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator):
+def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out=None):
     """Draw n i.i.d. triples; returns float64 arrays (a, b, c) of length n.
 
     The stream is consumed in a fixed per-family order, so identical
     (spec, stream state) give identical arrays.  Components that must be
     nonzero are resampled on the measure-zero event of an exact 0.0.
+
+    ``out`` is an optional triple of float64 buffers, each at least n
+    long.  Their first n entries are overwritten and the returned arrays
+    are views of those prefixes, so they alias the buffers and are only
+    valid until the buffers are written again.  Without ``out`` fresh
+    buffers are allocated; the draws are the same either way.  For the
+    rank-one families b is a itself, and the second buffer is untouched.
     """
+    if out is None:
+        out = (np.empty(n), np.empty(n), np.empty(n))
+    a, b, c = (buf[:n] for buf in out)
     f = spec.family
     if f == CONSTANT_TRIPLE:
         v = spec.value
-        return (np.full(n, v.a), np.full(n, v.b), np.full(n, v.c))
+        a.fill(v.a)
+        b.fill(v.b)
+        c.fill(v.c)
+        return (a, b, c)
     if f == BINARY_HILL:
-        x = np.where(gen.random(n) < spec.p, spec.alpha, spec.beta)
-        return (x, 1.0 / x, np.ones(n))
+        below = gen.random(out=a) < spec.p
+        a.fill(spec.beta)
+        np.copyto(a, spec.alpha, where=below)
+        np.divide(1.0, a, out=b)
+        c.fill(1.0)
+        return (a, b, c)
     if f == DISCRETE_ATOMS:
-        av = np.array([t.a for t, _ in spec.atoms])
-        bv = np.array([t.b for t, _ in spec.atoms])
-        cv = np.array([t.c for t, _ in spec.atoms])
         cum = np.cumsum([p for _, p in spec.atoms])
         cum[-1] = max(cum[-1], 1.0)
-        idx = np.searchsorted(cum, gen.random(n), side="right")
-        return (av[idx], bv[idx], cv[idx])
+        idx = np.searchsorted(cum, gen.random(out=c), side="right")
+        table = np.array([(t.a, t.b, t.c) for t, _ in spec.atoms])
+        # idx < len(cum) since u < 1 <= cum[-1]; mode="clip" writes out
+        # directly, where the default mode="raise" buffers a copy
+        for j, buf in enumerate((a, b, c)):
+            np.take(table[:, j], idx, out=buf, mode="clip")
+        return (a, b, c)
     if f == UNIFORM_RANK_ONE:
-        lo, hi = -spec.a, spec.b
-        x = _nonzero(lambda k: gen.uniform(lo, hi, k), n)
-        y = gen.uniform(lo, hi, n)
-        return (x, x, y)
+        return _rank_one(_uniform(gen, -spec.a, spec.b), a, c)
     if f == EXPONENTIAL_RANK_ONE:
-        draw = lambda k: -np.log1p(-gen.random(k)) / spec.theta
-        x = _nonzero(draw, n)
-        y = draw(n)
-        return (x, x, y)
+        return _rank_one(_exponential(gen, spec.theta), a, c)
     if f == CAUCHY_RANK_ONE:
-        draw = lambda k: np.tan(np.pi * (gen.random(k) - 0.5))
-        x = _nonzero(draw, n)
-        y = draw(n)
-        return (x, x, y)
+        return _rank_one(_cauchy(gen), a, c)
     if f == HILL_RANDOM:
-        x = _nonzero(lambda k: gen.uniform(spec.a, spec.b, k), n)
-        return (np.ones(n), x, 1.0 / x)
+        _nonzero(_uniform(gen, spec.a, spec.b), b)
+        a.fill(1.0)
+        np.divide(1.0, b, out=c)
+        return (a, b, c)
     raise AssertionError(f"unhandled family {f}")
 
 
-def _nonzero(draw, n: int) -> np.ndarray:
-    x = draw(n)
-    while True:
+def _rank_one(draw, x, y):
+    """(x, x, y) of the matrix [[x, x], [y, y]]; x is drawn first."""
+    _nonzero(draw, x)
+    return (x, x, draw(y))
+
+
+# Each maker returns draw(x), which fills x in place from the stream and
+# returns it.  The docstrings give the formula; the in-place steps keep
+# its operation order, so the values are bitwise those of the formula.
+
+def _uniform(gen, lo, hi):
+    """lo + (hi - lo) * u, which is exactly gen.uniform(lo, hi)."""
+    width = hi - lo
+
+    def draw(x):
+        gen.random(out=x)
+        x *= width
+        x += lo
+        return x
+
+    return draw
+
+
+def _exponential(gen, theta):
+    """-log1p(-u) / theta."""
+
+    def draw(x):
+        gen.random(out=x)
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        np.divide(x, theta, out=x)
+        return x
+
+    return draw
+
+
+def _cauchy(gen):
+    """tan(pi * (u - 0.5))."""
+
+    def draw(x):
+        gen.random(out=x)
+        np.subtract(x, 0.5, out=x)
+        np.multiply(x, np.pi, out=x)
+        np.tan(x, out=x)
+        return x
+
+    return draw
+
+
+def _nonzero(draw, x: np.ndarray) -> np.ndarray:
+    """Fill x by draw(x), then redraw its exact zeros until none is left.
+
+    x.all() is the allocation-free check of the common path; gen.random
+    can return exactly 0.0, so the redraw loop is reachable.
+    """
+    draw(x)
+    while not x.all():
         mask = x == 0.0
-        k = int(mask.sum())
-        if k == 0:
-            return x
-        x[mask] = draw(k)
+        x[mask] = draw(np.empty(np.count_nonzero(mask)))
+    return x
 
 
 def sample_triple(spec: DistributionSpec, gen: np.random.Generator) -> EntryTriple:

@@ -10,6 +10,13 @@ oracle is kept alongside for validating the representation.
 
 A cross term that is exactly zero makes S_n the zero matrix; this is a
 legitimate state, represented by -inf, not an error.
+
+chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
+sampled STEP_BLOCK steps at a time.  Each worker thread gets one
+workspace of three float64 buffers, made once per call and reused for
+every block of every chunk it runs: the sampler writes the block's
+triples into it and the cross terms are formed in place, so memory is
+fixed whatever the chain length and chain count are.
 """
 
 from __future__ import annotations
@@ -178,36 +185,57 @@ def chain_log_norms(
     if n_chains < 1:
         raise ValueError("need at least one chain")
     sizes = chunk_sizes(n_chains, CHAIN_CHUNK)
+    length = min(STEP_BLOCK, n) * sizes[0]
+    free = []  # idle workspaces; there are never more than chunks run at once
 
     def run(k: int) -> np.ndarray:
-        return _chain_chunk(spec, n, sizes[k], make_stream(seed, k))
+        try:
+            workspace = free.pop()
+        except IndexError:
+            workspace = (np.empty(length), np.empty(length), np.empty(length))
+        try:
+            return _chain_chunk(spec, n, sizes[k], make_stream(seed, k), workspace)
+        finally:
+            free.append(workspace)
 
     return np.concatenate(map_chunks(run, len(sizes), threads))
 
 
-def _chain_chunk(spec, n, width, gen) -> np.ndarray:
-    """One chunk of ``width`` chains, sampled in step blocks."""
+def _chain_chunk(spec, n, width, gen, workspace) -> np.ndarray:
+    """One chunk of ``width`` chains, sampled in step blocks.
+
+    Each block is drawn into ``workspace``, three float64 buffers of at
+    least min(STEP_BLOCK, n) * width entries, and its cross terms
+    overwrite all but the last row of the c buffer.  The last row is
+    copied out as the carry into the next block.
+    """
     sumlog = np.zeros(width)
     head_ratio = None
-    prev = None  # (a, b, c) of the last absorbed step, shape (width,)
+    prev = None  # (a, c) of the last absorbed step, shape (width,)
     done = 0
     while done < n:
         block = min(STEP_BLOCK, n - done)
-        a, b, c = sample_triples(spec, block * width, gen)
+        a, b, c = sample_triples(spec, block * width, gen, out=workspace)
         A = a.reshape(block, width)
         B = b.reshape(block, width)
         C = c.reshape(block, width)
         if prev is None:
             head_ratio = B[0] / A[0]
         else:
-            pa, _, pc = prev
+            pa, pc = prev
             with np.errstate(divide="ignore"):
                 sumlog += np.log(np.abs(pa + B[0] * pc / A[0]))
+        prev = (A[-1].copy(), C[-1].copy())
         if block > 1:
+            # log |A[:-1] + B[1:] * C[:-1] / A[1:]|, written over C[:-1]
+            cross = C[:-1]
+            np.multiply(B[1:], cross, out=cross)
+            np.divide(cross, A[1:], out=cross)
+            np.add(A[:-1], cross, out=cross)
+            np.abs(cross, out=cross)
             with np.errstate(divide="ignore"):
-                cross = np.log(np.abs(A[:-1] + B[1:] * C[:-1] / A[1:]))
+                np.log(cross, out=cross)
             sumlog += cross.sum(axis=0)
-        prev = (A[-1], B[-1], C[-1])
         done += block
-    pa, _, pc = prev
+    pa, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from rmp.distributions import (
+    CAUCHY_RANK_ONE,
+    EXPONENTIAL_RANK_ONE,
+    HILL_RANDOM,
+    UNIFORM_RANK_ONE,
     DistributionSpec,
     EntryTriple,
     NotDiscreteError,
@@ -164,6 +168,140 @@ class TestSampling:
         singles = [sample_triple(spec, gen) for _ in range(4)]
         # batch order is the x block then the y block
         assert batch[0][0] == pytest.approx(singles[0].a, abs=0)
+
+
+ONE_PER_FAMILY = (
+    DistributionSpec.binary_hill(2.0, 3.0, 0.3),
+    DistributionSpec.uniform_rank_one(1.0, 2.0),
+    DistributionSpec.exponential_rank_one(1.5),
+    DistributionSpec.cauchy_rank_one(),
+    DistributionSpec.hill_random(0.5, 2.0),
+    DistributionSpec.discrete_atoms(
+        [((1.0, 0.5, 1.0), 0.25), ((2.0, 1.0, -1.0), 0.5), ((-1.5, 2.0, 0.5), 0.25)]
+    ),
+    DistributionSpec.constant_triple(2.0, 6.0, 3.0),
+)
+
+
+class TestSampleIntoBuffers:
+    @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_out_is_bitwise_equal_and_aliases_buffers(self, spec, n):
+        gen_ref, gen_out = make_stream(13, 2), make_stream(13, 2)
+        ref = sample_triples(spec, n, gen_ref)
+        bufs = tuple(np.full(n + 5, np.nan) for _ in range(3))
+        got = sample_triples(spec, n, gen_out, out=bufs)
+        for r, g, buf in zip(ref, got, bufs):
+            assert g.shape == (n,) and g.dtype == np.float64
+            assert np.array_equal(r, g)
+            assert np.isnan(buf[n:]).all()
+        assert np.shares_memory(got[0], bufs[0]) and np.shares_memory(got[2], bufs[2])
+        if spec.is_rank_one:
+            assert got[1] is got[0]
+            assert np.isnan(bufs[1]).all()
+        else:
+            assert np.shares_memory(got[1], bufs[1])
+        # both calls left the stream at the same position
+        assert gen_ref.random() == gen_out.random()
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_uniform_is_gen_uniform(self, out):
+        spec = DistributionSpec.uniform_rank_one(1.0, 2.0)
+        n = 10_000
+        bufs = tuple(np.empty(n) for _ in range(3)) if out else None
+        a, b, c = sample_triples(spec, n, make_stream(3), out=bufs)
+        ref = make_stream(3)
+        assert np.array_equal(a, ref.uniform(-1.0, 2.0, n))
+        assert np.array_equal(c, ref.uniform(-1.0, 2.0, n))
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_hill_is_gen_uniform(self, out):
+        spec = DistributionSpec.hill_random(0.5, 2.0)
+        n = 10_000
+        bufs = tuple(np.empty(n) for _ in range(3)) if out else None
+        a, b, c = sample_triples(spec, n, make_stream(4), out=bufs)
+        x = make_stream(4).uniform(0.5, 2.0, n)
+        assert np.array_equal(b, x)
+        assert np.array_equal(c, 1.0 / x)
+        assert np.all(a == 1.0)
+
+
+class PlantedStream:
+    """A Philox stream whose calls listed in ``plant`` return ``value`` at
+    the given positions, so that the sampler sees exact zeros."""
+
+    def __init__(self, value, plant):
+        self.gen = make_stream(99)
+        self.value = value
+        self.plant = plant
+        self.calls = []
+
+    def random(self, size=None, out=None):
+        u = self.gen.random(size, out=out)
+        u[list(self.plant.get(len(self.calls), ()))] = self.value
+        self.calls.append(u.size)
+        return u
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
+
+
+def _allocating_nonzero(draw, n):
+    # the resampling loop as it was before sampling into buffers
+    x = draw(n)
+    while True:
+        mask = x == 0.0
+        k = int(mask.sum())
+        if k == 0:
+            return x
+        x[mask] = draw(k)
+
+
+def _allocating_triples(spec, n, gen):
+    """Out-of-place reference sampler of the four continuous families."""
+    f = spec.family
+    if f == UNIFORM_RANK_ONE:
+        draw = lambda k: gen.uniform(-spec.a, spec.b, k)
+    elif f == EXPONENTIAL_RANK_ONE:
+        draw = lambda k: -np.log1p(-gen.random(k)) / spec.theta
+    elif f == CAUCHY_RANK_ONE:
+        draw = lambda k: np.tan(np.pi * (gen.random(k) - 0.5))
+    else:  # HILL_RANDOM
+        x = _allocating_nonzero(lambda k: gen.uniform(spec.a, spec.b, k), n)
+        return (np.ones(n), x, 1.0 / x)
+    x = _allocating_nonzero(draw, n)
+    return (x, x, draw(n))
+
+
+class TestNonzeroResampling:
+    # (spec, the uniform that maps to an exact 0.0 of the nonzero entry)
+    CASES = [
+        pytest.param(spec, u0, id=spec.family)
+        for spec, u0 in (
+            (DistributionSpec.uniform_rank_one(0.0, 1.0), 0.0),
+            (DistributionSpec.exponential_rank_one(2.0), 0.0),
+            (DistributionSpec.cauchy_rank_one(), 0.5),
+            (DistributionSpec.hill_random(0.0, 2.0), 0.0),
+        )
+    ]
+
+    @pytest.mark.parametrize("spec,u0", CASES)
+    @pytest.mark.parametrize("out", [False, True])
+    def test_zeros_are_redrawn_like_the_allocating_sampler(self, spec, u0, out):
+        n = 50
+        # three zeros in the first draw, and one again among their redraws
+        plant = {0: (0, 3, n - 1), 1: (1,)}
+        ref_gen, gen = PlantedStream(u0, plant), PlantedStream(u0, plant)
+        ref = _allocating_triples(spec, n, ref_gen)
+        bufs = tuple(np.empty(n) for _ in range(3)) if out else None
+        got = sample_triples(spec, n, gen, out=bufs)
+        nonzero = got[1] if spec.family == HILL_RANDOM else got[0]
+        assert nonzero.all()
+        for r, g in zip(ref, got):
+            assert np.array_equal(r, g)
+        assert gen.calls == ref_gen.calls
+        assert gen.calls[:3] == [n, 3, 1]
+        assert gen.gen.random() == ref_gen.gen.random()
 
 
 class TestEnumerateAtoms:

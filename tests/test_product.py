@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from rmp.product import (
     direct_log_norm,
     log_norm,
 )
+from rmp.parallel import chunk_sizes
 
 LOG2 = math.log(2.0)
 
@@ -228,3 +231,87 @@ class TestChainKernel:
         )
         out = chain_log_norms(spec, 100, 64, seed=0)
         assert np.isneginf(out).any()
+
+
+ONE_PER_FAMILY = (
+    DistributionSpec.binary_hill(2.0, 3.0, 0.3),
+    DistributionSpec.uniform_rank_one(1.0, 2.0),
+    DistributionSpec.exponential_rank_one(1.5),
+    DistributionSpec.cauchy_rank_one(),
+    DistributionSpec.hill_random(0.5, 2.0),
+    # the cancelling first pair sends chains to -inf
+    DistributionSpec.discrete_atoms(
+        [((2.0, 5.0, 1.0), 0.4), ((1.0, -2.0, 3.0), 0.3), ((3.0, 2.0, -1.0), 0.3)]
+    ),
+    DistributionSpec.constant_triple(2.0, 6.0, 3.0),
+)
+
+
+def allocating_chain_chunk(spec, n, width, gen):
+    """The chain kernel as it was with fresh arrays for every block."""
+    sumlog = np.zeros(width)
+    head_ratio = None
+    prev = None
+    done = 0
+    while done < n:
+        block = min(STEP_BLOCK, n - done)
+        a, b, c = sample_triples(spec, block * width, gen)
+        A = a.reshape(block, width)
+        B = b.reshape(block, width)
+        C = c.reshape(block, width)
+        if prev is None:
+            head_ratio = B[0] / A[0]
+        else:
+            pa, _, pc = prev
+            with np.errstate(divide="ignore"):
+                sumlog += np.log(np.abs(pa + B[0] * pc / A[0]))
+        if block > 1:
+            with np.errstate(divide="ignore"):
+                cross = np.log(np.abs(A[:-1] + B[1:] * C[:-1] / A[1:]))
+            sumlog += cross.sum(axis=0)
+        prev = (A[-1], B[-1], C[-1])
+        done += block
+    pa, _, pc = prev
+    return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
+
+
+class TestChainWorkspace:
+    @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=lambda s: s.family)
+    def test_bitwise_equal_to_allocating_kernel(self, spec):
+        m = CHAIN_CHUNK + 11
+        for n in (1, 2, STEP_BLOCK, 2 * STEP_BLOCK + 37):
+            want = np.concatenate(
+                [
+                    allocating_chain_chunk(spec, n, width, make_stream(8, k))
+                    for k, width in enumerate(chunk_sizes(m, CHAIN_CHUNK))
+                ]
+            )
+            for threads in (1, 2):
+                got = chain_log_norms(spec, n, m, seed=8, threads=threads)
+                assert np.array_equal(got, want), (n, threads)
+
+    def test_no_workspace_is_used_by_two_threads_at_once(self):
+        # more threads than cores and a short switch interval interleave
+        # the chunks; two chunks writing one workspace would corrupt both
+        spec = ONE_PER_FAMILY[2]
+        m = 24 * CHAIN_CHUNK
+        want = chain_log_norms(spec, 300, m, seed=4, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = chain_log_norms(spec, 300, m, seed=4, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ONE_PER_FAMILY[:2], ids=lambda s: s.family)
+    def test_peak_memory_independent_of_chain_length(self, spec):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                chain_log_norms(spec, n, 2 * CHAIN_CHUNK, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * STEP_BLOCK) <= 1.25 * peak(STEP_BLOCK)
