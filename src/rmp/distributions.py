@@ -57,7 +57,11 @@ class NotDiscreteError(ValueError):
 
 @dataclass(frozen=True)
 class EntryTriple:
-    """One draw (a, b, c); the matrix it generates is [[a, b], [c, b*c/a]]."""
+    """One draw (a, b, c); the matrix it generates is [[a, b], [c, b*c/a]].
+
+    a must be nonzero, and the head ratio b/a and the entry b*c/a, both
+    evaluated in double precision, must be finite.
+    """
 
     a: float
     b: float
@@ -73,6 +77,13 @@ class EntryTriple:
             object.__setattr__(self, name, float(v))
         if self.a == 0.0:
             raise SpecError("a must be nonzero")
+        # the kernels form b/a and b*c/a in double precision, in this order
+        if not math.isfinite(self.b / self.a):
+            raise SpecError(f"head ratio b/a = {self.b!r}/{self.a!r} is not finite")
+        if not math.isfinite(self.b * self.c / self.a):
+            raise SpecError(
+                f"matrix entry b*c/a = {self.b!r}*{self.c!r}/{self.a!r} is not finite"
+            )
 
 
 def make_stream(seed: int, chunk: int = 0) -> np.random.Generator:
@@ -203,6 +214,9 @@ def _validate_binary(spec):
             raise SpecError(f"{name} must be nonzero")
         if x == -1.0:
             raise SpecError(f"{name} must not be -1 (the log term degenerates)")
+        # b/a and b*c/a of the atom (x, 1/x, 1)
+        if not math.isfinite(1.0 / x / x):
+            raise SpecError(f"{name} = {x!r} is too small: 1/{name}^2 is not finite")
     if (alpha * beta**2 + 1.0) * (alpha**2 * beta + 1.0) == 0.0:
         raise SpecError(
             "alpha, beta must satisfy (alpha*beta^2+1)*(alpha^2*beta+1) != 0"
@@ -350,6 +364,12 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     (spec, stream state) give identical arrays.  Components that must be
     nonzero are resampled on the measure-zero event of an exact 0.0.
 
+    A finite-support law draws atom indices with AtomLaw.indices and
+    gathers its atoms: n uniforms u, and atom #{j : cum[j] <= u} of the
+    cumulative probabilities cum, where the last atom absorbs the
+    rounding slack of cum (cum[-1] is raised to 1 if it fell below).  A
+    law with a single atom draws nothing.
+
     ``out`` is an optional triple of float64 buffers, each at least n
     long.  Their first n entries are overwritten and the returned arrays
     are views of those prefixes, so they alias the buffers and are only
@@ -361,28 +381,13 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
         out = (np.empty(n), np.empty(n), np.empty(n))
     a, b, c = (buf[:n] for buf in out)
     f = spec.family
-    if f == CONSTANT_TRIPLE:
-        v = spec.value
-        a.fill(v.a)
-        b.fill(v.b)
-        c.fill(v.c)
-        return (a, b, c)
-    if f == BINARY_HILL:
-        below = gen.random(out=a) < spec.p
-        a.fill(spec.beta)
-        np.copyto(a, spec.alpha, where=below)
-        np.divide(1.0, a, out=b)
-        c.fill(1.0)
-        return (a, b, c)
-    if f == DISCRETE_ATOMS:
-        cum = np.cumsum([p for _, p in spec.atoms])
-        cum[-1] = max(cum[-1], 1.0)
-        idx = np.searchsorted(cum, gen.random(out=c), side="right")
-        table = np.array([(t.a, t.b, t.c) for t, _ in spec.atoms])
-        # idx < len(cum) since u < 1 <= cum[-1]; mode="clip" writes out
-        # directly, where the default mode="raise" buffers a copy
+    if spec.is_discrete:
+        law = AtomLaw(spec)
+        idx = law.indices(n, gen, out=(c, np.empty(n, np.intp), b))
+        # idx < k; mode="clip" writes out directly, where the default
+        # mode="raise" buffers a copy
         for j, buf in enumerate((a, b, c)):
-            np.take(table[:, j], idx, out=buf, mode="clip")
+            np.take(law.atoms[:, j], idx, out=buf, mode="clip")
         return (a, b, c)
     if f == UNIFORM_RANK_ONE:
         return _rank_one(_uniform(gen, -spec.a, spec.b), a, c)
@@ -487,3 +492,89 @@ def enumerate_atoms(spec: DistributionSpec):
     if f == DISCRETE_ATOMS:
         return list(spec.atoms)
     raise NotDiscreteError(f"{f} is not discrete; finite support unavailable")
+
+
+# -- finite-support laws -------------------------------------------------
+
+class AtomLaw:
+    """A finite-support law as arrays, built once per sampling call.
+
+    ``atoms`` is the k x 3 table of the triples of enumerate_atoms(spec),
+    one row (a, b, c) per atom.  ``cum`` holds their cumulative
+    probabilities, the last raised to 1 if rounding left it below, padded
+    with +inf to a power-of-two length for index_search.
+    """
+
+    def __init__(self, spec: DistributionSpec):
+        support = enumerate_atoms(spec)
+        self.k = len(support)
+        self.atoms = np.array([(t.a, t.b, t.c) for t, _ in support])
+        cum = np.cumsum([p for _, p in support])
+        cum[-1] = max(cum[-1], 1.0)
+        size = 1 << (self.k - 1).bit_length()  # smallest power of two >= k
+        self.cum = np.concatenate([cum, np.full(size - self.k, np.inf)])
+
+    def log_cross(self) -> np.ndarray:
+        """k x k table T[i, j] = log |a_i + b_j c_i / a_j|; -inf on cancellation.
+
+        These are the cross terms of atom i followed by atom j, formed with
+        numpy's multiply, divide, add, abs and log in the order in which
+        the kernels form them from sampled triples, so a gather of T equals
+        their cross terms bit for bit.  T holds k^2 doubles: 8 MiB at
+        k = 1024.
+        """
+        a, b, c = self.atoms.T
+        t = np.multiply(b[None, :], c[:, None])
+        np.divide(t, a[None, :], out=t)
+        np.add(a[:, None], t, out=t)
+        np.abs(t, out=t)
+        with np.errstate(divide="ignore"):
+            np.log(t, out=t)
+        return t
+
+    def indices(self, n: int, gen: np.random.Generator, out=None) -> np.ndarray:
+        """Atom indices of n draws: #{j : cum[j] <= u} for u = gen.random(n).
+
+        This is np.searchsorted(cum, u, side="right"), and index 0 is the
+        event u < cum[0], so a two-atom law consumes the stream exactly as
+        the test u < p.  A single atom draws nothing.  ``out`` is an
+        optional (float64, intp, float64) triple of buffers, each at least
+        n long, for the uniforms, the indices and index_search's scratch;
+        the returned indices are a view of the second.
+        """
+        if out is None:
+            out = (np.empty(n), np.empty(n, np.intp), np.empty(n))
+        u, idx, scratch = (buf[:n] for buf in out)
+        if self.k == 1:
+            idx.fill(0)
+            return idx
+        return index_search(self.cum, gen.random(out=u), idx, scratch)
+
+
+def index_search(cum: np.ndarray, u: np.ndarray, idx: np.ndarray, scratch: np.ndarray):
+    """idx = #{j : cum[j] <= u} elementwise, by a branch-free binary search.
+
+    cum is sorted, its length a power of two 2^m, and every u < cum[-1];
+    the result then equals np.searchsorted(cum, u, side="right").  Each
+    of the m passes halves the candidate range of every element at once:
+    with h the indices found so far, it compares u with the midpoints
+    cum[h * 2s + s - 1] (s the remaining half width) and appends the
+    outcome as the next bit of h.  idx (intp) receives the indices and
+    scratch (contiguous float64) holds the gathered midpoints and, in its
+    first len(u) bytes, the comparison; both are as long as u.
+    """
+    bit = len(cum) // 2
+    if not bit:
+        idx.fill(0)
+        return idx
+    np.less_equal(cum[bit - 1], u, out=idx)
+    below = scratch.view(np.bool_)[: len(u)]
+    bit //= 2
+    while bit:
+        # mode="clip" writes out directly; every index is in range
+        np.take(cum[bit - 1 :: 2 * bit], idx, out=scratch, mode="clip")
+        np.less_equal(scratch, u, out=below)
+        np.left_shift(idx, 1, out=idx)
+        np.add(idx, below, out=idx)
+        bit //= 2
+    return idx

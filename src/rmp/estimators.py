@@ -31,6 +31,7 @@ from .distributions import (
     CAUCHY_RANK_ONE,
     EXPONENTIAL_RANK_ONE,
     UNIFORM_RANK_ONE,
+    AtomLaw,
     DistributionSpec,
     EntryTriple,
     enumerate_atoms,
@@ -184,9 +185,11 @@ def _reduce(
 
     Each sample draws (xi_1, xi_2) from its (seed, chunk) stream and
     gives x = cross(xi_1, xi_2); with ``lagged`` it also draws xi_3 and
-    gives y = cross(xi_2, xi_3).  Rows holding a -inf are counted and
-    left out of the sums.  Returns (x events, row events, center, S)
-    (center NaN if no row is left),
+    gives y = cross(xi_2, xi_3).  A finite-support law draws atom
+    indices instead and gathers x and y from its table of cross-term
+    logs, built once per call; the values are the same bit for bit.
+    Rows holding a -inf are counted and left out of the sums.  Returns
+    (x events, row events, center, S) (center NaN if no row is left),
     S as in _summary at order 2 in x alone, or at order 4 with powers
     of y up to 2 when lagged.  Memory is O(SAMPLE_CHUNK) per worker
     whatever n_samples is.
@@ -195,14 +198,21 @@ def _reduce(
         raise ValueError("need n_samples >= 2")
     sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
     orders = (4, 2) if lagged else (2, 0)
+    law = AtomLaw(spec) if spec.is_discrete else None
+    table = law.log_cross().ravel() if law is not None else None
 
     def run(k: int):
         gen = make_stream(seed, k)
         m = sizes[k]
-        t1 = sample_triples(spec, m, gen)
-        t2 = sample_triples(spec, m, gen)
-        x = cross_terms(t1, t2)
-        y = cross_terms(t2, sample_triples(spec, m, gen)) if lagged else None
+        if law is not None:
+            i1, i2 = law.indices(m, gen), law.indices(m, gen)
+            x = table[i1 * law.k + i2]
+            y = table[i2 * law.k + law.indices(m, gen)] if lagged else None
+        else:
+            t1 = sample_triples(spec, m, gen)
+            t2 = sample_triples(spec, m, gen)
+            x = cross_terms(t1, t2)
+            y = cross_terms(t2, sample_triples(spec, m, gen)) if lagged else None
         x_inf = np.isneginf(x)
         bad = x_inf | np.isneginf(y) if lagged else x_inf
         n_bad = int(bad.sum())

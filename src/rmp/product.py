@@ -4,9 +4,12 @@ The product S_n = Y_n ... Y_2 Y_1 of matrices Y_j = [[a_j, b_j],
 [c_j, b_j*c_j/a_j]] collapses to a rank-one matrix scaled by the
 product of the scalar cross terms a_j + b_{j+1} c_j / a_{j+1}.  The
 accumulator tracks log |that product| plus the generators of the
-rank-one remainder, so log ||S_n|| (Hilbert-Schmidt norm) is computed
-in log space and never overflows.  A naive rescaled-multiplication
-oracle is kept alongside for validating the representation.
+rank-one remainder, so log ||S_n|| (Hilbert-Schmidt norm) is a sum of
+logs and the accumulated sum never overflows.  A single cross term is
+still formed in linear space: EntryTriple rejects a triple whose own
+b/a or b*c/a is not finite, but the cross term of two valid triples can
+overflow to inf.  A naive rescaled-multiplication oracle is kept
+alongside for validating the representation.
 
 A cross term that is exactly zero makes S_n the zero matrix; this is a
 legitimate state, represented by -inf, not an error.
@@ -14,9 +17,15 @@ legitimate state, represented by -inf, not an error.
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
 sampled STEP_BLOCK steps at a time.  Each worker thread gets one
 workspace of three float64 buffers, made once per call and reused for
-every block of every chunk it runs: the sampler writes the block's
-triples into it and the cross terms are formed in place, so memory is
-fixed whatever the chain length and chain count are.
+every block of every chunk it runs, so memory is fixed whatever the
+chain length and chain count are.  For a continuous law the sampler
+writes the block's triples into the workspace and the cross terms are
+formed in place.  A finite-support law has only k^2 distinct cross
+terms, so the call builds its k x k table of their logs once
+(AtomLaw.log_cross); a block then draws atom indices (uniforms in the
+first buffer, indices in the second) and gathers the table entry of
+each consecutive index pair into the third, with no divide or log per
+step.  Both paths give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, EntryTriple, make_stream, sample_triples
+from .distributions import (
+    AtomLaw,
+    DistributionSpec,
+    EntryTriple,
+    make_stream,
+    sample_triples,
+)
 from .parallel import chunk_sizes, map_chunks
 
 NEG_INF = float("-inf")
@@ -187,14 +202,19 @@ def chain_log_norms(
     sizes = chunk_sizes(n_chains, CHAIN_CHUNK)
     length = min(STEP_BLOCK, n) * sizes[0]
     free = []  # idle workspaces; there are never more than chunks run at once
+    law = AtomLaw(spec) if spec.is_discrete else None
+    table = law.log_cross().ravel() if law is not None else None
 
     def run(k: int) -> np.ndarray:
         try:
             workspace = free.pop()
         except IndexError:
             workspace = (np.empty(length), np.empty(length), np.empty(length))
+        gen = make_stream(seed, k)
         try:
-            return _chain_chunk(spec, n, sizes[k], make_stream(seed, k), workspace)
+            if law is not None:
+                return _atom_chain_chunk(law, table, n, sizes[k], gen, workspace)
+            return _chain_chunk(spec, n, sizes[k], gen, workspace)
         finally:
             free.append(workspace)
 
@@ -239,3 +259,43 @@ def _chain_chunk(spec, n, width, gen, workspace) -> np.ndarray:
         done += block
     pa, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
+
+
+def _atom_chain_chunk(law, table, n, width, gen, workspace) -> np.ndarray:
+    """_chain_chunk for a finite-support law, by atom index.
+
+    ``table`` is law.log_cross() flattened, so the cross term of atom i
+    followed by atom j is table[i * k + j].  Each block draws its atom
+    indices into ``workspace`` (uniforms in the first buffer, indices in
+    the second, search scratch in the third), then forms the index pairs
+    of consecutive steps over the spent uniforms and gathers their cross
+    terms into the third buffer.  The last row of indices is copied out
+    as the carry into the next block; the head ratio and the tail come
+    from the atom table.
+    """
+    k = law.k
+    u_buf, idx_buf, cross_buf = workspace
+    sumlog = np.zeros(width)
+    first = prev = None  # atom indices of the first / last absorbed step
+    done = 0
+    while done < n:
+        block = min(STEP_BLOCK, n - done)
+        size = block * width
+        idx = law.indices(size, gen, out=(u_buf, idx_buf.view(np.intp), cross_buf))
+        steps = idx.reshape(block, width)
+        if prev is None:
+            first = steps[0].copy()
+        else:
+            sumlog += table[prev * k + steps[0]]
+        prev = steps[-1].copy()
+        if block > 1:
+            pairs = u_buf[: size - width].view(np.intp).reshape(block - 1, width)
+            np.multiply(steps[:-1], k, out=pairs)
+            np.add(pairs, steps[1:], out=pairs)
+            cross = cross_buf[: size - width].reshape(block - 1, width)
+            np.take(table, pairs, out=cross, mode="clip")
+            sumlog += cross.sum(axis=0)
+        done += block
+    a, b, c = law.atoms.T
+    head_ratio = b[first] / a[first]
+    return sumlog + np.log(np.hypot(a[prev], c[prev])) + np.log(np.hypot(1.0, head_ratio))

@@ -87,6 +87,13 @@ class TestEstimate:
         assert out.returncode == 1
         assert out.stderr.startswith("error:")
 
+    def test_overflowing_triple_exit_1(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"family": "ConstantTriple", "value": [1, 1e200, 1e200]}')
+        out = rmp("estimate", "--dist", str(path), "--samples", "1024")
+        assert out.returncode == 1
+        assert "b*c/a" in out.stderr and out.stdout == ""
+
     def test_malformed_config(self, dists):
         out = rmp("estimate", "--dist", dists["bad"])
         assert out.returncode == 1

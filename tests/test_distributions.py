@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -72,6 +74,19 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="alpha"):
             parse_spec('{"family": "BinaryHill", "alpha": -0.25, "beta": 2, "p": 0.5}')
 
+    def test_binary_inverse_square_must_be_finite(self):
+        # the atom (x, 1/x, 1) has head ratio and entry 1/x^2 = 1e320
+        with pytest.raises(SpecError, match="1/beta\\^2"):
+            DistributionSpec.binary_hill(2.0, 1e-160, 0.5)
+        with pytest.raises(SpecError, match="1/alpha\\^2"):
+            DistributionSpec.binary_hill(-1e-160, 3.0, 0.5)
+        # 1/x^2 = 1e308 is just inside
+        x = 1e-154
+        with localcontext() as ctx:
+            ctx.prec = 50
+            assert 1 / Decimal(x) ** 2 < Decimal(sys.float_info.max)
+        DistributionSpec.binary_hill(x, 3.0, 0.5)
+
     def test_uniform_constraints(self):
         with pytest.raises(SpecError, match="a must be >= 0"):
             parse_spec('{"family": "UniformRankOne", "a": -1, "b": 1}')
@@ -97,6 +112,32 @@ class TestEntryTriple:
     def test_zero_a_rejected(self):
         with pytest.raises(SpecError, match="a must be nonzero"):
             EntryTriple(0.0, 1.0, 1.0)
+
+    def test_overflowing_entry_rejected(self):
+        # b*c/a = 1e400: lambda was +inf and build_matrix overflowed
+        with pytest.raises(SpecError, match="b\\*c/a"):
+            EntryTriple(1.0, 1e200, 1e200)
+
+    def test_overflowing_head_ratio_rejected(self):
+        # b/a = 1e310
+        with pytest.raises(SpecError, match="head ratio"):
+            EntryTriple(1e-300, 1e10, 1.0)
+
+    @pytest.mark.parametrize("t", [(1.0, 1e154, 1.79e154), (1e-300, 1.79e8, 1.0)])
+    def test_just_inside_the_boundary_accepted(self, t):
+        xi = EntryTriple(*t)
+        a, b, c = (Decimal(v) for v in t)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            entry, ratio = b * c / a, b / a
+        top = Decimal(sys.float_info.max)
+        assert entry < top and ratio < top
+        assert xi.b * xi.c / xi.a == pytest.approx(float(entry), rel=1e-15)
+        assert xi.b / xi.a == pytest.approx(float(ratio), rel=1e-15)
+
+    def test_huge_entries_with_finite_ratios_accepted(self):
+        xi = EntryTriple(1e300, 1.0, 1e300)
+        assert (xi.b / xi.a, xi.b * xi.c / xi.a) == (1e-300, 1.0)
 
     def test_nan_rejected(self):
         with pytest.raises(SpecError, match="finite"):
