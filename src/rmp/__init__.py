@@ -12,6 +12,7 @@ from .distributions import (
     EntryTriple,
     NotDiscreteError,
     SpecError,
+    cross_term,
     enumerate_atoms,
     load_spec,
     make_stream,
@@ -24,7 +25,6 @@ from .estimators import (
     EstimateResult,
     NoClosedFormError,
     closed_form,
-    cross_term,
     estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,

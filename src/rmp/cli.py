@@ -72,16 +72,14 @@ def _dump(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _result_doc(r: EstimateResult, exact: bool = False) -> dict:
-    doc = {"value": r.value}
-    if not exact:
-        doc["std_error"] = r.std_error
-    doc.update(
-        n_samples=r.n_samples,
-        seed=r.seed,
-        minus_inf_events=r.minus_inf_events,
-    )
-    return doc
+def _result_doc(r: EstimateResult) -> dict:
+    return {
+        "value": r.value,
+        "std_error": r.std_error,
+        "n_samples": r.n_samples,
+        "seed": r.seed,
+        "minus_inf_events": r.minus_inf_events,
+    }
 
 
 def _write_histogram_csv(path: str, histogram) -> None:

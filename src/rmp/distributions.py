@@ -86,6 +86,33 @@ class EntryTriple:
             )
 
 
+def cross_term(xi1: EntryTriple, xi2: EntryTriple) -> float:
+    """Scalar cross_terms: log |a_1 + b_2 c_1 / a_2|; -inf on exact cancellation."""
+    v = xi1.a + xi2.b * xi1.c / xi2.a
+    if v == 0.0:
+        return float("-inf")
+    return math.log(abs(v))
+
+
+def cross_terms(t1, t2, out=None) -> np.ndarray:
+    """log |a_1 + b_2 c_1 / a_2| of two triple batches; -inf on cancellation.
+
+    t1, t2 are (a, b, c) arrays that broadcast (t1's b and t2's c are not
+    read).  Every vectorised path forms its cross terms here, by numpy's
+    multiply, divide, add, abs and log in this order, so they agree bit
+    for bit.  ``out`` may be c_1 itself; without it one array is allocated.
+    """
+    a1, _, c1 = t1
+    a2, b2, _ = t2
+    out = np.multiply(b2, c1, out=out)
+    np.divide(out, a2, out=out)
+    np.add(a1, out, out=out)
+    np.abs(out, out=out)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    return out
+
+
 def make_stream(seed: int, chunk: int = 0) -> np.random.Generator:
     """Counter-based random stream for (seed, chunk).
 
@@ -124,6 +151,8 @@ class DistributionSpec:
         if self.atoms is not None:
             object.__setattr__(self, "atoms", tuple(tuple(at) for at in self.atoms))
         _VALIDATORS[self.family](self)
+        if self.is_discrete:
+            _validate_cross_terms(self)
         # normalize validated numerics so JSON integers behave like reals
         for name in ("alpha", "beta", "p", "a", "b", "theta"):
             v = getattr(self, name)
@@ -217,7 +246,8 @@ def _validate_binary(spec):
         # b/a and b*c/a of the atom (x, 1/x, 1)
         if not math.isfinite(1.0 / x / x):
             raise SpecError(f"{name} = {x!r} is too small: 1/{name}^2 is not finite")
-    if (alpha * beta**2 + 1.0) * (alpha**2 * beta + 1.0) == 0.0:
+    # squares by multiplication, since float ** raises OverflowError
+    if alpha * (beta * beta) + 1.0 == 0.0 or (alpha * alpha) * beta + 1.0 == 0.0:
         raise SpecError(
             "alpha, beta must satisfy (alpha*beta^2+1)*(alpha^2*beta+1) != 0"
         )
@@ -235,6 +265,8 @@ def _validate_uniform(spec):
         raise SpecError(f"b must be >= 0 (interval is [-a, b]), got {b}")
     if a + b == 0.0:
         raise SpecError("interval [-a, b] is degenerate; need a + b > 0")
+    if not math.isfinite(a + b):
+        raise SpecError(f"interval [-a, b] too wide: a + b = {a!r} + {b!r} overflows")
 
 
 def _validate_exponential(spec):
@@ -252,6 +284,8 @@ def _validate_hill(spec):
     b = _need(spec, "b")
     if not a < b:
         raise SpecError(f"need a < b for the multiplier support [a, b], got [{a}, {b}]")
+    if not math.isfinite(b - a):
+        raise SpecError(f"support [a, b] is too wide: b - a = {b!r} - {a!r} overflows")
 
 
 def _validate_constant(spec):
@@ -278,6 +312,26 @@ def _validate_atoms(spec):
         total += p
     if abs(total - 1.0) > _ATOM_SUM_TOL:
         raise SpecError(f"atom probabilities must sum to 1, got {total!r}")
+
+
+def _validate_cross_terms(spec):
+    """Reject a finite-support law with an atom pair whose cross term overflows.
+
+    Each of the k^2 ordered atom pairs (i, j) is one possible cross term
+    a_i + b_j c_i / a_j, evaluated as the kernels evaluate it.  If one is
+    not finite, its log would be +inf (or NaN) in every estimator.
+    """
+    law = AtomLaw(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = law.log_cross()
+    bad = np.argwhere(~(T < np.inf))  # +inf or NaN; -inf is a cancellation
+    if bad.size:
+        i, j = bad[0]
+        (ai, _, ci), (aj, bj, _) = law.atoms[i].tolist(), law.atoms[j].tolist()
+        raise SpecError(
+            f"cross term a_i + b_j*c_i/a_j = {ai!r} + {bj!r}*{ci!r}/{aj!r} "
+            f"of atoms i, j = {i}, {j} is not finite"
+        )
 
 
 _VALIDATORS = {
@@ -502,7 +556,10 @@ class AtomLaw:
     ``atoms`` is the k x 3 table of the triples of enumerate_atoms(spec),
     one row (a, b, c) per atom.  ``cum`` holds their cumulative
     probabilities, the last raised to 1 if rounding left it below, padded
-    with +inf to a power-of-two length for index_search.
+    with +inf to a power-of-two length for index_search.  The cross term
+    of atom i followed by atom j is one of k^2 numbers; ``cross`` gathers
+    them from a table built on first use and kept for the law's lifetime,
+    so callers never see its layout.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -513,24 +570,32 @@ class AtomLaw:
         cum[-1] = max(cum[-1], 1.0)
         size = 1 << (self.k - 1).bit_length()  # smallest power of two >= k
         self.cum = np.concatenate([cum, np.full(size - self.k, np.inf)])
+        self._table = None
 
     def log_cross(self) -> np.ndarray:
         """k x k table T[i, j] = log |a_i + b_j c_i / a_j|; -inf on cancellation.
 
-        These are the cross terms of atom i followed by atom j, formed with
-        numpy's multiply, divide, add, abs and log in the order in which
-        the kernels form them from sampled triples, so a gather of T equals
-        their cross terms bit for bit.  T holds k^2 doubles: 8 MiB at
+        cross_terms of the atom columns, broadcast as rows i against
+        columns j, so T[i, j] equals the cross term of sampled triples
+        equal to atoms i and j bit for bit.  T holds k^2 doubles: 8 MiB at
         k = 1024.
         """
-        a, b, c = self.atoms.T
-        t = np.multiply(b[None, :], c[:, None])
-        np.divide(t, a[None, :], out=t)
-        np.add(a[:, None], t, out=t)
-        np.abs(t, out=t)
-        with np.errstate(divide="ignore"):
-            np.log(t, out=t)
-        return t
+        a, b, c = self.atoms.T[:, :, None]
+        return cross_terms((a, b, c), (a.T, b.T, c.T))
+
+    def cross(self, i, j, out=None, pairs=None) -> np.ndarray:
+        """log_cross()[i, j] for atom index arrays i, j, by a table built once.
+
+        ``out`` (float64, for the terms) and ``pairs`` (intp, for the table
+        positions) are optional buffers shaped like i and j.  Threads racing
+        on the first call just build the same table twice.
+        """
+        if self._table is None:
+            self._table = self.log_cross().ravel()
+        pairs = np.multiply(i, self.k, out=pairs)
+        np.add(pairs, j, out=pairs)
+        # every position is in range; mode="clip" writes out directly
+        return np.take(self._table, pairs, out=out, mode="clip")
 
     def indices(self, n: int, gen: np.random.Generator, out=None) -> np.ndarray:
         """Atom indices of n draws: #{j : cum[j] <= u} for u = gen.random(n).

@@ -33,7 +33,8 @@ from .distributions import (
     UNIFORM_RANK_ONE,
     AtomLaw,
     DistributionSpec,
-    EntryTriple,
+    cross_term,
+    cross_terms,
     enumerate_atoms,
     make_stream,
     sample_triples,
@@ -88,22 +89,6 @@ class CovarianceLadder:
     @property
     def sigma2(self) -> float:
         return self.c0 + 2.0 * self.c1
-
-
-def cross_term(xi1: EntryTriple, xi2: EntryTriple) -> float:
-    """log |a_1 + b_2 c_1 / a_2|; -inf on exact cancellation."""
-    v = xi1.a + xi2.b * xi1.c / xi2.a
-    if v == 0.0:
-        return NEG_INF
-    return math.log(abs(v))
-
-
-def cross_terms(t1, t2) -> np.ndarray:
-    """Vectorized cross terms of two triple batches (a, b, c arrays)."""
-    a1, _, c1 = t1
-    a2, b2, _ = t2
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(a1 + b2 * c1 / a2))
 
 
 # -- streaming co-moment reducer ---------------------------------------------
@@ -186,8 +171,8 @@ def _reduce(
     Each sample draws (xi_1, xi_2) from its (seed, chunk) stream and
     gives x = cross(xi_1, xi_2); with ``lagged`` it also draws xi_3 and
     gives y = cross(xi_2, xi_3).  A finite-support law draws atom
-    indices instead and gathers x and y from its table of cross-term
-    logs, built once per call; the values are the same bit for bit.
+    indices instead and gathers x and y with AtomLaw.cross, whose table
+    is built once per call; the values are the same bit for bit.
     Rows holding a -inf are counted and left out of the sums.  Returns
     (x events, row events, center, S) (center NaN if no row is left),
     S as in _summary at order 2 in x alone, or at order 4 with powers
@@ -199,15 +184,14 @@ def _reduce(
     sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
     orders = (4, 2) if lagged else (2, 0)
     law = AtomLaw(spec) if spec.is_discrete else None
-    table = law.log_cross().ravel() if law is not None else None
 
     def run(k: int):
         gen = make_stream(seed, k)
         m = sizes[k]
         if law is not None:
             i1, i2 = law.indices(m, gen), law.indices(m, gen)
-            x = table[i1 * law.k + i2]
-            y = table[i2 * law.k + law.indices(m, gen)] if lagged else None
+            x = law.cross(i1, i2)
+            y = law.cross(i2, law.indices(m, gen)) if lagged else None
         else:
             t1 = sample_triples(spec, m, gen)
             t2 = sample_triples(spec, m, gen)
@@ -408,9 +392,11 @@ def _binary_closed_form(alpha: float, beta: float, p: float):
     mixed-pair combination L2 = log(|alpha + 1/beta^2| |beta + 1/alpha^2|).
     """
     q = 1.0 - p
-    l1 = math.log(abs(alpha + 1.0 / alpha**2))
-    l2 = math.log(abs(alpha + 1.0 / beta**2) * abs(beta + 1.0 / alpha**2))
-    l3 = math.log(abs(beta + 1.0 / beta**2))
+    # squares by multiplication, since float ** raises OverflowError
+    inv_a2, inv_b2 = 1.0 / (alpha * alpha), 1.0 / (beta * beta)
+    l1 = math.log(abs(alpha + inv_a2))
+    l2 = math.log(abs(alpha + inv_b2) * abs(beta + inv_a2))
+    l3 = math.log(abs(beta + inv_b2))
     lam = p * p * l1 + p * q * l2 + q * q * l3
     sigma2 = (
         p**2 * (1.0 + (2.0 - 3.0 * p) * p) * l1**2

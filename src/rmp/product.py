@@ -2,34 +2,35 @@
 
 The product S_n = Y_n ... Y_2 Y_1 of matrices Y_j = [[a_j, b_j],
 [c_j, b_j*c_j/a_j]] collapses to a rank-one matrix scaled by the
-product of the scalar cross terms a_j + b_{j+1} c_j / a_{j+1}.  The
+product of the scalar cross terms a_j + b_{j+1} c_j / a_{j+1}, defined
+once in distributions (cross_term, and cross_terms for arrays).  The
 accumulator tracks log |that product| plus the generators of the
 rank-one remainder, so log ||S_n|| (Hilbert-Schmidt norm) is a sum of
 logs and the accumulated sum never overflows.  A single cross term is
-still formed in linear space: EntryTriple rejects a triple whose own
-b/a or b*c/a is not finite, but the cross term of two valid triples can
-overflow to inf.  A naive rescaled-multiplication oracle is kept
+still formed in linear space.  A finite-support law is rejected at
+validation if one of its atom pairs gives a cross term that is not
+finite, but two draws of a continuous law with extreme support can
+still overflow to inf.  A naive rescaled-multiplication oracle is kept
 alongside for validating the representation.
 
 A cross term that is exactly zero makes S_n the zero matrix; this is a
 legitimate state, represented by -inf, not an error.
 
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
-sampled STEP_BLOCK steps at a time.  Each worker thread gets one
-workspace of three float64 buffers, made once per call and reused for
-every block of every chunk it runs, so memory is fixed whatever the
-chain length and chain count are.  For a continuous law the sampler
-writes the block's triples into the workspace and the cross terms are
-formed in place.  A finite-support law has only k^2 distinct cross
-terms, so the call builds its k x k table of their logs once
-(AtomLaw.log_cross); a block then draws atom indices (uniforms in the
-first buffer, indices in the second) and gathers the table entry of
-each consecutive index pair into the third, with no divide or log per
-step.  Both paths give the same values bit for bit.
+STEP_BLOCK steps at a time, in one kernel for every law.  Each worker
+thread gets one workspace of three float64 buffers, made once per call
+and reused for every block of every chunk it runs, so memory is fixed
+whatever the chain length and chain count are.  Only the block step
+depends on the law: a continuous law samples the block's triples into
+the workspace and forms the cross terms in place; a finite-support law
+draws atom indices and gathers the cross term of each consecutive index
+pair (AtomLaw.cross), with no divide or log per step.  Both give the
+values of sampled triples bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ from .distributions import (
     AtomLaw,
     DistributionSpec,
     EntryTriple,
+    cross_term,
+    cross_terms,
     make_stream,
     sample_triples,
 )
@@ -89,14 +92,9 @@ def accumulator_step(acc: ProductAccumulator, xi: EntryTriple) -> ProductAccumul
     comes from the *new* factor).  An exact zero sends the sum to -inf,
     where it stays.
     """
-    cross = acc.pending.a + xi.b * acc.pending.c / xi.a
-    if cross == 0.0:
-        s = NEG_INF
-    else:
-        s = acc.sum_log_terms + math.log(abs(cross))
     return ProductAccumulator(
         n=acc.n + 1,
-        sum_log_terms=s,
+        sum_log_terms=acc.sum_log_terms + cross_term(acc.pending, xi),
         head_ratio=acc.head_ratio,
         tail=(xi.a, xi.c),
         pending=xi,
@@ -202,8 +200,10 @@ def chain_log_norms(
     sizes = chunk_sizes(n_chains, CHAIN_CHUNK)
     length = min(STEP_BLOCK, n) * sizes[0]
     free = []  # idle workspaces; there are never more than chunks run at once
-    law = AtomLaw(spec) if spec.is_discrete else None
-    table = law.log_cross().ravel() if law is not None else None
+    if spec.is_discrete:
+        draw = functools.partial(_atom_block, AtomLaw(spec))
+    else:
+        draw = functools.partial(_sampled_block, spec)
 
     def run(k: int) -> np.ndarray:
         try:
@@ -212,90 +212,60 @@ def chain_log_norms(
             workspace = (np.empty(length), np.empty(length), np.empty(length))
         gen = make_stream(seed, k)
         try:
-            if law is not None:
-                return _atom_chain_chunk(law, table, n, sizes[k], gen, workspace)
-            return _chain_chunk(spec, n, sizes[k], gen, workspace)
+            return _chain_chunk(draw, n, sizes[k], gen, workspace)
         finally:
             free.append(workspace)
 
     return np.concatenate(map_chunks(run, len(sizes), threads))
 
 
-def _chain_chunk(spec, n, width, gen, workspace) -> np.ndarray:
-    """One chunk of ``width`` chains, sampled in step blocks.
+def _chain_chunk(draw, n, width, gen, workspace) -> np.ndarray:
+    """One chunk of ``width`` chains, in step blocks.
 
-    Each block is drawn into ``workspace``, three float64 buffers of at
-    least min(STEP_BLOCK, n) * width entries, and its cross terms
-    overwrite all but the last row of the c buffer.  The last row is
-    copied out as the carry into the next block.
+    draw(block, width, gen, workspace) fills ``workspace``, three float64
+    buffers of at least min(STEP_BLOCK, n) * width entries, with the next
+    ``block`` steps.  It returns the (a, b, c) rows of the first and the
+    last step, and the (block - 1) x width cross terms within the block.
+    Only a and b of the first row are read; the last row is a copy, the
+    carry into the next block.
     """
     sumlog = np.zeros(width)
     head_ratio = None
-    prev = None  # (a, c) of the last absorbed step, shape (width,)
+    prev = None  # (a, b, c) of the last absorbed step, each of shape (width,)
     done = 0
     while done < n:
         block = min(STEP_BLOCK, n - done)
-        a, b, c = sample_triples(spec, block * width, gen, out=workspace)
-        A = a.reshape(block, width)
-        B = b.reshape(block, width)
-        C = c.reshape(block, width)
+        first, last, cross = draw(block, width, gen, workspace)
         if prev is None:
-            head_ratio = B[0] / A[0]
+            head_ratio = first[1] / first[0]
         else:
-            pa, pc = prev
-            with np.errstate(divide="ignore"):
-                sumlog += np.log(np.abs(pa + B[0] * pc / A[0]))
-        prev = (A[-1].copy(), C[-1].copy())
+            sumlog += cross_terms(prev, first)
+        prev = last
         if block > 1:
-            # log |A[:-1] + B[1:] * C[:-1] / A[1:]|, written over C[:-1]
-            cross = C[:-1]
-            np.multiply(B[1:], cross, out=cross)
-            np.divide(cross, A[1:], out=cross)
-            np.add(A[:-1], cross, out=cross)
-            np.abs(cross, out=cross)
-            with np.errstate(divide="ignore"):
-                np.log(cross, out=cross)
             sumlog += cross.sum(axis=0)
         done += block
-    pa, pc = prev
+    pa, _, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 
 
-def _atom_chain_chunk(law, table, n, width, gen, workspace) -> np.ndarray:
-    """_chain_chunk for a finite-support law, by atom index.
+def _sampled_block(spec, block, width, gen, workspace):
+    """Sampled triples; the cross terms overwrite all but the last row of c."""
+    a, b, c = sample_triples(spec, block * width, gen, out=workspace)
+    A, B, C = (x.reshape(block, width) for x in (a, b, c))
+    last = (A[-1].copy(), B[-1].copy(), C[-1].copy())
+    cross_terms((A[:-1], None, C[:-1]), (A[1:], B[1:], None), out=C[:-1])
+    return (A[0], B[0], C[0]), last, C[:-1]
 
-    ``table`` is law.log_cross() flattened, so the cross term of atom i
-    followed by atom j is table[i * k + j].  Each block draws its atom
-    indices into ``workspace`` (uniforms in the first buffer, indices in
-    the second, search scratch in the third), then forms the index pairs
-    of consecutive steps over the spent uniforms and gathers their cross
-    terms into the third buffer.  The last row of indices is copied out
-    as the carry into the next block; the head ratio and the tail come
-    from the atom table.
+
+def _atom_block(law, block, width, gen, workspace):
+    """Atom indices (uniforms in the first buffer, indices in the second),
+    then the cross terms of consecutive steps gathered into the third, with
+    their table positions over the spent uniforms.
     """
-    k = law.k
     u_buf, idx_buf, cross_buf = workspace
-    sumlog = np.zeros(width)
-    first = prev = None  # atom indices of the first / last absorbed step
-    done = 0
-    while done < n:
-        block = min(STEP_BLOCK, n - done)
-        size = block * width
-        idx = law.indices(size, gen, out=(u_buf, idx_buf.view(np.intp), cross_buf))
-        steps = idx.reshape(block, width)
-        if prev is None:
-            first = steps[0].copy()
-        else:
-            sumlog += table[prev * k + steps[0]]
-        prev = steps[-1].copy()
-        if block > 1:
-            pairs = u_buf[: size - width].view(np.intp).reshape(block - 1, width)
-            np.multiply(steps[:-1], k, out=pairs)
-            np.add(pairs, steps[1:], out=pairs)
-            cross = cross_buf[: size - width].reshape(block - 1, width)
-            np.take(table, pairs, out=cross, mode="clip")
-            sumlog += cross.sum(axis=0)
-        done += block
-    a, b, c = law.atoms.T
-    head_ratio = b[first] / a[first]
-    return sumlog + np.log(np.hypot(a[prev], c[prev])) + np.log(np.hypot(1.0, head_ratio))
+    idx = law.indices(block * width, gen, out=(u_buf, idx_buf.view(np.intp), cross_buf))
+    steps = idx.reshape(block, width)
+    m, shape = (block - 1) * width, (block - 1, width)
+    pairs = u_buf[:m].view(np.intp).reshape(shape)
+    cross = law.cross(steps[:-1], steps[1:], cross_buf[:m].reshape(shape), pairs)
+    return law.atoms[steps[0]].T, law.atoms[steps[-1]].T, cross

@@ -94,6 +94,32 @@ class TestEstimate:
         assert out.returncode == 1
         assert "b*c/a" in out.stderr and out.stdout == ""
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ('{"family": "DiscreteAtoms", "atoms": [[[1, 1, 1e200], 0.5], [[1, 1e200, 1], 0.5]]}',
+             "not finite"),
+            ('{"family": "UniformRankOne", "a": 1e308, "b": 1e308}', "too wide"),
+            ('{"family": "HillRandom", "a": -1e308, "b": 1e308}', "too wide"),
+        ],
+    )
+    def test_overflowing_law_exit_1(self, tmp_path, doc, match):
+        path = tmp_path / "law.json"
+        path.write_text(doc)
+        out = rmp("estimate", "--dist", str(path), "--samples", "1024")
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and match in out.stderr
+        assert out.stdout == ""
+
+    def test_huge_binary_multiplier_exact(self, tmp_path):
+        # beta^2 = 1e400 once ended in an OverflowError traceback
+        path = tmp_path / "huge.json"
+        path.write_text('{"family": "BinaryHill", "alpha": 2, "beta": 1e200, "p": 0.5}')
+        out = rmp("estimate", "--dist", str(path), "--exact")
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        assert doc["lambda"]["value"] == pytest.approx(230.63452864859863, rel=1e-12)
+
     def test_malformed_config(self, dists):
         out = rmp("estimate", "--dist", dists["bad"])
         assert out.returncode == 1

@@ -10,16 +10,20 @@ from rmp.distributions import (
     EXPONENTIAL_RANK_ONE,
     HILL_RANDOM,
     UNIFORM_RANK_ONE,
+    AtomLaw,
     DistributionSpec,
     EntryTriple,
     NotDiscreteError,
     SpecError,
+    cross_term,
+    cross_terms,
     enumerate_atoms,
     make_stream,
     parse_spec,
     sample_triple,
     sample_triples,
 )
+from rmp.product import CHAIN_CHUNK, chain_log_norms
 
 
 class TestParseSpec:
@@ -93,6 +97,15 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="degenerate"):
             parse_spec('{"family": "UniformRankOne", "a": 0, "b": 0}')
 
+    def test_support_width_must_be_finite(self):
+        # width = hi - lo overflowed to inf and MC returned lambda = NaN
+        with pytest.raises(SpecError, match="a \\+ b"):
+            DistributionSpec.uniform_rank_one(1e308, 1e308)
+        with pytest.raises(SpecError, match="b - a"):
+            DistributionSpec.hill_random(-1e308, 1e308)
+        DistributionSpec.uniform_rank_one(8e307, 8e307)
+        DistributionSpec.hill_random(-8e307, 8e307)
+
     def test_theta_positive(self):
         with pytest.raises(SpecError, match="theta"):
             parse_spec('{"family": "ExponentialRankOne", "theta": 0}')
@@ -106,6 +119,113 @@ class TestParseSpec:
     def test_nonfinite_rejected(self):
         with pytest.raises(SpecError, match="finite"):
             DistributionSpec.constant_triple(float("inf"), 1.0, 1.0)
+
+
+class TestFiniteSupportOverflow:
+    def test_binary_degeneracy_still_rejected(self):
+        # alpha^2 * beta + 1 = 0 at beta = -1/alpha^2
+        with pytest.raises(SpecError, match="alpha, beta"):
+            DistributionSpec.binary_hill(2.0, -0.25, 0.5)
+
+    def test_overflowing_atom_pair_rejected(self):
+        # each atom is valid, but atom 0 then atom 1 gives 1 + 1e200 * 1e200 / 1
+        with pytest.raises(SpecError, match="atoms i, j = 0, 1 is not finite"):
+            DistributionSpec.discrete_atoms([((1, 1, 1e200), 0.5), ((1, 1e200, 1), 0.5)])
+
+    def test_overflowing_binary_pair_rejected(self):
+        # alpha + 1/beta^2 = 1.7e308 + 1e308
+        with pytest.raises(SpecError, match="not finite"):
+            DistributionSpec.binary_hill(1.7e308, 1e-154, 0.5)
+        # the pair never occurs when beta has probability 0
+        DistributionSpec.binary_hill(1.7e308, 1e-154, 1.0)
+
+
+def _triple_pair(n, seed):
+    rng = np.random.default_rng(seed)
+    a1, c1, a2, b2 = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-5, 6, size=(4, n))
+    b2[:5], c1[5:10] = 0.0, 0.0
+    a2[10:12], b2[10:12], c1[10:12] = 1.0, 1.0, -a1[10:12]  # a1 + 1 * -a1 / 1 = 0
+    return (a1, rng.normal(size=n), c1), (a2, b2, rng.normal(size=n))
+
+
+class TestCrossTerms:
+    def test_into_c1_equals_allocating(self):
+        t1, t2 = _triple_pair(1000, 1)
+        want = cross_terms(t1, t2)
+        c1 = t1[2].copy()
+        got = cross_terms((t1[0], None, c1), t2, out=c1)
+        assert got is c1
+        assert np.array_equal(got, want)
+        assert np.isneginf(want).any()
+
+    def test_formula_and_scalar_form(self):
+        t1, t2 = _triple_pair(200, 3)
+        got = cross_terms(t1, t2)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(got, np.log(np.abs(t1[0] + t2[1] * t1[2] / t2[0])))
+        for i in range(200):
+            x = cross_term(EntryTriple(*(v[i] for v in t1)), EntryTriple(*(v[i] for v in t2)))
+            assert x == pytest.approx(got[i], rel=1e-15, abs=0)
+
+
+def _atom_law(k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], k) * rng.uniform(0.2, 3.0, k)
+    b, c = rng.normal(size=k), rng.normal(size=k)
+    w = rng.random(k) + 0.05
+    return AtomLaw(
+        DistributionSpec.discrete_atoms(
+            [((a[i], b[i], c[i]), w[i] / w.sum()) for i in range(k)]
+        )
+    )
+
+
+class TestAtomLawCross:
+    @pytest.mark.parametrize("k", [1, 3, 17])
+    def test_gather_equals_table(self, k):
+        law = _atom_law(k, seed=k)
+        T = law.log_cross()
+        rng = np.random.default_rng(k)
+        i, j = rng.integers(0, k, size=(2, 40, 7))
+        want = T[i, j]
+        assert np.array_equal(law.cross(i, j), want)
+        out, pairs = np.empty((40, 7)), np.empty((40, 7), np.intp)
+        got = law.cross(i, j, out=out, pairs=pairs)
+        assert got is out and np.array_equal(out, want)
+        assert np.array_equal(pairs, i * k + j)
+        assert np.array_equal(law.cross(i, j, out=np.empty((40, 7))), want)
+        assert np.array_equal(law.cross(i, j, pairs=np.empty((40, 7), np.intp)), want)
+
+    def test_table_is_built_once(self):
+        law = _atom_law(3, seed=0)
+        calls = []
+        build = law.log_cross
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        law.log_cross = counting
+        first = law.cross(np.array([0, 1]), np.array([2, 2]))
+        second = law.cross(np.array([0, 1]), np.array([2, 2]))
+        assert len(calls) == 1
+        assert np.array_equal(first, second)
+
+    def test_threads_racing_on_the_first_call(self):
+        # more threads than cores and a short switch interval interleave the
+        # chunks' first calls; each must still gather from a whole table
+        spec = DistributionSpec.discrete_atoms(
+            [(tuple(row), 1.0 / 17) for row in _atom_law(17, seed=5).atoms]
+        )
+        m = 24 * CHAIN_CHUNK
+        want = chain_log_norms(spec, 50, m, seed=2, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = chain_log_norms(spec, 50, m, seed=2, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
 
 
 class TestEntryTriple:

@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmp.distributions import (
     DistributionSpec,
     EntryTriple,
+    SpecError,
     enumerate_atoms,
     make_stream,
     sample_triples,
@@ -28,6 +31,7 @@ from rmp.estimators import (
     trajectory_lambda,
 )
 from rmp.parallel import chunk_sizes
+from rmp.product import chain_log_norms
 from rmp.selftest import _spec_zoo
 
 LOG2 = math.log(2.0)
@@ -237,6 +241,15 @@ class TestExactDiscrete:
             assert abs(lam_e - lam_c) <= 1e-12
             assert abs(sig_e - sig_c) <= 1e-12
 
+    def test_huge_binary_multiplier_matches_closed_form(self):
+        # beta^2 = 1e400 overflowed Python's float ** in both
+        spec = DistributionSpec.binary_hill(2.0, 1e200, 0.5)
+        lam, sigma2, _ = exact_discrete(spec)
+        want_lam, want_sigma2 = closed_form(spec)
+        assert lam == pytest.approx(want_lam, rel=1e-12)
+        assert sigma2 == pytest.approx(want_sigma2, rel=1e-12)
+        assert lam == pytest.approx(230.63452864859863, rel=1e-12)
+
     def test_cancelling_pair_gives_minus_inf(self):
         lam, sigma2, _ = exact_discrete(CANCELLING)
         assert lam == -math.inf
@@ -339,3 +352,34 @@ class TestReducer:
         assert S[0, 0] == 3000.0
         # first powers sum to ~0, so they get an absolute tolerance
         np.testing.assert_allclose(S, S1, rtol=1e-10, atol=1e-8)
+
+
+def _extreme(draw):
+    """A real m * 10^e with |m| in [1, 10) and e in [-300, 300]."""
+    m = draw(st.floats(1.0, 10.0, exclude_max=True)) * draw(st.sampled_from([-1.0, 1.0]))
+    return m * 10.0 ** draw(st.integers(-300, 300))
+
+
+@st.composite
+def extreme_atom_pairs(draw):
+    p = draw(st.floats(0.05, 0.95))
+    return [(tuple(_extreme(draw) for _ in range(3)), w) for w in (p, 1.0 - p)]
+
+
+class TestExtremeAtoms:
+    @given(extreme_atom_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_rejected_or_never_plus_inf_or_nan(self, atoms):
+        # a law either fails validation or gives no +inf or NaN anywhere;
+        # lambda is -inf (and the variance NaN) only on an exact cancellation
+        try:
+            spec = DistributionSpec.discrete_atoms(atoms)
+        except SpecError:
+            return
+        lam, sigma2, _ = exact_discrete(spec)
+        mc = estimate_lambda_mc(spec, 4096, seed=0).value
+        chains = chain_log_norms(spec, 40, 8, seed=0)
+        for v in (lam, mc, *chains):
+            assert not (math.isnan(v) or v == math.inf)
+        if lam != -math.inf:
+            assert math.isfinite(sigma2)
