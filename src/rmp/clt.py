@@ -10,8 +10,10 @@ sqrt(n) * error and fails the fit decisively.
 The degeneracy check applies the necessary conditions for sigma^2 = 0
 when the entry law has an atom (a, b, c): the exponent must equal
 log |a + bc/a| and all support points must satisfy a quartic identity.
-A failed check proves sigma^2 > 0; a passed check only means
-degeneracy is not ruled out.
+Both are tested in log space on the same k x k cross-term table that
+the exact enumeration sums (AtomLaw.log_cross), so extreme atoms
+cannot overflow them.  A failed check proves sigma^2 > 0; a passed
+check only means degeneracy is not ruled out.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import DistributionSpec, EntryTriple, enumerate_atoms
-from .estimators import exact_discrete
-from .product import NEG_INF, chain_log_norms
+from .distributions import AtomLaw, DistributionSpec, EntryTriple
+from .estimators import exact_moments
+from .product import chain_log_norms
 
 HISTOGRAM_BINS = 40
 
@@ -57,7 +59,9 @@ class DegeneracyVerdict:
 
     True means every necessary condition held for some atom
     ("degeneracy not ruled out"); False proves sigma^2 > 0.  Residuals
-    are reported for the best candidate atom.
+    are reported for the best candidate atom, in log units:
+    lambda_residual = |lam - T[i, i]| and, per support point j,
+    |T[i, j] + T[j, i] - 2 T[i, i]| (see degeneracy_check).
     """
 
     is_degenerate_candidate: bool
@@ -149,66 +153,48 @@ def simulate_normalized(
 def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> DegeneracyVerdict:
     """Test the necessary conditions for a degenerate (sigma^2 = 0) CLT.
 
-    Each atom (a, b, c) of the finite support is tried as the
-    candidate: the exact exponent must equal log |a + bc/a| and every
-    support point (a_j, b_j, c_j) must satisfy
+    Each atom i of the finite support is tried as the candidate.  With
+    T = AtomLaw.log_cross() (T[i, j] = log |a_i + b_j c_i / a_j|), the
+    exact exponent must equal T[i, i] = log |a_i + b_i c_i / a_i|, and
+    every support point j must satisfy
 
-        (a + b_j c / a_j)^2 (a_j + b c_j / a)^2 = (a + bc/a)^4.
+        T[i, j] + T[j, i] = 2 T[i, i],
 
-    Residuals are compared at a relative tolerance.  Raises
-    NotDiscreteError for continuous families.
+    the logarithm of the quartic identity
+    (a_i + b_j c_i / a_j)^2 (a_j + b_i c_j / a_i)^2 = (a_i + b_i c_i / a_i)^4,
+    so no power is formed and nothing overflows.  The residuals are
+    absolute differences in log units (0 where both sides are -inf) and
+    pass at tolerance * max(1, |T[i, i]|).  The verdict reports the atom
+    whose worst scaled residual is smallest (the first on a tie), and
+    pairwise_residuals holds |T[i, j] + T[j, i] - 2 T[i, i]| for every j.
+    The table is built once and shared with the exact enumeration.
+    Raises NotDiscreteError for continuous families.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be > 0")
-    atoms = enumerate_atoms(spec)
-    lam, sigma2, _ = exact_discrete(spec)
+    law = AtomLaw(spec)
+    T = law.log_cross()
+    lam, sigma2, _ = exact_moments(T, law.p)
 
-    best = None  # (worst normalized residual, verdict fields)
-    for (atom, _) in atoms:
-        d = atom.a + atom.b * atom.c / atom.a
-        lam_atom = math.log(abs(d)) if d != 0.0 else NEG_INF
-        lam_res = _diff(lam, lam_atom)
-        lam_ok = lam_res <= tolerance * max(1.0, _finite_abs(lam_atom))
-
-        rhs = d**4
-        pairs = []
-        worst = lam_res / max(1.0, _finite_abs(lam_atom))
-        quartic_ok = True
-        for (other, _) in atoms:
-            lhs = (atom.a + other.b * atom.c / other.a) ** 2 * (
-                other.a + atom.b * other.c / atom.a
-            ) ** 2
-            res = abs(lhs - rhs)
-            pairs.append((other, res))
-            rel = res / max(1.0, abs(rhs))
-            worst = max(worst, rel)
-            if rel > tolerance:
-                quartic_ok = False
-        verdict = lam_ok and quartic_ok
-        entry = (worst, verdict, atom, lam_res, tuple(pairs))
-        if verdict:
-            best = entry
-            break
-        if best is None or entry[0] < best[0]:
-            best = entry
-
-    _, verdict, atom, lam_res, pairs = best
+    lam_atom = np.diag(T)
+    lam_res = _diff(lam, lam_atom)
+    pair_res = _diff(T + T.T, 2.0 * lam_atom[:, None])
+    scale = np.maximum(1.0, np.abs(np.where(np.isfinite(lam_atom), lam_atom, 0.0)))
+    worst = np.maximum(lam_res, pair_res.max(axis=1)) / scale
+    i = int(np.argmin(worst))
+    triples = [EntryTriple(*row) for row in law.atoms.tolist()]
     return DegeneracyVerdict(
-        is_degenerate_candidate=verdict,
-        atom=atom,
-        lambda_residual=lam_res,
-        pairwise_residuals=pairs,
+        is_degenerate_candidate=bool(worst[i] <= tolerance),
+        atom=triples[i],
+        lambda_residual=float(lam_res[i]),
+        pairwise_residuals=tuple(zip(triples, pair_res[i].tolist())),
         lam=lam,
         sigma2=sigma2,
         tolerance=tolerance,
     )
 
 
-def _diff(x: float, y: float) -> float:
-    if x == y:  # covers the -inf / -inf case
-        return 0.0
-    return abs(x - y)
-
-
-def _finite_abs(x: float) -> float:
-    return abs(x) if math.isfinite(x) else 0.0
+def _diff(x, y) -> np.ndarray:
+    """|x - y| elementwise, and 0 where x == y (so -inf against -inf is 0)."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf, masked below
+        return np.where(x == y, 0.0, np.abs(x - y))

@@ -45,6 +45,9 @@ RANK_ONE_FAMILIES = (UNIFORM_RANK_ONE, EXPONENTIAL_RANK_ONE, CAUCHY_RANK_ONE)
 
 _MASK64 = (1 << 64) - 1
 _ATOM_SUM_TOL = 1e-12
+# largest finite support: every route on it holds the k x k cross-term
+# table, 8 MiB at k = 1024
+MAX_ATOMS = 1024
 
 
 class SpecError(ValueError):
@@ -298,6 +301,8 @@ def _validate_constant(spec):
 def _validate_atoms(spec):
     if spec.atoms is None or len(spec.atoms) == 0:
         raise SpecError("DiscreteAtoms requires a nonempty 'atoms' list")
+    if len(spec.atoms) > MAX_ATOMS:
+        raise SpecError(f"too many atoms: {len(spec.atoms)} > {MAX_ATOMS}")
     total = 0.0
     for i, pair in enumerate(spec.atoms):
         if len(pair) != 2:
@@ -554,9 +559,10 @@ class AtomLaw:
     """A finite-support law as arrays, built once per sampling call.
 
     ``atoms`` is the k x 3 table of the triples of enumerate_atoms(spec),
-    one row (a, b, c) per atom.  ``cum`` holds their cumulative
-    probabilities, the last raised to 1 if rounding left it below, padded
-    with +inf to a power-of-two length for index_search.  The cross term
+    one row (a, b, c) per atom, and ``p`` their probabilities as stated.
+    ``cum`` holds the cumulative probabilities, the last raised to 1 if
+    rounding left it below, padded with +inf to a power-of-two length
+    for index_search.  The cross term
     of atom i followed by atom j is one of k^2 numbers; ``cross`` gathers
     them from a table built on first use and kept for the law's lifetime,
     so callers never see its layout.
@@ -566,7 +572,8 @@ class AtomLaw:
         support = enumerate_atoms(spec)
         self.k = len(support)
         self.atoms = np.array([(t.a, t.b, t.c) for t, _ in support])
-        cum = np.cumsum([p for _, p in support])
+        self.p = np.array([p for _, p in support])
+        cum = np.cumsum(self.p)
         cum[-1] = max(cum[-1], 1.0)
         size = 1 << (self.k - 1).bit_length()  # smallest power of two >= k
         self.cum = np.concatenate([cum, np.full(size - self.k, np.inf)])

@@ -5,7 +5,9 @@ other:
 
 * Monte Carlo over the scalar cross terms log |a_1 + b_2 c_1 / a_2|
   (pairs for the exponent, non-overlapping triples for the variance),
-* exact enumeration over atom pairs/triples for finite-support laws,
+* exact enumeration for finite-support laws: O(k^2) sums over the k x k
+  table of atom-pair cross terms that the MC and chain kernels gather
+  from (AtomLaw.log_cross),
 * closed forms for the solvable families (uniform / exponential /
   Cauchy rank-one and the binary two-point multiplier).
 
@@ -33,9 +35,7 @@ from .distributions import (
     UNIFORM_RANK_ONE,
     AtomLaw,
     DistributionSpec,
-    cross_term,
     cross_terms,
-    enumerate_atoms,
     make_stream,
     sample_triples,
 )
@@ -47,7 +47,6 @@ from .product import NEG_INF, chain_log_norms
 EULER_GAMMA = 0.57721566490153286061
 
 SAMPLE_CHUNK = 1 << 16
-MAX_ATOMS = 64
 
 
 class NoClosedFormError(ValueError):
@@ -319,32 +318,35 @@ def trajectory_lambda(
 def exact_discrete(spec: DistributionSpec):
     """(lambda, sigma2, ladder) by exact enumeration of a finite support.
 
-    The exponent and second moment are sums over atom pairs; the lag-1
-    cross expectation sums over atom triples (the middle atom couples
-    both cross terms).  Exact up to float arithmetic.  If any atom pair
-    cancels exactly, lambda = -inf and the variance is undefined (NaN).
+    Sums over AtomLaw's k x k cross-term table, see exact_moments.
     Raises NotDiscreteError for continuous families.
     """
-    atoms = enumerate_atoms(spec)
-    k = len(atoms)
-    if k > MAX_ATOMS:
-        raise ValueError(f"too many atoms for enumeration: {k} > {MAX_ATOMS}")
-    p = np.array([pr for _, pr in atoms])
-    X = np.empty((k, k))
-    for i, (ti, _) in enumerate(atoms):
-        for j, (tj, _) in enumerate(atoms):
-            X[i, j] = cross_term(ti, tj)
-    if np.isneginf(X).any():
+    law = AtomLaw(spec)
+    return exact_moments(law.log_cross(), law.p)
+
+
+def exact_moments(T: np.ndarray, p: np.ndarray):
+    """(lambda, sigma2, ladder) of the cross-term table T of atoms with weights p.
+
+    With T[i, j] the cross term of atom i followed by atom j,
+
+        lambda = p^T T p,   D = T - lambda,   c0 = p^T (D o D) p,
+        c1 = sum_j p_j (p^T D)_j (D p)_j,
+
+    since the middle atom j of a triple couples both cross terms; O(k^2)
+    and exact up to float arithmetic.  D is centered before the
+    p-weighted sums: m2 - lambda^2 cancels when sigma2 is tiny next to
+    lambda^2.  If any atom pair cancels exactly (a -inf entry),
+    lambda = -inf and the variance is undefined (NaN).
+    """
+    if np.isneginf(T).any():
         nan = float("nan")
         return NEG_INF, nan, CovarianceLadder(nan, nan, NEG_INF)
-    lam = float(p @ X @ p)
-    # center before the p-weighted sums: m2 - lam^2 cancels when sigma2
-    # is tiny next to lam^2
-    D = X - lam
+    lam = float(p @ T @ p)
+    D = T - lam
     c0 = float(p @ (D * D) @ p)
-    c1 = float(np.einsum("i,j,k,ij,jk->", p, p, p, D, D))
-    sigma2 = c0 + 2.0 * c1
-    return lam, sigma2, CovarianceLadder(c0, c1, lam)
+    c1 = float(((p @ D) * (D @ p)) @ p)
+    return lam, c0 + 2.0 * c1, CovarianceLadder(c0, c1, lam)
 
 
 # -- closed forms ------------------------------------------------------------

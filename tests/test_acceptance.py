@@ -4,6 +4,8 @@ Each test prints a PASS line with the measured margins; the same
 battery backs ``rmp selftest``.
 """
 
+import pytest
+
 from rmp.selftest import (
     check_binary_formula,
     check_cauchy_exact_values,
@@ -59,6 +61,17 @@ def test_c06_clt_normality():
 def test_c07_law_of_large_numbers():
     # trajectory exponent matches the per-family oracle within 4 SE
     _run(check_law_of_large_numbers, 7, 30.0)
+
+
+def test_c07_closed_form_bug_is_not_masked(monkeypatch):
+    # only a missing closed form falls back to an MC oracle; any other
+    # error in a closed form must surface instead of being papered over
+    def broken(spec):
+        raise RuntimeError("broken closed form")
+
+    monkeypatch.setattr("rmp.selftest.closed_form", broken)
+    with pytest.raises(RuntimeError, match="broken closed form"):
+        check_law_of_large_numbers(quick=True)
 
 
 def test_c08_rank_one_c1_vanishing():

@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from test_estimators import decimal_reference
+
+from rmp.distributions import MAX_ATOMS, parse_spec
 
 LOG2 = math.log(2.0)
 
@@ -224,6 +227,45 @@ class TestDegeneracy:
         out = rmp("degeneracy", "--dist", dists["cauchy"])
         assert out.returncode == 1
         assert "requires finite support" in out.stderr
+
+    @pytest.mark.parametrize(
+        "doc, candidate",
+        [
+            # |a + bc/a|^4 = 1e320 once ended in an OverflowError traceback
+            ({"family": "ConstantTriple", "value": [1e80, 1, 1]}, True),
+            ({"family": "BinaryHill", "alpha": 2, "beta": 1e200, "p": 0.5}, False),
+        ],
+    )
+    def test_extreme_atoms(self, tmp_path, doc, candidate):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(doc))
+        lam, c0, c1 = decimal_reference(parse_spec(json.dumps(doc)))
+        verdict = rmp("degeneracy", "--dist", str(path))
+        exact = rmp("estimate", "--dist", str(path), "--exact")
+        for out in (verdict, exact):
+            assert out.returncode == 0 and "Traceback" not in out.stderr
+        v, e = json.loads(verdict.stdout), json.loads(exact.stdout)
+        assert v["is_degenerate_candidate"] is candidate
+        assert v["lambda"] == e["lambda"]["value"] == pytest.approx(lam, rel=1e-15)
+        assert v["sigma2"] == e["sigma2"]["value"]
+        assert (v["sigma2"] > 0.0) is not candidate
+        if candidate:
+            assert v["lambda"] == 184.20680743952366 and v["sigma2"] == 0.0
+
+
+class TestAtomCap:
+    @pytest.mark.parametrize("command", ["estimate", "clt", "degeneracy"])
+    def test_too_many_atoms_exit_1(self, tmp_path, command):
+        k = MAX_ATOMS + 1
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(
+            {"family": "DiscreteAtoms", "atoms": [[[i + 1, 0, 0], 1 / k] for i in range(k)]}
+        ))
+        extra = ["--source", "exact"] if command == "clt" else []
+        out = rmp(command, "--dist", str(path), *extra)
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and "too many atoms" in out.stderr
+        assert out.stdout == ""
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,6 +11,7 @@ from rmp.distributions import (
     EXPONENTIAL_RANK_ONE,
     HILL_RANDOM,
     UNIFORM_RANK_ONE,
+    MAX_ATOMS,
     AtomLaw,
     DistributionSpec,
     EntryTriple,
@@ -138,6 +140,31 @@ class TestFiniteSupportOverflow:
             DistributionSpec.binary_hill(1.7e308, 1e-154, 0.5)
         # the pair never occurs when beta has probability 0
         DistributionSpec.binary_hill(1.7e308, 1e-154, 1.0)
+
+
+class TestAtomCap:
+    @staticmethod
+    def _validate(k):
+        """(peak traced bytes, SpecError message or None) of validating k atoms."""
+        atoms = [(EntryTriple(float(i + 1), 1.0, 1.0), 1.0 / k) for i in range(k)]
+        tracemalloc.start()
+        try:
+            DistributionSpec.discrete_atoms(atoms)
+        except SpecError as e:
+            return tracemalloc.get_traced_memory()[1], str(e)
+        else:
+            return tracemalloc.get_traced_memory()[1], None
+        finally:
+            tracemalloc.stop()
+
+    def test_cap_rejects_before_any_table(self):
+        k = MAX_ATOMS + 1
+        peak, error = self._validate(k)
+        assert error is not None and "too many atoms" in error
+        assert peak < 8 * k * k  # below one k x k float64 table
+        # at the cap the table is built, and the same measurement sees it
+        peak, error = self._validate(MAX_ATOMS)
+        assert error is None and peak >= 8 * MAX_ATOMS**2
 
 
 def _triple_pair(n, seed):

@@ -5,13 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rmp.clt import degeneracy_check
 from rmp.distributions import (
+    MAX_ATOMS,
+    AtomLaw,
     DistributionSpec,
     EntryTriple,
     SpecError,
+    cross_term,
     enumerate_atoms,
     make_stream,
     sample_triples,
@@ -23,7 +27,6 @@ from rmp.estimators import (
     _merge,
     _summary,
     closed_form,
-    cross_term,
     cross_terms,
     estimate_lambda_mc,
     estimate_sigma2_mc,
@@ -262,9 +265,18 @@ class TestExactDiscrete:
             exact_discrete(DistributionSpec.cauchy_rank_one())
 
     def test_atom_cap(self):
+        # the one cap is MAX_ATOMS, checked at validation; 65 atoms enumerate
         atoms = [((float(i + 1), 0.0, 0.0), 1.0 / 65) for i in range(65)]
-        with pytest.raises(ValueError, match="too many atoms"):
-            exact_discrete(DistributionSpec.discrete_atoms(atoms))
+        lam, sigma2, ladder = exact_discrete(DistributionSpec.discrete_atoms(atoms))
+        # b = 0: every cross term is log a_i, so the terms are independent
+        logs = np.log(np.arange(1.0, 66.0))
+        assert lam == pytest.approx(logs.mean(), rel=1e-14)
+        assert sigma2 == pytest.approx(logs.var(), rel=1e-12)
+        assert abs(ladder.c1) <= 1e-14
+        k = MAX_ATOMS + 1
+        atoms = [((float(i + 1), 0.0, 0.0), 1.0 / k) for i in range(k)]
+        with pytest.raises(SpecError, match="too many atoms"):
+            DistributionSpec.discrete_atoms(atoms)
 
     def test_near_degenerate_two_atom_matches_decimal(self):
         lam, c0, c1 = decimal_reference(TWO_ATOM)
@@ -383,3 +395,95 @@ class TestExtremeAtoms:
             assert not (math.isnan(v) or v == math.inf)
         if lam != -math.inf:
             assert math.isfinite(sigma2)
+
+
+@st.composite
+def small_atom_laws(draw):
+    """1 to 4 atoms: random reals, a small grid that makes coincidences
+    (and exact cancellations) likely, or one triple repeated (sigma2 = 0)."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["real", "grid", "repeat"]))
+
+    def real(lo, hi):
+        if kind == "grid":
+            x = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        else:
+            x = draw(st.floats(lo, hi))
+        return x * draw(st.sampled_from([-1.0, 1.0]))
+
+    def triple():
+        return real(0.1, 10.0), real(0.0, 10.0), real(0.0, 10.0)
+
+    first = triple()
+    triples = [first if kind == "repeat" else triple() for _ in range(k)]
+    w = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    return DistributionSpec.discrete_atoms(
+        [(t, wi / math.fsum(w)) for t, wi in zip(triples, w)]
+    )
+
+
+U = 2.0**-53  # unit roundoff
+
+
+def gamma(n):
+    return n * U / (1.0 - n * U)
+
+
+def exact_error_bounds(spec, lam):
+    """Bounds on the float error of exact_discrete's (lambda, c0, c1).
+
+    Derived from the rounding of T: q = b_j c_i / a_j takes two
+    roundings and v = a_i + q one more, so v is off by at most
+    rho = u + gamma(2) (1 + u) |q| / |v| relative, and log |v| by
+    -log(1 - rho), plus 4 ulp (8u |T|) for np.log itself.  The sums
+    over k terms add the usual gamma(n) terms of a dot product, and the
+    centered D = T - lam carries the error of T and of lam.  Returns
+    None when a near cancellation makes rho >= 1/2 (no useful bound).
+    """
+    law = AtomLaw(spec)
+    T, p = law.log_cross(), law.p
+    k = law.k
+    a, b, c = law.atoms.T
+    q = b[None, :] * c[:, None] / a[None, :]
+    rho = U + gamma(2) * (1.0 + U) * np.abs(q) / np.abs(a[:, None] + q)
+    if rho.max() >= 0.5:
+        return None
+    e = -np.log1p(-rho) + 8.0 * U * np.abs(T)
+    lam_err = p @ e @ p + gamma(2 * k) * (p @ np.abs(T) @ p)
+    D = T - lam
+    dD = e + lam_err + U * np.abs(D)
+    c0_err = p @ (dD * (2.0 * np.abs(D) + dD)) @ p + gamma(2 * k + 1) * (p @ (D * D) @ p)
+    r, s = p @ D, D @ p
+    er = p @ dD + gamma(k) * (p @ np.abs(D))
+    es = dD @ p + gamma(k) * (np.abs(D) @ p)
+    c1_err = p @ (er * np.abs(s) + (np.abs(r) + er) * es) + gamma(k + 1) * (p @ np.abs(r * s))
+    return lam_err, c0_err, c1_err
+
+
+class TestTableEnumeration:
+    @given(small_atom_laws())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_decimal_within_rounding_bound(self, spec):
+        lam, sigma2, ladder = exact_discrete(spec)
+        assume(lam != -math.inf)  # an exact cancellation has no decimal log
+        bounds = exact_error_bounds(spec, lam)
+        assume(bounds is not None)
+        lam_err, c0_err, c1_err = bounds
+        ref_lam, ref_c0, ref_c1 = decimal_reference(spec)
+        # the reference is rounded to float once per value, and sigma2
+        # adds two roundings of its own on each side
+        assert abs(lam - ref_lam) <= lam_err + U * abs(ref_lam)
+        assert abs(ladder.c0 - ref_c0) <= c0_err + U * abs(ref_c0)
+        assert abs(ladder.c1 - ref_c1) <= c1_err + U * abs(ref_c1)
+        ref_sigma2 = ref_c0 + 2.0 * ref_c1
+        slack = 3.0 * U * (abs(ref_c0) + 2.0 * abs(ref_c1))
+        assert abs(sigma2 - ref_sigma2) <= c0_err + 2.0 * c1_err + slack
+
+    @given(small_atom_laws())
+    @settings(max_examples=300, deadline=None)
+    def test_false_verdict_implies_positive_decimal_sigma2(self, spec):
+        verdict = degeneracy_check(spec)
+        assume(verdict.lam != -math.inf)
+        if not verdict.is_degenerate_candidate:
+            _, c0, c1 = decimal_reference(spec)
+            assert c0 + 2.0 * c1 > 0.0
