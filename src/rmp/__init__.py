@@ -28,6 +28,7 @@ from .estimators import (
     estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
+    lambda_view,
     trajectory_lambda,
 )
 from .product import (
@@ -66,6 +67,7 @@ __all__ = [
     "estimate_sigma2_mc",
     "exact_discrete",
     "ks_distance",
+    "lambda_view",
     "load_spec",
     "log_norm",
     "make_stream",

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import AtomLaw, DistributionSpec, EntryTriple
+from .distributions import AtomLaw, DistributionSpec, EntryTriple, SpecError
 from .estimators import exact_moments
-from .product import chain_log_norms
+from .product import NEG_INF, chain_log_norms
 
 HISTOGRAM_BINS = 40
 
@@ -168,13 +168,19 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
     whose worst scaled residual is smallest (the first on a tie), and
     pairwise_residuals holds |T[i, j] + T[j, i] - 2 T[i, i]| for every j.
     The table is built once and shared with the exact enumeration.
-    Raises NotDiscreteError for continuous families.
+    Raises NotDiscreteError for continuous families, and SpecError when
+    an atom pair cancels exactly: lambda is then -inf, sigma^2 undefined,
+    and there is no CLT to be degenerate.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be > 0")
     law = AtomLaw(spec)
     T = law.log_cross()
     lam, sigma2, _ = exact_moments(T, law.p)
+    if lam == NEG_INF:
+        raise SpecError(
+            "degeneracy check undefined: lambda = -inf (an atom pair cancels exactly)"
+        )
 
     lam_atom = np.diag(T)
     lam_res = _diff(lam, lam_atom)

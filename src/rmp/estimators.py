@@ -3,8 +3,8 @@
 Three independent routes are provided and cross-checked against each
 other:
 
-* Monte Carlo over the scalar cross terms log |a_1 + b_2 c_1 / a_2|
-  (pairs for the exponent, non-overlapping triples for the variance),
+* Monte Carlo over the scalar cross terms x_j = log |a_j + b_{j+1} c_j / a_{j+1}|
+  of one chain segment per chunk,
 * exact enumeration for finite-support laws: O(k^2) sums over the k x k
   table of atom-pair cross terms that the MC and chain kernels gather
   from (AtomLaw.log_cross),
@@ -14,9 +14,13 @@ other:
 The variance of the chain is sigma^2 = C_0 + 2 C_1 where C_0, C_1 are
 the lag-0 and lag-1 autocovariances of the cross-term sequence (lags
 beyond 1 vanish because the sequence is 1-dependent), both centered at
-lambda.  The Monte Carlo estimators share one streaming reducer of
-centered co-moments merged in chunk order, so memory is O(SAMPLE_CHUNK)
-and standard errors come from the delta method on those co-moments.
+lambda.  The sequence is stationary, so lambda is its mean and sigma^2
+its long-run variance (Hoeffding & Robbins, Duke Math. J. 1948): one
+segment gives all three.  The Monte Carlo route streams the lag rows
+(x_j, x_{j+1}) of every segment into one reducer of centered co-moments
+merged in chunk order, so memory is O(SAMPLE_CHUNK).  The rows overlap,
+so standard errors come from non-overlapping batch means (Flegal &
+Jones, Ann. Statist. 2010) rather than from i.i.d. formulas.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# cross_terms, make_stream and sample_triples stay module attributes:
+# perfbench/tracing.py wraps them here by name
 from .distributions import (
     BINARY_HILL,
     CAUCHY_RANK_ONE,
@@ -40,7 +46,7 @@ from .distributions import (
     sample_triples,
 )
 from .parallel import chunk_sizes, map_chunks
-from .product import NEG_INF, chain_log_norms
+from .product import NEG_INF, block_step, chain_log_norms, workspace_pool
 
 # Euler-Mascheroni constant, fixed to 20 digits so closed forms are
 # constants rather than estimates.
@@ -58,8 +64,9 @@ class EstimateResult:
     """Point estimate with provenance.
 
     std_error is None on exact (non-Monte-Carlo) paths and NaN when the
-    estimate degenerated (-inf samples).  minus_inf_events counts
-    samples/chains whose cross term vanished exactly.
+    estimate degenerated (-inf samples).  n_samples counts cross terms
+    (lag rows) on the Monte Carlo route; minus_inf_events counts cross
+    terms (or chains) that vanished exactly.
     """
 
     value: float
@@ -75,8 +82,11 @@ class CovarianceLadder:
     """Autocovariances (c0, c1) of the cross-term sequence and the mean.
 
     sigma2 reconstructs the CLT variance as c0 + 2*c1 (lag >= 2 terms
-    are identically zero by 1-dependence).  Standard errors are filled
-    on the Monte Carlo path only.
+    are identically zero by 1-dependence).  Standard errors (of c0, c1
+    and of lam) are filled on the Monte Carlo path only.
+    minus_inf_events counts the -inf cross terms the ladder was made
+    from: sampled terms on the Monte Carlo path, ordered atom pairs of
+    the table in exact enumeration.  It is > 0 exactly when lam = -inf.
     """
 
     c0: float
@@ -84,6 +94,8 @@ class CovarianceLadder:
     lam: float
     c0_std_error: float | None = None
     c1_std_error: float | None = None
+    lam_std_error: float | None = None
+    minus_inf_events: int = 0
 
     @property
     def sigma2(self) -> float:
@@ -92,40 +104,50 @@ class CovarianceLadder:
 
 # -- streaming co-moment reducer ---------------------------------------------
 
-def _mean(xs: np.ndarray) -> float:
-    """Sample mean; exact (not just to rounding) for a constant batch."""
-    lo, hi = xs.min(), xs.max()
-    if lo == hi:
-        return float(lo)
-    return float(xs.mean())
+def _mean(xs: np.ndarray):
+    """Mean along the last axis; exact (not just to rounding) for a constant row."""
+    lo, hi = xs.min(axis=-1), xs.max(axis=-1)
+    return np.where(lo == hi, lo, xs.mean(axis=-1))
 
 
-def _summary(x: np.ndarray, y: np.ndarray | None, order: int, j_max: int):
-    """(center m, power sums S) of one chunk of rows (x, y).
+def _summary(x: np.ndarray, y: np.ndarray | None, order: int, j_max: int, out=None):
+    """(center m, power sums S) of rows (x, y) along the last axis.
 
-    m = _mean(x), and S[i, j] = sum (x - m)^i (y - m)^j for j <= j_max
-    and i + j <= order (other entries are 0), so S[0, 0] is the row
-    count; y is None when j_max = 0.  x and y are centered in place.
-    The sums run in einsum's own loops (never BLAS), so a chunk's
-    summary does not depend on the thread that computed it.
+    m = _mean(x), and S[..., i, j] = sum (x - m)^i (y - m)^j for
+    j <= j_max and i + j <= order (other entries are 0), so S[..., 0, 0]
+    is the row count; y is None when j_max = 0.  Leading axes are
+    batches, each summarised on its own: 1-D rows give a scalar m and
+    S of shape (order + 1, j_max + 1).  x and y are not written, so they
+    may overlap.  ``out`` is an optional pair of float64 buffers, each at
+    least x.size long and apart from x and y, that receive x - m and
+    y - m instead of fresh arrays.  The sums run in einsum's own loops
+    (never BLAS), so a summary does not depend on the thread that
+    computed it.
     """
+    lead = x.shape[:-1]
     shape = (order + 1, j_max + 1)
-    if not x.size:
-        return 0.0, np.zeros(shape)
+    S = np.zeros(lead + shape)
+    if not x.shape[-1]:
+        return np.zeros(lead)[()], S
     m = _mean(x)
-    x -= m
+
+    def centered(v, buf):
+        dest = None if buf is None else buf[: v.size].reshape(v.shape)
+        return np.subtract(v, m[..., None], out=dest)
+
+    bufs = (None, None) if out is None else out
+    x = centered(x, bufs[0])
     if y is not None:
-        y -= m
+        y = centered(y, bufs[1])
     # x^2 as one operand keeps every product at <= 3 einsum operands,
     # where einsum has fast loops
     x2 = x * x if order > 2 else None
-    S = np.zeros(shape)
-    S[0, 0] = x.size
+    S[..., 0, 0] = x.shape[-1]
     for i, j in np.ndindex(shape):
         ops = ([x] * i if x2 is None else [x2] * (i // 2) + [x] * (i % 2)) + [y] * j
         if ops and i + j <= order:
-            S[i, j] = np.einsum(",".join("k" * len(ops)) + "->", *ops)
-    return m, S
+            S[..., i, j] = np.einsum(",".join(["...k"] * len(ops)) + "->...", *ops)
+    return m[()], S
 
 
 def _shift(S: np.ndarray, d: float) -> np.ndarray:
@@ -162,120 +184,156 @@ def _merge(a, b):
     return m, _shift(sa, m - ma) + _shift(sb, m - mb)
 
 
-def _reduce(
-    spec: DistributionSpec, n_samples: int, seed: int, threads: int, lagged: bool
-):
-    """Stream cross-term rows chunk by chunk into one merged summary.
+def batch_length(n_rows: int) -> int:
+    """Rows per batch: 2^floor(log2 sqrt(n_rows)), at most SAMPLE_CHUNK.
 
-    Each sample draws (xi_1, xi_2) from its (seed, chunk) stream and
-    gives x = cross(xi_1, xi_2); with ``lagged`` it also draws xi_3 and
-    gives y = cross(xi_2, xi_3).  A finite-support law draws atom
-    indices instead and gathers x and y with AtomLaw.cross, whose table
-    is built once per call; the values are the same bit for bit.
-    Rows holding a -inf are counted and left out of the sums.  Returns
-    (x events, row events, center, S) (center NaN if no row is left),
-    S as in _summary at order 2 in x alone, or at order 4 with powers
-    of y up to 2 when lagged.  Memory is O(SAMPLE_CHUNK) per worker
-    whatever n_samples is.
+    A power of two no larger than SAMPLE_CHUNK divides every full chunk,
+    so batches never cross a chunk and depend on n_rows only.
+    """
+    return min(1 << (math.isqrt(n_rows).bit_length() - 1), SAMPLE_CHUNK)
+
+
+def _segment(c: np.ndarray, L: int, out=None):
+    """(events, summary, batch summaries) of one segment's cross terms c.
+
+    The rows are the len(c) - 1 lag pairs (c[j], c[j + 1]).  A -inf term
+    is an event and drops both rows it belongs to (one at either end of
+    the segment).  The summary is _summary of the kept rows at order 2
+    in x and 1 in y.  Without events, consecutive runs of L rows are
+    batches, each with its own _summary (the last len(c) - 1 mod L rows
+    are in none); with events there are no batches (None).  ``out`` is
+    _summary's optional pair of scratch buffers.
+    """
+    neg = c == NEG_INF
+    events = int(np.count_nonzero(neg))
+    x, y = c[:-1], c[1:]
+    if events:
+        keep = ~(neg[:-1] | neg[1:])
+        return events, _summary(x[keep], y[keep], 2, 1, out), None
+    rows = x.size // L * L
+    batches = _summary(x[:rows].reshape(-1, L), y[:rows].reshape(-1, L), 2, 1, out)
+    return 0, _summary(x, y, 2, 1, out), batches
+
+
+def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
+    """One pass over n_samples lag rows of cross terms, chunk by chunk.
+
+    Chunk k of size m draws one chain segment of m + 2 consecutive
+    triples from its (seed, k) stream with the chain kernel's block step
+    (a finite-support law draws atom indices and gathers its cross terms
+    from AtomLaw's table, the same values bit for bit), which gives
+    m + 1 cross terms and m lag rows; _segment summarises them.
+    Returns (events, (center, S), batches): the -inf term count, the
+    chunk summaries merged in chunk order (S as in _summary at order 2
+    in x and 1 in y), and the per-batch (lam, c0, c1) arrays of rows of
+    batch_length(n_samples), in chunk order, or None if any term was
+    -inf.  Memory is O(SAMPLE_CHUNK) per worker whatever n_samples is.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
     sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
-    orders = (4, 2) if lagged else (2, 0)
-    law = AtomLaw(spec) if spec.is_discrete else None
+    L = batch_length(n_samples)
+    draw = block_step(spec)
+    borrow = workspace_pool(sizes[0] + 2)
 
     def run(k: int):
         gen = make_stream(seed, k)
-        m = sizes[k]
-        if law is not None:
-            i1, i2 = law.indices(m, gen), law.indices(m, gen)
-            x = law.cross(i1, i2)
-            y = law.cross(i2, law.indices(m, gen)) if lagged else None
-        else:
-            t1 = sample_triples(spec, m, gen)
-            t2 = sample_triples(spec, m, gen)
-            x = cross_terms(t1, t2)
-            y = cross_terms(t2, sample_triples(spec, m, gen)) if lagged else None
-        x_inf = np.isneginf(x)
-        bad = x_inf | np.isneginf(y) if lagged else x_inf
-        n_bad = int(bad.sum())
-        if n_bad:
-            x = x[~bad]
-            y = y[~bad] if lagged else None
-        return int(x_inf.sum()), n_bad, _summary(x, y, *orders)
+        with borrow() as workspace:
+            # the cross terms land in the last buffer; the other two are
+            # spent draws, reused as the reducer's scratch
+            _, _, cross = draw(sizes[k] + 2, 1, gen, workspace)
+            return _segment(cross.ravel(), L, workspace[:2])
 
     parts = map_chunks(run, len(sizes), threads)
-    m, S = functools.reduce(_merge, (p[2] for p in parts))
-    center = float(m) if S[0, 0] else float("nan")  # no row without events
-    return sum(p[0] for p in parts), sum(p[1] for p in parts), center, S
+    events = sum(p[0] for p in parts)
+    merged = functools.reduce(_merge, (p[1] for p in parts))
+    if events:
+        return events, merged, None
+    lam_b = np.concatenate([p[2][0] for p in parts])
+    S_b = np.concatenate([p[2][1] for p in parts])
+    return 0, merged, (lam_b, S_b[:, 2, 0] / L, S_b[:, 1, 1] / L)
+
+
+def _batch_se(v: np.ndarray) -> float:
+    """Sample std of the batch values v over sqrt(len(v)).
+
+    NaN below two batches (batch_length always leaves at least two);
+    exactly 0 when every batch agrees, since _mean is exact there.
+    """
+    if v.size < 2:
+        return float("nan")
+    d = v - _mean(v)
+    return math.sqrt(float((d * d).sum()) / (v.size - 1) / v.size)
 
 
 # -- Monte Carlo estimators ------------------------------------------------
 
-def estimate_lambda_mc(
-    spec: DistributionSpec, n_samples: int, seed: int = 0, threads: int = 1
-) -> EstimateResult:
-    """Lyapunov exponent as the mean cross term over independent pairs.
-
-    Each sample draws a fresh pair (xi_1, xi_2); the estimate is the
-    sample mean with std error = sample std / sqrt(n).  Any exactly
-    cancelled sample makes the value -inf (the event count is
-    reported); the mean is then -inf by convention, not an error.
-    """
-    t0 = time.perf_counter()
-    n_inf, _, lam, S = _reduce(spec, n_samples, seed, threads, lagged=False)
-    if n_inf:
-        lam, se = NEG_INF, float("nan")
-    else:
-        se = math.sqrt(S[2, 0] / (n_samples - 1)) / math.sqrt(n_samples)
-    return EstimateResult(lam, se, n_samples, seed, n_inf, time.perf_counter() - t0)
-
-
 def estimate_sigma2_mc(
     spec: DistributionSpec, n_samples: int, seed: int = 0, threads: int = 1
 ):
-    """CLT variance from independent non-overlapping triples.
+    """CLT variance, with lambda, from one pass over chain segments.
 
-    Each sample draws (xi_1, xi_2, xi_3) and contributes
-    x = cross(xi_1, xi_2) and y = cross(xi_2, xi_3).  With lam the mean
-    of x from the same run and dx = x - lam, dy = y - lam,
+    The n_samples rows are lag pairs (x_j, x_{j+1}) of consecutive cross
+    terms, see _reduce.  With lam the mean of x and dx = x - lam,
+    dy = x_{j+1} - lam,
 
         sigma2 = c0 + 2*c1,   c0 = mean(dx^2),   c1 = mean(dx*dy),
 
     both centered, so a law whose sigma2 is tiny next to lam^2 keeps its
-    digits.  Standard errors come from the delta method on the centered
-    co-moments M[i, j] = mean(dx^i dy^j):
-
-        se(sigma2)^2 = (M40 + 4 M31 + 4 M22 - sigma2^2) / n,
-        se(c0)^2 = (M40 - c0^2) / n,   se(c1)^2 = (M22 - c1^2) / n,
-
-    which is asymptotically the leave-one-out jackknife.  The moments
-    are merged chunk by chunk, so memory is O(SAMPLE_CHUNK), not O(n).
-    Returns (EstimateResult, CovarianceLadder); if any cross term
-    cancelled exactly the variance is undefined (NaN), the rows with a
-    -inf are counted, and the ladder's lam is -inf if x had one.
+    digits.  Standard errors of lam, sigma2, c0 and c1 are batch means:
+    the rows are cut into batches of batch_length(n_samples) rows inside
+    chunks, each batch gives its own (lam, c0, c1), and a standard error
+    is the sample std of a batch value over sqrt(number of batches).
+    Returns (EstimateResult, CovarianceLadder); the ladder carries lam
+    and its standard error (estimate_lambda_mc reads them).  If any
+    cross term cancelled exactly, lam is -inf, the variance and every
+    standard error are undefined (NaN), and the -inf terms are counted.
     """
     t0 = time.perf_counter()
-    x_inf, n_inf, lam, S = _reduce(spec, n_samples, seed, threads, lagged=True)
-    if n_inf:
+    events, (lam, S), batches = _reduce(spec, n_samples, seed, threads)
+    if events:
         nan = float("nan")
-        lam = NEG_INF if x_inf else lam
         wall = time.perf_counter() - t0
-        result = EstimateResult(nan, nan, n_samples, seed, n_inf, wall)
-        return result, CovarianceLadder(nan, nan, lam, nan, nan)
+        result = EstimateResult(nan, nan, n_samples, seed, events, wall)
+        return result, CovarianceLadder(nan, nan, NEG_INF, nan, nan, nan, events)
 
     n = n_samples
     M = S / n
     c0, c1 = float(M[2, 0]), float(M[1, 1])
     sigma2 = c0 + 2.0 * c1
-    var = (
-        M[4, 0] + 4.0 * M[3, 1] + 4.0 * M[2, 2] - sigma2 * sigma2,
-        M[4, 0] - c0 * c0,
-        M[2, 2] - c1 * c1,
-    )
-    se, c0_se, c1_se = (math.sqrt(max(float(v), 0.0) / n) for v in var)
+    lam_b, c0_b, c1_b = batches
+    se = _batch_se(c0_b + 2.0 * c1_b)
     result = EstimateResult(sigma2, se, n, seed, 0, time.perf_counter() - t0)
-    return result, CovarianceLadder(c0, c1, lam, c0_se, c1_se)
+    ladder = CovarianceLadder(
+        c0, c1, float(lam), _batch_se(c0_b), _batch_se(c1_b), _batch_se(lam_b)
+    )
+    return result, ladder
+
+
+def lambda_view(result: EstimateResult, ladder: CovarianceLadder) -> EstimateResult:
+    """The Lyapunov exponent of an estimate_sigma2_mc pass as its own result."""
+    return EstimateResult(
+        ladder.lam,
+        ladder.lam_std_error,
+        result.n_samples,
+        result.seed,
+        ladder.minus_inf_events,
+        result.wall_time_s,
+    )
+
+
+def estimate_lambda_mc(
+    spec: DistributionSpec, n_samples: int, seed: int = 0, threads: int = 1
+) -> EstimateResult:
+    """Lyapunov exponent as the mean cross term: a view of estimate_sigma2_mc.
+
+    The value and its batch-means standard error come from the same
+    pass, so calling both costs two passes; call estimate_sigma2_mc
+    once and take lambda_view of its result instead.  Any exactly
+    cancelled term makes the value -inf (the event count is reported);
+    the mean is then -inf by convention, not an error.
+    """
+    return lambda_view(*estimate_sigma2_mc(spec, n_samples, seed, threads))
 
 
 def trajectory_lambda(
@@ -337,11 +395,13 @@ def exact_moments(T: np.ndarray, p: np.ndarray):
     and exact up to float arithmetic.  D is centered before the
     p-weighted sums: m2 - lambda^2 cancels when sigma2 is tiny next to
     lambda^2.  If any atom pair cancels exactly (a -inf entry),
-    lambda = -inf and the variance is undefined (NaN).
+    lambda = -inf, the variance is undefined (NaN), and the ladder's
+    minus_inf_events counts the -inf entries.
     """
-    if np.isneginf(T).any():
+    events = int(np.count_nonzero(np.isneginf(T)))
+    if events:
         nan = float("nan")
-        return NEG_INF, nan, CovarianceLadder(nan, nan, NEG_INF)
+        return NEG_INF, nan, CovarianceLadder(nan, nan, NEG_INF, minus_inf_events=events)
     lam = float(p @ T @ p)
     D = T - lam
     c0 = float(p @ (D * D) @ p)

@@ -25,11 +25,13 @@ depends on the law: a continuous law samples the block's triples into
 the workspace and forms the cross terms in place; a finite-support law
 draws atom indices and gathers the cross term of each consecutive index
 pair (AtomLaw.cross), with no divide or log per step.  Both give the
-values of sampled triples bit for bit.
+values of sampled triples bit for bit.  The Monte Carlo estimators draw
+their chain segments through the same block step (block_step) at width 1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -198,25 +200,51 @@ def chain_log_norms(
     if n_chains < 1:
         raise ValueError("need at least one chain")
     sizes = chunk_sizes(n_chains, CHAIN_CHUNK)
-    length = min(STEP_BLOCK, n) * sizes[0]
-    free = []  # idle workspaces; there are never more than chunks run at once
-    if spec.is_discrete:
-        draw = functools.partial(_atom_block, AtomLaw(spec))
-    else:
-        draw = functools.partial(_sampled_block, spec)
+    borrow = workspace_pool(min(STEP_BLOCK, n) * sizes[0])
+    draw = block_step(spec)
 
     def run(k: int) -> np.ndarray:
+        gen = make_stream(seed, k)
+        with borrow() as workspace:
+            return _chain_chunk(draw, n, sizes[k], gen, workspace)
+
+    return np.concatenate(map_chunks(run, len(sizes), threads))
+
+
+def workspace_pool(length: int):
+    """borrow() context manager lending three float64 buffers of ``length``.
+
+    Buffers are made on first need and returned to the pool after use,
+    so there are never more workspaces than chunks running at once.
+    """
+    free = []
+
+    @contextlib.contextmanager
+    def borrow():
         try:
             workspace = free.pop()
         except IndexError:
             workspace = (np.empty(length), np.empty(length), np.empty(length))
-        gen = make_stream(seed, k)
         try:
-            return _chain_chunk(draw, n, sizes[k], gen, workspace)
+            yield workspace
         finally:
             free.append(workspace)
 
-    return np.concatenate(map_chunks(run, len(sizes), threads))
+    return borrow
+
+
+def block_step(spec: DistributionSpec):
+    """The law's draw(block, width, gen, workspace), as _chain_chunk calls it.
+
+    _atom_block on an AtomLaw built here once for a finite-support law,
+    _sampled_block otherwise.  At width 1 a block is one chain segment
+    of ``block`` consecutive steps and its block - 1 cross terms.  Both
+    write the cross terms into the third workspace buffer, so a caller
+    that reads neither returned row may reuse the first two.
+    """
+    if spec.is_discrete:
+        return functools.partial(_atom_block, AtomLaw(spec))
+    return functools.partial(_sampled_block, spec)
 
 
 def _chain_chunk(draw, n, width, gen, workspace) -> np.ndarray:

@@ -32,6 +32,7 @@ from .estimators import (
     estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
+    lambda_view,
     trajectory_lambda,
 )
 from .product import (
@@ -88,8 +89,8 @@ def check_cauchy_exact_values(quick=False, threads=1) -> CheckResult:
     t0 = time.perf_counter()
     n = 10**5 if quick else 10**6
     spec = DistributionSpec.cauchy_rank_one()
-    lam = estimate_lambda_mc(spec, n, seed=0, threads=threads)
-    sig, _ = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+    sig, ladder = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+    lam = lambda_view(sig, ladder)
     ok1, d1 = _band(lam, LOG2, 3.0)
     ok2, d2 = _band(sig, PI2 / 4.0, 3.0)
     return CheckResult(
@@ -107,8 +108,8 @@ def check_exponential_exact_values(quick=False, threads=1) -> CheckResult:
     fails = []
     for theta in (0.5, 1.0, 2.0):
         spec = DistributionSpec.exponential_rank_one(theta)
-        lam = estimate_lambda_mc(spec, n, seed=0, threads=threads)
-        sig, _ = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+        sig, ladder = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+        lam = lambda_view(sig, ladder)
         ok1, _ = _band(lam, 1.0 - EULER_GAMMA - math.log(theta), 3.0)
         ok2, _ = _band(sig, PI2 / 6.0 - 1.0, 3.0)
         if not (ok1 and ok2):
@@ -129,8 +130,8 @@ def check_uniform_case_table(quick=False, threads=1) -> CheckResult:
     for (a, b) in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         spec = DistributionSpec.uniform_rank_one(a, b)
         lam_cf, sig_cf = closed_form(spec)
-        lam = estimate_lambda_mc(spec, n, seed=0, threads=threads)
-        sig, _ = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+        sig, ladder = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+        lam = lambda_view(sig, ladder)
         ok1, _ = _band(lam, lam_cf, 3.0)
         ok2, _ = _band(sig, sig_cf, 3.0)
         if not (ok1 and ok2):

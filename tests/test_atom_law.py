@@ -2,8 +2,9 @@
 
 The references below are the discrete code paths as they were before
 atom indices: the per-family sampler branches, the allocate-per-block
-chain kernel on sampled triples and the reducer's chunk body on sampled
-triples.  The atom-index paths must reproduce them bit for bit.
+chain kernel on sampled triples, and the reducer's one-pass chunk body
+on sampled triples.  The atom-index paths must reproduce them bit for
+bit.
 """
 
 import functools
@@ -99,26 +100,32 @@ def legacy_chain_chunk(spec, n, width, gen):
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 
 
-def legacy_reduce(spec, n_samples, seed, lagged):
-    """_reduce with its chunk body on sampled triples and cross_terms."""
-    orders = (4, 2) if lagged else (2, 0)
-    parts = []
+def one_pass_reduce(spec, n_samples, seed):
+    """_reduce with its chunk body on sampled triples and cross_terms.
+
+    Chunk k draws m + 2 triples, forms their m + 1 cross terms, drops the
+    rows around each -inf, and summarises every L-row batch on its own.
+    """
+    L = 1 << int(math.log2(math.isqrt(n_samples)))
+    events, parts, batches = 0, [], []
     for k, m in enumerate(chunk_sizes(n_samples, SAMPLE_CHUNK)):
-        gen = make_stream(seed, k)
-        t1 = legacy_triples(spec, m, gen)
-        t2 = legacy_triples(spec, m, gen)
-        x = cross_terms(t1, t2)
-        y = cross_terms(t2, legacy_triples(spec, m, gen)) if lagged else None
-        x_inf = np.isneginf(x)
-        bad = x_inf | np.isneginf(y) if lagged else x_inf
-        n_bad = int(bad.sum())
-        if n_bad:
-            x = x[~bad]
-            y = y[~bad] if lagged else None
-        parts.append((int(x_inf.sum()), n_bad, _summary(x, y, *orders)))
-    m, S = functools.reduce(_merge, (p[2] for p in parts))
-    center = float(m) if S[0, 0] else float("nan")
-    return sum(p[0] for p in parts), sum(p[1] for p in parts), center, S
+        a, b, c = legacy_triples(spec, m + 2, make_stream(seed, k))
+        terms = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
+        x, y = terms[:-1], terms[1:]
+        neg = np.isneginf(terms)
+        events += int(neg.sum())
+        if neg.any():
+            keep = ~(neg[:-1] | neg[1:])
+            parts.append(_summary(x[keep], y[keep], 2, 1))
+            continue
+        parts.append(_summary(x, y, 2, 1))
+        for j in range(0, m - L + 1, L):
+            mb, Sb = _summary(x[j:j + L], y[j:j + L], 2, 1)
+            batches.append((mb, Sb[2, 0] / L, Sb[1, 1] / L))
+    merged = functools.reduce(_merge, parts)
+    if events:
+        return events, merged, None
+    return 0, merged, tuple(np.array(v) for v in zip(*batches))
 
 
 class TestPinnedToSampledTriples:
@@ -153,20 +160,24 @@ class TestPinnedToSampledTriples:
                 assert np.array_equal(got, want), (n, threads)
 
     @pytest.mark.parametrize("spec", LAWS, ids=IDS)
-    @pytest.mark.parametrize("lagged", [False, True])
-    def test_reducer(self, spec, lagged):
+    def test_reducer(self, spec):
         n = SAMPLE_CHUNK + 37
-        want = legacy_reduce(spec, n, 6, lagged)
+        want = one_pass_reduce(spec, n, 6)
         for threads in (1, 2):
-            got = _reduce(spec, n, 6, threads, lagged)
-            assert got[:2] == want[:2]
-            assert np.array_equal(got[2], want[2], equal_nan=True)
-            assert np.array_equal(got[3], want[3])
+            got = _reduce(spec, n, 6, threads)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1][0], want[1][0])
+            assert np.array_equal(got[1][1], want[1][1])
+            if want[2] is None:
+                assert got[2] is None
+            else:
+                for g, w in zip(got[2], want[2]):
+                    assert np.array_equal(g, w)
 
     def test_cancelling_law_reaches_minus_inf(self):
         # the pins above compare -inf events, so make sure some happen
         spec = LAWS[IDS.index("atoms5")]
-        assert _reduce(spec, 4096, 0, 1, lagged=True)[1] > 0
+        assert _reduce(spec, 4096, 0, 1)[0] > 0
         assert np.isneginf(chain_log_norms(spec, 200, 64, seed=0)).any()
 
 

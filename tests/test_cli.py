@@ -80,6 +80,28 @@ class TestEstimate:
         assert doc["lambda"]["value"] == "-inf"
         assert doc["sigma2"]["value"] == "nan"
 
+    @pytest.mark.parametrize("name, events", [("cancelling", 1), ("binary", 0)])
+    def test_exact_counts_cancelling_atom_pairs(self, dists, name, events):
+        # one ordered pair of the cancelling law's table is -inf
+        out = rmp("estimate", "--dist", dists[name], "--exact")
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        assert doc["lambda"]["minus_inf_events"] == events
+        assert doc["sigma2"]["minus_inf_events"] == events
+        assert (doc["lambda"]["value"] == "-inf") is (events > 0)
+
+    def test_mc_counts_cancelled_terms(self, dists):
+        out = rmp("estimate", "--dist", dists["cancelling"], "--samples", "1000")
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        assert doc["lambda"]["value"] == "-inf" and doc["sigma2"]["value"] == "nan"
+        assert doc["lambda"]["minus_inf_events"] == doc["sigma2"]["minus_inf_events"] > 0
+
+    def test_one_pass_timing_line(self, dists):
+        out = rmp("estimate", "--dist", dists["cauchy"], "--samples", "1000")
+        assert out.returncode == 0
+        assert out.stderr.startswith("estimate ") and out.stderr.count("\n") == 1
+
     def test_exact_on_continuous_fails(self, dists):
         out = rmp("estimate", "--dist", dists["cauchy"], "--exact")
         assert out.returncode == 1
@@ -223,6 +245,13 @@ class TestDegeneracy:
         assert doc["is_degenerate_candidate"] is False
         assert doc["sigma2"] > 0.0
 
+    def test_cancelling_law_exit_1(self, dists):
+        # lambda = -inf: no CLT, so no verdict that could read "sigma2 > 0"
+        out = rmp("degeneracy", "--dist", dists["cancelling"])
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and "-inf" in out.stderr
+        assert out.stdout == ""
+
     def test_continuous_exit_1(self, dists):
         out = rmp("degeneracy", "--dist", dists["cauchy"])
         assert out.returncode == 1
@@ -276,6 +305,17 @@ class TestDeterminism:
         c = rmp(*cmd, "--threads", "1")
         assert a.stdout == b.stdout == c.stdout
         assert a.returncode == 0
+
+    def test_mc_byte_identical_across_1_2_8_threads(self, dists):
+        # 3 chunks, so 2 and 8 threads both run chunks at once
+        for cmd in (
+            ["estimate", "--dist", dists["cauchy"], "--samples", "140000", "--seed", "3"],
+            ["clt", "--dist", dists["cauchy"], "--n", "100", "--chains", "50",
+             "--source", "mc", "--samples", "140000", "--seed", "3"],
+        ):
+            outs = [rmp(*cmd, "--threads", t) for t in ("1", "2", "8")]
+            assert all(o.returncode == 0 for o in outs)
+            assert outs[0].stdout == outs[1].stdout == outs[2].stdout
 
     def test_clt_byte_identical_across_threads(self, dists):
         cmd = [

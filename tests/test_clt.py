@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 
 from rmp.clt import degeneracy_check, ks_distance, simulate_normalized
-from rmp.distributions import DistributionSpec, NotDiscreteError
+from rmp.distributions import DistributionSpec, NotDiscreteError, SpecError
 from rmp.estimators import exact_discrete
 
 LOG2 = math.log(2.0)
@@ -155,6 +155,15 @@ class TestDegeneracyCheck:
         verdict = degeneracy_check(spec)
         assert not verdict.is_degenerate_candidate
         assert verdict.sigma2 > 0.0
+
+    def test_cancelling_law_raises(self):
+        # lambda = -inf and sigma2 undefined: a False verdict would read
+        # as "sigma2 > 0 proven"
+        spec = DistributionSpec.discrete_atoms(
+            [((2.0, 5.0, 1.0), 0.5), ((1.0, -2.0, 3.0), 0.5)]
+        )
+        with pytest.raises(SpecError, match="-inf"):
+            degeneracy_check(spec)
 
     def test_continuous_rejected(self):
         with pytest.raises(NotDiscreteError):

@@ -1,6 +1,7 @@
 import decimal
 import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rmp import estimators, product
 from rmp.clt import degeneracy_check
 from rmp.distributions import (
     MAX_ATOMS,
@@ -25,7 +27,10 @@ from rmp.estimators import (
     SAMPLE_CHUNK,
     NoClosedFormError,
     _merge,
+    _reduce,
+    _segment,
     _summary,
+    batch_length,
     closed_form,
     cross_terms,
     estimate_lambda_mc,
@@ -76,33 +81,38 @@ def decimal_reference(spec, digits=60):
         return float(lam), float(c0), float(c1)
 
 
-def sigma2_rows(spec, n_samples, seed):
-    """The (x, y) cross-term rows estimate_sigma2_mc draws, all chunks."""
-    xs, ys = [], []
+def segment_rows(spec, n_samples, seed):
+    """The (x, y) lag rows of every chunk's chain segment, one list entry per chunk."""
+    rows = []
     for k, m in enumerate(chunk_sizes(n_samples, SAMPLE_CHUNK)):
-        gen = make_stream(seed, k)
-        t1, t2, t3 = (sample_triples(spec, m, gen) for _ in range(3))
-        xs.append(cross_terms(t1, t2))
-        ys.append(cross_terms(t2, t3))
-    return np.concatenate(xs), np.concatenate(ys)
+        a, b, c = sample_triples(spec, m + 2, make_stream(seed, k))
+        terms = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
+        rows.append((terms[:-1], terms[1:]))
+    return rows
 
 
-def jackknife_se(x, y):
-    """Leave-one-out jackknife SEs of the centered (sigma2, c0, c1)."""
-    # the centered estimators are shift invariant; the median keeps the
-    # raw sums below well conditioned (and is exact for a constant law)
-    c = float(np.median(x))
-    x, y = x - c, y - c
-    n = x.size
-    lx = (x.sum() - x) / (n - 1)
-    ly = (y.sum() - y) / (n - 1)
-    c0 = ((x * x).sum() - x * x) / (n - 1) - lx * lx
-    c1 = ((x * y).sum() - x * y) / (n - 1) - lx * ly
+def batch_means_se(rows, n_samples):
+    """Batch-means SEs of (sigma2, c0, c1, lambda), by plain numpy.
 
-    def se(t):
-        return math.sqrt((n - 1) / n * float(((t - t.mean()) ** 2).sum()))
+    Batches are L = 2^floor(log2 sqrt(n)) consecutive rows inside one
+    chunk; each gives its own mean and centered c0, c1, and an SE is
+    the batch values' sample std over sqrt(batch count).
+    """
+    L = 2 ** math.floor(math.log2(math.sqrt(n_samples)))
+    lam, c0, c1 = [], [], []
+    for x, y in rows:
+        B = x.size // L
+        xb, yb = x[: B * L].reshape(B, L), y[: B * L].reshape(B, L)
+        m = xb.mean(axis=1, keepdims=True)
+        lam.append(m[:, 0])
+        c0.append(((xb - m) ** 2).mean(axis=1))
+        c1.append(((xb - m) * (yb - m)).mean(axis=1))
+    lam, c0, c1 = (np.concatenate(v) for v in (lam, c0, c1))
 
-    return se(c0 + 2.0 * c1), se(c0), se(c1)
+    def se(v):
+        return float(v.std(ddof=1)) / math.sqrt(v.size)
+
+    return se(c0 + 2.0 * c1), se(c0), se(c1), se(lam)
 
 
 class TestCrossTerm:
@@ -171,12 +181,31 @@ class TestSigma2MC:
         assert r.minus_inf_events > 0
         assert ladder.lam == -math.inf
 
-    def test_no_row_left_gives_nan_lambda(self):
-        # seed 18 draws two rows whose y cancels while x does not: no
-        # row is left to average, so lam must not read as a number
-        r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=18)
-        assert math.isnan(r.value) and r.minus_inf_events == 2
-        assert math.isnan(ladder.lam)
+    def test_minus_inf_drops_exactly_its_two_rows(self):
+        inf = -math.inf
+        # rows (c[j], c[j + 1]): a -inf inside the segment is in two rows,
+        # one at either end is in one
+        for c, kept in (
+            ([0.1, 0.2, inf, 0.4, 0.5, 0.6], [(0.1, 0.2), (0.4, 0.5), (0.5, 0.6)]),
+            ([inf, 0.2, 0.3, 0.4], [(0.2, 0.3), (0.3, 0.4)]),
+            ([0.1, 0.2, 0.3, inf], [(0.1, 0.2), (0.2, 0.3)]),
+            ([0.1, inf, inf, 0.4, 0.5], [(0.4, 0.5)]),
+        ):
+            events, (m, S), batches = _segment(np.array(c), 2)
+            assert events == c.count(inf) and batches is None
+            x, y = (np.array(v) for v in zip(*kept))
+            want_m, want_S = _summary(x, y, 2, 1)
+            assert S[0, 0] == len(kept)
+            assert m == want_m and np.array_equal(S, want_S)
+
+    def test_last_term_event_makes_lambda_minus_inf(self):
+        # seed 0 draws atoms 0, 0, 0, 1: the only -inf is the segment's
+        # last term, which is never an x, and one row is left; lambda is
+        # -inf all the same, since the law can cancel
+        r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=0)
+        assert math.isnan(r.value) and r.minus_inf_events == 1
+        assert ladder.lam == -math.inf and ladder.minus_inf_events == 1
+        assert math.isnan(ladder.lam_std_error)
 
     def test_rank_one_c1_small(self):
         _, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 10**5, seed=2)
@@ -188,13 +217,14 @@ class TestSigma2MC:
             r, _ = estimate_sigma2_mc(TWO_ATOM, 10**6, seed=seed)
             assert abs(r.value - (c0 + 2.0 * c1)) <= 3.0 * r.std_error
 
-    def test_std_errors_match_centered_jackknife(self):
+    def test_std_errors_match_batch_means(self):
+        n = SAMPLE_CHUNK + 30_000  # a full chunk, then a short one
         for name, spec in sorted(_spec_zoo().items()):
-            r, ladder = estimate_sigma2_mc(spec, 10**5, seed=4)
-            jack = jackknife_se(*sigma2_rows(spec, 10**5, seed=4))
-            got = (r.std_error, ladder.c0_std_error, ladder.c1_std_error)
-            for g, j in zip(got, jack):
-                assert abs(g - j) <= 0.02 * j, (name, got, jack)
+            r, ladder = estimate_sigma2_mc(spec, n, seed=4)
+            want = batch_means_se(segment_rows(spec, n, seed=4), n)
+            got = (r.std_error, ladder.c0_std_error, ladder.c1_std_error,
+                   ladder.lam_std_error)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-15), name
 
     def test_memory_does_not_grow_with_samples(self):
         spec = DistributionSpec.exponential_rank_one(1.0)
@@ -214,6 +244,148 @@ class TestSigma2MC:
         a, la = estimate_sigma2_mc(spec, 150_000, seed=9, threads=1)
         b, lb = estimate_sigma2_mc(spec, 150_000, seed=9, threads=4)
         assert (a.value, a.std_error, la.c0, la.c1) == (b.value, b.std_error, lb.c0, lb.c1)
+
+
+ATOMS3 = DistributionSpec.discrete_atoms(
+    [((1.0, 0.5, 1.0), 0.25), ((2.0, 1.0, -1.0), 0.5), ((-1.5, 2.0, 0.5), 0.25)]
+)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "spec", [DistributionSpec.exponential_rank_one(1.0), ATOMS3], ids=["exp1", "atoms3"]
+    )
+    def test_one_call_draws_n_plus_two_triples_per_chunk(self, spec, monkeypatch):
+        n, seed = 2 * SAMPLE_CHUNK + 5, 3
+        streams, counts = {}, []
+        real_stream, real_sample = estimators.make_stream, product.sample_triples
+
+        def stream(s, k):
+            streams[k] = real_stream(s, k)
+            return streams[k]
+
+        def sample(spec, m, gen, out=None):
+            counts.append(m)
+            return real_sample(spec, m, gen, out=out)
+
+        monkeypatch.setattr(estimators, "make_stream", stream)
+        monkeypatch.setattr(product, "sample_triples", sample)
+        estimate_sigma2_mc(spec, n, seed=seed)
+        sizes = chunk_sizes(n, SAMPLE_CHUNK)
+        assert sorted(streams) == list(range(len(sizes)))
+        for k, m in enumerate(sizes):
+            # each chunk's stream stands exactly m + 2 triples in
+            ref = make_stream(seed, k)
+            sample_triples(spec, m + 2, ref)
+            assert streams[k].random() == ref.random(), k
+        if not spec.is_discrete:  # a finite-support law draws atom indices
+            assert sum(counts) == n + 2 * len(sizes)
+
+    def test_pooled_workspaces_under_thread_stress(self):
+        # more workers than cores, switching often: a workspace lent to two
+        # chunks at once would change the sums
+        spec = DistributionSpec.exponential_rank_one(1.0)
+        n = 12 * SAMPLE_CHUNK
+        want = _reduce(spec, n, 5, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _reduce(spec, n, 5, 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0] == want[0] == 0
+        assert got[1][0] == want[1][0] and np.array_equal(got[1][1], want[1][1])
+        for g, w in zip(got[2], want[2]):
+            assert np.array_equal(g, w)
+
+    def test_constant_std_errors_exactly_zero(self):
+        spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
+        for n in (1024, SAMPLE_CHUNK + 1000):
+            r, ladder = estimate_sigma2_mc(spec, n, seed=0)
+            ses = (r.std_error, ladder.c0_std_error, ladder.c1_std_error,
+                   ladder.lam_std_error)
+            assert ses == (0.0, 0.0, 0.0, 0.0)
+
+    def test_batch_length(self):
+        # n = 2 and 3 give batches of one row, so still two or more batches
+        _, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 3, seed=0)
+        assert math.isfinite(ladder.lam_std_error)
+        assert batch_length(3) == 1 and batch_length(4) == 2
+        assert batch_length(16384) == 128 and batch_length(4_000_000) == 1024
+        assert batch_length(1 << 40) == SAMPLE_CHUNK
+
+    @pytest.mark.parametrize(
+        "spec, cancels",
+        [(CANCELLING, True), (DistributionSpec.binary_hill(2.0, 3.0, 0.5), False),
+         (ATOMS3, False)],
+        ids=["cancelling", "binary", "atoms3"],
+    )
+    def test_events_exactly_when_lambda_is_minus_inf(self, spec, cancels):
+        lam, _, ladder = exact_discrete(spec)
+        sig, mc = estimate_sigma2_mc(spec, 4096, seed=0)
+        lam_mc = estimate_lambda_mc(spec, 4096, seed=0)
+        assert ladder.minus_inf_events == (1 if cancels else 0)
+        for value, events in (
+            (lam, ladder.minus_inf_events),
+            (mc.lam, mc.minus_inf_events),
+            (mc.lam, sig.minus_inf_events),
+            (lam_mc.value, lam_mc.minus_inf_events),
+        ):
+            assert (events > 0) is cancels
+            assert (value == -math.inf) is cancels
+
+
+class TestStdErrorCalibration:
+    """z = (estimate - reference) / SE over independent seeds.
+
+    Derivation of the bands.  With correct standard errors the z of one
+    seed is close to N(0, 1): a t with B - 1 degrees of freedom for the
+    B = 128 batches at n = 16384, whose variance 127/125 = 1.016 is 1 to
+    the precision below.  Over N independent seeds, the sample mean of z
+    then has standard deviation 1/sqrt(N), and the sample variance s^2
+    has standard deviation sqrt(2/(N - 1)) ((N - 1) s^2 is chi-square
+    with N - 1 degrees of freedom).  Each may deviate by 4 of its
+    standard deviations: |mean| <= 4/sqrt(N) and
+    |s^2 - 1| <= 4 sqrt(2/(N - 1)), i.e. 0.231 and 0.327 at N = 300.
+    An SE off by a factor f scales s^2 by 1/f^2: halved (4) or doubled
+    (1/4) SEs leave the band, which the test checks on its own z-scores.
+    """
+
+    N_SEEDS = 300
+    N = 16384
+
+    @staticmethod
+    def _bands_hold(z):
+        k = z.size
+        mean_ok = abs(z.mean()) <= 4.0 / math.sqrt(k)
+        var_ok = abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (k - 1))
+        return mean_ok and var_ok
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec.exponential_rank_one(1.0),
+            DistributionSpec.cauchy_rank_one(),
+            DistributionSpec.binary_hill(2.0, 3.0, 0.5),
+            ATOMS3,
+        ],
+        ids=["exp1", "cauchy", "binary", "atoms3"],
+    )
+    def test_z_scores_are_standard(self, spec):
+        if spec.is_discrete:
+            lam, sigma2, _ = exact_discrete(spec)
+        else:
+            lam, sigma2 = closed_form(spec)
+        z_lam, z_sigma2 = [], []
+        for seed in range(self.N_SEEDS):
+            r, ladder = estimate_sigma2_mc(spec, self.N, seed=seed)
+            z_lam.append((ladder.lam - lam) / ladder.lam_std_error)
+            z_sigma2.append((r.value - sigma2) / r.std_error)
+        for z in (np.array(z_lam), np.array(z_sigma2)):
+            assert self._bands_hold(z), (z.mean(), z.var(ddof=1))
+            # halved SEs double z, doubled SEs halve it
+            assert not self._bands_hold(2.0 * z)
+            assert not self._bands_hold(0.5 * z)
 
 
 class TestExactDiscrete:
@@ -482,8 +654,9 @@ class TestTableEnumeration:
     @given(small_atom_laws())
     @settings(max_examples=300, deadline=None)
     def test_false_verdict_implies_positive_decimal_sigma2(self, spec):
+        # an exact cancellation has no CLT; degeneracy_check raises there
+        assume(exact_discrete(spec)[0] != -math.inf)
         verdict = degeneracy_check(spec)
-        assume(verdict.lam != -math.inf)
         if not verdict.is_degenerate_candidate:
             _, c0, c1 = decimal_reference(spec)
             assert c0 + 2.0 * c1 > 0.0
