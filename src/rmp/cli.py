@@ -42,8 +42,6 @@ from .estimators import (
 # ValueError, so it must match before the generic entry
 _EXIT_CODES = (
     (NoClosedFormError, 2),
-    (SpecError, 1),
-    (NotDiscreteError, 1),
     (OSError, 1),
     (ValueError, 1),
 )

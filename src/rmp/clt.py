@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import AtomLaw, DistributionSpec, EntryTriple, SpecError
+from .distributions import DistributionSpec, EntryTriple, SpecError
 from .estimators import exact_moments
 from .product import NEG_INF, chain_log_norms
 
@@ -172,9 +172,9 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
     an atom pair cancels exactly: lambda is then -inf, sigma^2 undefined,
     and there is no CLT to be degenerate.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be > 0")
-    law = AtomLaw(spec)
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    law = spec.atom_law
     T = law.log_cross()
     lam, sigma2, _ = exact_moments(T, law.p)
     if lam == NEG_INF:

@@ -136,6 +136,10 @@ class DistributionSpec:
     safe to share across threads.
     """
 
+    # the AtomLaw of a finite-support law, set once by validation; not a
+    # field, so eq, hash and repr ignore it
+    _atom_law = None
+
     family: str
     alpha: float | None = None
     beta: float | None = None
@@ -154,8 +158,6 @@ class DistributionSpec:
         if self.atoms is not None:
             object.__setattr__(self, "atoms", tuple(tuple(at) for at in self.atoms))
         _VALIDATORS[self.family](self)
-        if self.is_discrete:
-            _validate_cross_terms(self)
         # normalize validated numerics so JSON integers behave like reals
         for name in ("alpha", "beta", "p", "a", "b", "theta"):
             v = getattr(self, name)
@@ -165,6 +167,8 @@ class DistributionSpec:
             object.__setattr__(
                 self, "atoms", tuple((t, float(p)) for t, p in self.atoms)
             )
+        if self.is_discrete:
+            object.__setattr__(self, "_atom_law", _validate_cross_terms(self))
         allowed = _FIELDS[self.family]
         for name in ("alpha", "beta", "p", "a", "b", "theta", "value", "atoms"):
             if name not in allowed and getattr(self, name) is not None:
@@ -211,6 +215,18 @@ class DistributionSpec:
     @property
     def is_rank_one(self) -> bool:
         return self.family in RANK_ONE_FAMILIES
+
+    @property
+    def atom_law(self) -> "AtomLaw":
+        """The AtomLaw that validation built, shared by every route.
+
+        Raises NotDiscreteError for continuous families.
+        """
+        if self._atom_law is None:
+            raise NotDiscreteError(
+                f"{self.family} is not discrete; finite support unavailable"
+            )
+        return self._atom_law
 
 
 # -- validation ----------------------------------------------------------
@@ -319,16 +335,16 @@ def _validate_atoms(spec):
         raise SpecError(f"atom probabilities must sum to 1, got {total!r}")
 
 
-def _validate_cross_terms(spec):
-    """Reject a finite-support law with an atom pair whose cross term overflows.
+def _validate_cross_terms(spec) -> "AtomLaw":
+    """The law's AtomLaw, or SpecError if an atom pair's cross term overflows.
 
     Each of the k^2 ordered atom pairs (i, j) is one possible cross term
     a_i + b_j c_i / a_j, evaluated as the kernels evaluate it.  If one is
     not finite, its log would be +inf (or NaN) in every estimator.
     """
-    law = AtomLaw(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        T = law.log_cross()
+        law = AtomLaw(spec)
+    T = law.log_cross()
     bad = np.argwhere(~(T < np.inf))  # +inf or NaN; -inf is a cancellation
     if bad.size:
         i, j = bad[0]
@@ -337,6 +353,7 @@ def _validate_cross_terms(spec):
             f"cross term a_i + b_j*c_i/a_j = {ai!r} + {bj!r}*{ci!r}/{aj!r} "
             f"of atoms i, j = {i}, {j} is not finite"
         )
+    return law
 
 
 _VALIDATORS = {
@@ -441,7 +458,7 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     a, b, c = (buf[:n] for buf in out)
     f = spec.family
     if spec.is_discrete:
-        law = AtomLaw(spec)
+        law = spec.atom_law
         idx = law.indices(n, gen, out=(c, np.empty(n, np.intp), b))
         # idx < k; mode="clip" writes out directly, where the default
         # mode="raise" buffers a copy
@@ -556,16 +573,17 @@ def enumerate_atoms(spec: DistributionSpec):
 # -- finite-support laws -------------------------------------------------
 
 class AtomLaw:
-    """A finite-support law as arrays, built once per sampling call.
+    """A finite-support law as read-only arrays, built once per spec.
 
-    ``atoms`` is the k x 3 table of the triples of enumerate_atoms(spec),
-    one row (a, b, c) per atom, and ``p`` their probabilities as stated.
-    ``cum`` holds the cumulative probabilities, the last raised to 1 if
-    rounding left it below, padded with +inf to a power-of-two length
-    for index_search.  The cross term
-    of atom i followed by atom j is one of k^2 numbers; ``cross`` gathers
-    them from a table built on first use and kept for the law's lifetime,
-    so callers never see its layout.
+    Validation builds it and the spec keeps it (DistributionSpec.atom_law),
+    so every route and thread shares one instance.  ``atoms`` is the
+    k x 3 table of the triples of enumerate_atoms(spec), one row (a, b, c)
+    per atom, and ``p`` their probabilities as stated.  ``cum`` holds the
+    cumulative probabilities, the last raised to 1 if rounding left it
+    below, padded with +inf to a power-of-two length for index_search.
+    The cross term of atom i followed by atom j is one of k^2 numbers,
+    kept in a table built here; ``cross`` gathers from it, so callers
+    never see its layout.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -577,28 +595,27 @@ class AtomLaw:
         cum[-1] = max(cum[-1], 1.0)
         size = 1 << (self.k - 1).bit_length()  # smallest power of two >= k
         self.cum = np.concatenate([cum, np.full(size - self.k, np.inf)])
-        self._table = None
+        a, b, c = self.atoms.T[:, :, None]
+        self._table = cross_terms((a, b, c), (a.T, b.T, c.T))
+        for arr in (self.atoms, self.p, self.cum, self._table):
+            arr.flags.writeable = False
 
     def log_cross(self) -> np.ndarray:
         """k x k table T[i, j] = log |a_i + b_j c_i / a_j|; -inf on cancellation.
 
         cross_terms of the atom columns, broadcast as rows i against
         columns j, so T[i, j] equals the cross term of sampled triples
-        equal to atoms i and j bit for bit.  T holds k^2 doubles: 8 MiB at
-        k = 1024.
+        equal to atoms i and j bit for bit.  T is the law's own read-only
+        table, k^2 doubles: 8 MiB at k = 1024.
         """
-        a, b, c = self.atoms.T[:, :, None]
-        return cross_terms((a, b, c), (a.T, b.T, c.T))
+        return self._table
 
     def cross(self, i, j, out=None, pairs=None) -> np.ndarray:
-        """log_cross()[i, j] for atom index arrays i, j, by a table built once.
+        """log_cross()[i, j] for atom index arrays i, j.
 
         ``out`` (float64, for the terms) and ``pairs`` (intp, for the table
-        positions) are optional buffers shaped like i and j.  Threads racing
-        on the first call just build the same table twice.
+        positions) are optional buffers shaped like i and j.
         """
-        if self._table is None:
-            self._table = self.log_cross().ravel()
         pairs = np.multiply(i, self.k, out=pairs)
         np.add(pairs, j, out=pairs)
         # every position is in range; mode="clip" writes out directly

@@ -16,16 +16,17 @@ the lag-0 and lag-1 autocovariances of the cross-term sequence (lags
 beyond 1 vanish because the sequence is 1-dependent), both centered at
 lambda.  The sequence is stationary, so lambda is its mean and sigma^2
 its long-run variance (Hoeffding & Robbins, Duke Math. J. 1948): one
-segment gives all three.  The Monte Carlo route streams the lag rows
-(x_j, x_{j+1}) of every segment into one reducer of centered co-moments
-merged in chunk order, so memory is O(SAMPLE_CHUNK).  The rows overlap,
-so standard errors come from non-overlapping batch means (Flegal &
-Jones, Ann. Statist. 2010) rather than from i.i.d. formulas.
+segment gives all three.  The Monte Carlo route cuts the lag rows
+(x_j, x_{j+1}) of every segment into batches of consecutive rows, each
+summarised by its count, mean and sums centered at that mean, so memory
+is O(SAMPLE_CHUNK).  The batch table is the only summary: one combine
+recenters it at lambda for the estimates, and its full batches give the
+standard errors.  The rows overlap, so those are non-overlapping batch
+means (Flegal & Jones, Ann. Statist. 2010) rather than i.i.d. formulas.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from .distributions import (
     CAUCHY_RANK_ONE,
     EXPONENTIAL_RANK_ONE,
     UNIFORM_RANK_ONE,
-    AtomLaw,
     DistributionSpec,
     cross_terms,
     make_stream,
@@ -102,7 +102,7 @@ class CovarianceLadder:
         return self.c0 + 2.0 * self.c1
 
 
-# -- streaming co-moment reducer ---------------------------------------------
+# -- batch-means reducer -----------------------------------------------------
 
 def _mean(xs: np.ndarray):
     """Mean along the last axis; exact (not just to rounding) for a constant row."""
@@ -110,78 +110,32 @@ def _mean(xs: np.ndarray):
     return np.where(lo == hi, lo, xs.mean(axis=-1))
 
 
-def _summary(x: np.ndarray, y: np.ndarray | None, order: int, j_max: int, out=None):
-    """(center m, power sums S) of rows (x, y) along the last axis.
+def _summary(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Batch sums of the rows (x, y): one (n, m, Sxx, Sxy, Sx, Sy) per batch.
 
-    m = _mean(x), and S[..., i, j] = sum (x - m)^i (y - m)^j for
-    j <= j_max and i + j <= order (other entries are 0), so S[..., 0, 0]
-    is the row count; y is None when j_max = 0.  Leading axes are
-    batches, each summarised on its own: 1-D rows give a scalar m and
-    S of shape (order + 1, j_max + 1).  x and y are not written, so they
-    may overlap.  ``out`` is an optional pair of float64 buffers, each at
-    least x.size long and apart from x and y, that receive x - m and
-    y - m instead of fresh arrays.  The sums run in einsum's own loops
-    (never BLAS), so a summary does not depend on the thread that
-    computed it.
+    The last axis holds a batch's n rows and leading axes index batches.
+    m = _mean(x), and with dx = x - m, dy = y - m the sums are
+    Sxx = sum dx^2, Sxy = sum dx dy, Sx = sum dx and Sy = sum dy.  x and
+    y are not written, so they may overlap.  ``out`` is an optional pair
+    of float64 buffers, each at least x.size long and apart from x and
+    y, that receive dx and dy instead of fresh arrays.  The sums run in
+    einsum's own loops (never BLAS), so a row does not depend on the
+    thread that computed it.
     """
-    lead = x.shape[:-1]
-    shape = (order + 1, j_max + 1)
-    S = np.zeros(lead + shape)
-    if not x.shape[-1]:
-        return np.zeros(lead)[()], S
     m = _mean(x)
 
     def centered(v, buf):
         dest = None if buf is None else buf[: v.size].reshape(v.shape)
         return np.subtract(v, m[..., None], out=dest)
 
-    bufs = (None, None) if out is None else out
-    x = centered(x, bufs[0])
-    if y is not None:
-        y = centered(y, bufs[1])
-    # x^2 as one operand keeps every product at <= 3 einsum operands,
-    # where einsum has fast loops
-    x2 = x * x if order > 2 else None
-    S[..., 0, 0] = x.shape[-1]
-    for i, j in np.ndindex(shape):
-        ops = ([x] * i if x2 is None else [x2] * (i // 2) + [x] * (i % 2)) + [y] * j
-        if ops and i + j <= order:
-            S[..., i, j] = np.einsum(",".join(["...k"] * len(ops)) + "->...", *ops)
-    return m[()], S
-
-
-def _shift(S: np.ndarray, d: float) -> np.ndarray:
-    """Re-center power sums from m to m + d by the binomial expansion.
-
-    (x - m - d)^i = sum_k C(i, k) (-d)^(i-k) (x - m)^k, and likewise for
-    y, so entry (i, j) needs only entries (k <= i, l <= j).  d = 0
-    returns S unchanged, so a constant law stays exactly at 0.
-    """
-    if d == 0.0:
-        return S
-    rows, cols = S.shape  # rows >= cols
-    B = np.array(
-        [[math.comb(i, l) * (-d) ** (i - l) if l <= i else 0.0 for l in range(rows)]
-         for i in range(rows)]
+    dx, dy = map(centered, (x, y), (None, None) if out is None else out)
+    sums = (
+        np.einsum("...k,...k->...", dx, dx),
+        np.einsum("...k,...k->...", dx, dy),
+        np.einsum("...k->...", dx),
+        np.einsum("...k->...", dy),
     )
-    out = B @ S @ B[:cols, :cols].T
-    out[np.add.outer(np.arange(rows), np.arange(cols)) >= rows] = 0.0  # untracked
-    return out
-
-
-def _merge(a, b):
-    """Pairwise merge of two (center, power sums) summaries, a before b.
-
-    Chan, Golub & LeVeque (1979); Pebay, SAND2008-6212 (2008).
-    """
-    (ma, sa), (mb, sb) = a, b
-    na, nb = sa[0, 0], sb[0, 0]
-    if na == 0:
-        return b
-    if nb == 0:
-        return a
-    m = ma + (mb - ma) * nb / (na + nb)
-    return m, _shift(sa, m - ma) + _shift(sb, m - mb)
+    return np.stack([np.full(m.shape, float(x.shape[-1])), m, *sums], axis=-1)
 
 
 def batch_length(n_rows: int) -> int:
@@ -194,25 +148,25 @@ def batch_length(n_rows: int) -> int:
 
 
 def _segment(c: np.ndarray, L: int, out=None):
-    """(events, summary, batch summaries) of one segment's cross terms c.
+    """(events, batch table) of one segment's cross terms c.
 
-    The rows are the len(c) - 1 lag pairs (c[j], c[j + 1]).  A -inf term
-    is an event and drops both rows it belongs to (one at either end of
-    the segment).  The summary is _summary of the kept rows at order 2
-    in x and 1 in y.  Without events, consecutive runs of L rows are
-    batches, each with its own _summary (the last len(c) - 1 mod L rows
-    are in none); with events there are no batches (None).  ``out`` is
-    _summary's optional pair of scratch buffers.
+    The rows are the len(c) - 1 lag pairs (c[j], c[j + 1]).  Consecutive
+    runs of L rows are batches, and the last len(c) - 1 mod L rows (only
+    the last chunk has any) are one shorter tail batch; the table holds
+    their _summary rows in order.  A -inf term is an event, and then
+    only the event count is returned (the table is None), since the
+    variance is undefined.  ``out`` is _summary's optional pair of
+    scratch buffers.
     """
-    neg = c == NEG_INF
-    events = int(np.count_nonzero(neg))
-    x, y = c[:-1], c[1:]
+    events = int(np.count_nonzero(c == NEG_INF))
     if events:
-        keep = ~(neg[:-1] | neg[1:])
-        return events, _summary(x[keep], y[keep], 2, 1, out), None
+        return events, None
+    x, y = c[:-1], c[1:]
     rows = x.size // L * L
-    batches = _summary(x[:rows].reshape(-1, L), y[:rows].reshape(-1, L), 2, 1, out)
-    return 0, _summary(x, y, 2, 1, out), batches
+    table = _summary(x[:rows].reshape(-1, L), y[:rows].reshape(-1, L), out)
+    if rows < x.size:
+        table = np.concatenate([table, _summary(x[None, rows:], y[None, rows:], out)])
+    return 0, table
 
 
 def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
@@ -222,12 +176,11 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     triples from its (seed, k) stream with the chain kernel's block step
     (a finite-support law draws atom indices and gathers its cross terms
     from AtomLaw's table, the same values bit for bit), which gives
-    m + 1 cross terms and m lag rows; _segment summarises them.
-    Returns (events, (center, S), batches): the -inf term count, the
-    chunk summaries merged in chunk order (S as in _summary at order 2
-    in x and 1 in y), and the per-batch (lam, c0, c1) arrays of rows of
-    batch_length(n_samples), in chunk order, or None if any term was
-    -inf.  Memory is O(SAMPLE_CHUNK) per worker whatever n_samples is.
+    m + 1 cross terms and m lag rows; _segment cuts them into batches of
+    batch_length(n_samples) rows.  Returns (events, table): the -inf
+    term count, and the batch rows of every chunk in chunk order (see
+    _summary), or None if any term was -inf.  Memory is O(SAMPLE_CHUNK)
+    per worker whatever n_samples is.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
@@ -246,12 +199,9 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
 
     parts = map_chunks(run, len(sizes), threads)
     events = sum(p[0] for p in parts)
-    merged = functools.reduce(_merge, (p[1] for p in parts))
     if events:
-        return events, merged, None
-    lam_b = np.concatenate([p[2][0] for p in parts])
-    S_b = np.concatenate([p[2][1] for p in parts])
-    return 0, merged, (lam_b, S_b[:, 2, 0] / L, S_b[:, 1, 1] / L)
+        return events, None
+    return 0, np.concatenate([p[1] for p in parts])
 
 
 def _batch_se(v: np.ndarray) -> float:
@@ -280,32 +230,45 @@ def estimate_sigma2_mc(
         sigma2 = c0 + 2*c1,   c0 = mean(dx^2),   c1 = mean(dx*dy),
 
     both centered, so a law whose sigma2 is tiny next to lam^2 keeps its
-    digits.  Standard errors of lam, sigma2, c0 and c1 are batch means:
-    the rows are cut into batches of batch_length(n_samples) rows inside
-    chunks, each batch gives its own (lam, c0, c1), and a standard error
-    is the sample std of a batch value over sqrt(number of batches).
+    digits.  They come from the batch table of _reduce in one combine:
+    batch b has n_b rows, mean m_b and sums centered there, and with
+    d = m_b - lam
+
+        lam = m_0 + sum n_b (m_b - m_0) / n,
+        c0 = sum [Sxx + 2 d Sx + n_b d^2] / n,
+        c1 = sum [Sxy + d (Sx + Sy) + n_b d^2] / n,
+
+    so a constant law gives lam exactly and c0 = c1 = 0.  Standard errors
+    of lam, sigma2, c0 and c1 are batch means: each full batch (n_b =
+    batch_length(n_samples); the tail is left out) gives its own
+    (m_b, Sxx / n_b, Sxy / n_b), and a standard error is the sample std
+    of a batch value over sqrt(number of batches).
     Returns (EstimateResult, CovarianceLadder); the ladder carries lam
     and its standard error (estimate_lambda_mc reads them).  If any
     cross term cancelled exactly, lam is -inf, the variance and every
     standard error are undefined (NaN), and the -inf terms are counted.
     """
     t0 = time.perf_counter()
-    events, (lam, S), batches = _reduce(spec, n_samples, seed, threads)
+    events, table = _reduce(spec, n_samples, seed, threads)
     if events:
         nan = float("nan")
         wall = time.perf_counter() - t0
         result = EstimateResult(nan, nan, n_samples, seed, events, wall)
         return result, CovarianceLadder(nan, nan, NEG_INF, nan, nan, nan, events)
 
-    n = n_samples
-    M = S / n
-    c0, c1 = float(M[2, 0]), float(M[1, 1])
+    n, L = n_samples, batch_length(n_samples)
+    n_b, m, Sxx, Sxy, Sx, Sy = table.T
+    lam = float(m[0] + np.sum(n_b * (m - m[0])) / n)
+    d = m - lam
+    c0 = float(np.sum(Sxx + 2.0 * d * Sx + n_b * d * d)) / n
+    c1 = float(np.sum(Sxy + d * (Sx + Sy) + n_b * d * d)) / n
     sigma2 = c0 + 2.0 * c1
-    lam_b, c0_b, c1_b = batches
+    full = table[n_b == L]
+    lam_b, c0_b, c1_b = full[:, 1], full[:, 2] / L, full[:, 3] / L
     se = _batch_se(c0_b + 2.0 * c1_b)
     result = EstimateResult(sigma2, se, n, seed, 0, time.perf_counter() - t0)
     ladder = CovarianceLadder(
-        c0, c1, float(lam), _batch_se(c0_b), _batch_se(c1_b), _batch_se(lam_b)
+        c0, c1, lam, _batch_se(c0_b), _batch_se(c1_b), _batch_se(lam_b)
     )
     return result, ladder
 
@@ -379,7 +342,7 @@ def exact_discrete(spec: DistributionSpec):
     Sums over AtomLaw's k x k cross-term table, see exact_moments.
     Raises NotDiscreteError for continuous families.
     """
-    law = AtomLaw(spec)
+    law = spec.atom_law
     return exact_moments(law.log_cross(), law.p)
 
 

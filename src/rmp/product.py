@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    AtomLaw,
     DistributionSpec,
     EntryTriple,
     cross_term,
@@ -236,14 +235,14 @@ def workspace_pool(length: int):
 def block_step(spec: DistributionSpec):
     """The law's draw(block, width, gen, workspace), as _chain_chunk calls it.
 
-    _atom_block on an AtomLaw built here once for a finite-support law,
+    _atom_block on the spec's AtomLaw for a finite-support law,
     _sampled_block otherwise.  At width 1 a block is one chain segment
     of ``block`` consecutive steps and its block - 1 cross terms.  Both
     write the cross terms into the third workspace buffer, so a caller
     that reads neither returned row may reuse the first two.
     """
     if spec.is_discrete:
-        return functools.partial(_atom_block, AtomLaw(spec))
+        return functools.partial(_atom_block, spec.atom_law)
     return functools.partial(_sampled_block, spec)
 
 

@@ -7,7 +7,6 @@ on sampled triples.  The atom-index paths must reproduce them bit for
 bit.
 """
 
-import functools
 import math
 import tracemalloc
 
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmp.clt import degeneracy_check
 from rmp.distributions import (
     BINARY_HILL,
     CONSTANT_TRIPLE,
@@ -23,9 +23,17 @@ from rmp.distributions import (
     DistributionSpec,
     index_search,
     make_stream,
+    sample_triple,
     sample_triples,
 )
-from rmp.estimators import SAMPLE_CHUNK, _merge, _reduce, _summary, cross_terms
+from rmp.estimators import (
+    SAMPLE_CHUNK,
+    _reduce,
+    _summary,
+    cross_terms,
+    estimate_sigma2_mc,
+    exact_discrete,
+)
 from rmp.parallel import chunk_sizes
 from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms
 
@@ -103,29 +111,20 @@ def legacy_chain_chunk(spec, n, width, gen):
 def one_pass_reduce(spec, n_samples, seed):
     """_reduce with its chunk body on sampled triples and cross_terms.
 
-    Chunk k draws m + 2 triples, forms their m + 1 cross terms, drops the
-    rows around each -inf, and summarises every L-row batch on its own.
+    Chunk k draws m + 2 triples and forms their m + 1 cross terms.  Every
+    L-row batch, and the shorter tail of the last chunk, is summarised on
+    its own, one 1-D _summary each; any -inf term leaves no table.
     """
     L = 1 << int(math.log2(math.isqrt(n_samples)))
-    events, parts, batches = 0, [], []
+    events, table = 0, []
     for k, m in enumerate(chunk_sizes(n_samples, SAMPLE_CHUNK)):
         a, b, c = legacy_triples(spec, m + 2, make_stream(seed, k))
         terms = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
-        x, y = terms[:-1], terms[1:]
-        neg = np.isneginf(terms)
-        events += int(neg.sum())
-        if neg.any():
-            keep = ~(neg[:-1] | neg[1:])
-            parts.append(_summary(x[keep], y[keep], 2, 1))
-            continue
-        parts.append(_summary(x, y, 2, 1))
-        for j in range(0, m - L + 1, L):
-            mb, Sb = _summary(x[j:j + L], y[j:j + L], 2, 1)
-            batches.append((mb, Sb[2, 0] / L, Sb[1, 1] / L))
-    merged = functools.reduce(_merge, parts)
-    if events:
-        return events, merged, None
-    return 0, merged, tuple(np.array(v) for v in zip(*batches))
+        events += int(np.isneginf(terms).sum())
+        if not events:
+            x, y = terms[:-1], terms[1:]
+            table += [_summary(x[j:j + L], y[j:j + L]) for j in range(0, m, L)]
+    return (events, None) if events else (0, np.array(table))
 
 
 class TestPinnedToSampledTriples:
@@ -166,13 +165,10 @@ class TestPinnedToSampledTriples:
         for threads in (1, 2):
             got = _reduce(spec, n, 6, threads)
             assert got[0] == want[0]
-            assert np.array_equal(got[1][0], want[1][0])
-            assert np.array_equal(got[1][1], want[1][1])
-            if want[2] is None:
-                assert got[2] is None
+            if want[1] is None:
+                assert got[1] is None
             else:
-                for g, w in zip(got[2], want[2]):
-                    assert np.array_equal(g, w)
+                assert np.array_equal(got[1], want[1])
 
     def test_cancelling_law_reaches_minus_inf(self):
         # the pins above compare -inf events, so make sure some happen
@@ -193,6 +189,35 @@ class TestAtomLaw:
             for j, (a2, b2, _) in enumerate(law.atoms):
                 want = math.log(abs(a1 + b2 * c1 / a2))
                 assert T[i, j] == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_no_route_rebuilds_the_table(self, monkeypatch):
+        builds = []
+        init = AtomLaw.__init__
+
+        def counting(self, spec):
+            builds.append(spec.family)
+            init(self, spec)
+
+        monkeypatch.setattr(AtomLaw, "__init__", counting)
+        spec = _random_atoms(5, seed=1)
+        law = spec.atom_law
+        assert len(builds) == 1
+        sample_triples(spec, 100, make_stream(0))
+        sample_triple(spec, make_stream(0))
+        chain_log_norms(spec, 50, 8, seed=0, threads=2)
+        estimate_sigma2_mc(spec, 1000, seed=0, threads=2)
+        exact_discrete(spec)
+        degeneracy_check(spec)
+        assert len(builds) == 1 and spec.atom_law is law
+        # shared across threads, so read-only; log_cross hands out the table
+        T = law.log_cross()
+        assert T is law.log_cross()
+        for arr in (law.atoms, law.p, law.cum, T):
+            assert not arr.flags.writeable
+        # not a field: equality, hash and repr are the fields' own
+        twin = _random_atoms(5, seed=1)
+        assert twin == spec and hash(twin) == hash(spec) and twin.atom_law is not law
+        assert "AtomLaw" not in repr(spec)
 
     def test_binary_atoms_in_stream_order(self):
         # index 0 is the event u < p, which selected alpha before

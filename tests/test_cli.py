@@ -252,6 +252,14 @@ class TestDegeneracy:
         assert out.stderr.startswith("error:") and "-inf" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exit_1(self, dists, tolerance):
+        # sigma2 = 0 exactly here; a NaN tolerance read "not degenerate"
+        out = rmp("degeneracy", "--dist", dists["const111"], f"--tolerance={tolerance}")
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and "tolerance" in out.stderr
+        assert out.stdout == ""
+
     def test_continuous_exit_1(self, dists):
         out = rmp("degeneracy", "--dist", dists["cauchy"])
         assert out.returncode == 1

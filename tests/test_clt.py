@@ -172,3 +172,6 @@ class TestDegeneracyCheck:
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             degeneracy_check(DistributionSpec.constant_triple(1, 1, 1), tolerance=0.0)
+        for tolerance in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                degeneracy_check(DistributionSpec.constant_triple(1, 1, 1), tolerance)

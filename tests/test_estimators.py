@@ -1,5 +1,4 @@
 import decimal
-import functools
 import math
 import sys
 import tracemalloc
@@ -26,10 +25,7 @@ from rmp.estimators import (
     EULER_GAMMA,
     SAMPLE_CHUNK,
     NoClosedFormError,
-    _merge,
     _reduce,
-    _segment,
-    _summary,
     batch_length,
     closed_form,
     cross_terms,
@@ -181,27 +177,10 @@ class TestSigma2MC:
         assert r.minus_inf_events > 0
         assert ladder.lam == -math.inf
 
-    def test_minus_inf_drops_exactly_its_two_rows(self):
-        inf = -math.inf
-        # rows (c[j], c[j + 1]): a -inf inside the segment is in two rows,
-        # one at either end is in one
-        for c, kept in (
-            ([0.1, 0.2, inf, 0.4, 0.5, 0.6], [(0.1, 0.2), (0.4, 0.5), (0.5, 0.6)]),
-            ([inf, 0.2, 0.3, 0.4], [(0.2, 0.3), (0.3, 0.4)]),
-            ([0.1, 0.2, 0.3, inf], [(0.1, 0.2), (0.2, 0.3)]),
-            ([0.1, inf, inf, 0.4, 0.5], [(0.4, 0.5)]),
-        ):
-            events, (m, S), batches = _segment(np.array(c), 2)
-            assert events == c.count(inf) and batches is None
-            x, y = (np.array(v) for v in zip(*kept))
-            want_m, want_S = _summary(x, y, 2, 1)
-            assert S[0, 0] == len(kept)
-            assert m == want_m and np.array_equal(S, want_S)
-
     def test_last_term_event_makes_lambda_minus_inf(self):
         # seed 0 draws atoms 0, 0, 0, 1: the only -inf is the segment's
-        # last term, which is never an x, and one row is left; lambda is
-        # -inf all the same, since the law can cancel
+        # last term, which is never an x; lambda is -inf all the same,
+        # since the law can cancel
         r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=0)
         assert math.isnan(r.value) and r.minus_inf_events == 1
         assert ladder.lam == -math.inf and ladder.minus_inf_events == 1
@@ -294,9 +273,7 @@ class TestOnePass:
         finally:
             sys.setswitchinterval(interval)
         assert got[0] == want[0] == 0
-        assert got[1][0] == want[1][0] and np.array_equal(got[1][1], want[1][1])
-        for g, w in zip(got[2], want[2]):
-            assert np.array_equal(g, w)
+        assert np.array_equal(got[1], want[1])
 
     def test_constant_std_errors_exactly_zero(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
@@ -522,20 +499,21 @@ class TestTrajectoryLambda:
 
 
 class TestReducer:
-    def test_merged_chunks_equal_one_pass(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(3000) * 3.0 + 5.0
-        y = rng.standard_normal(3000) + 5.0
-        parts = [
-            _summary(x[a:b].copy(), y[a:b].copy(), 4, 2)
-            for a, b in ((0, 700), (700, 701), (701, 701), (701, 3000))
-        ]
-        m, S = functools.reduce(_merge, parts)
-        m1, S1 = _summary(x.copy(), y.copy(), 4, 2)
-        assert m == pytest.approx(m1, rel=1e-14)
-        assert S[0, 0] == 3000.0
-        # first powers sum to ~0, so they get an absolute tolerance
-        np.testing.assert_allclose(S, S1, rtol=1e-10, atol=1e-8)
+    @pytest.mark.parametrize(
+        "name", sorted(set(_spec_zoo()) - {"constant"})  # constant: exactly 0 above
+    )
+    def test_combine_equals_two_pass(self, name):
+        spec = _spec_zoo()[name]
+        n = 2 * SAMPLE_CHUNK + 37  # two full chunks, then 37 rows: the tail row
+        L = batch_length(n)
+        _, table = _reduce(spec, n, 3, 1)
+        assert table[:, 0].tolist() == [L] * (2 * SAMPLE_CHUNK // L) + [37]
+        x, y = (np.concatenate(v) for v in zip(*segment_rows(spec, n, seed=3)))
+        lam = x.mean()
+        c0, c1 = np.mean((x - lam) ** 2), np.mean((x - lam) * (y - lam))
+        _, ladder = estimate_sigma2_mc(spec, n, seed=3)
+        got = (ladder.lam, ladder.c0, ladder.c1)
+        assert got == pytest.approx((lam, c0, c1), rel=1e-12, abs=0)
 
 
 def _extreme(draw):
