@@ -12,12 +12,10 @@ from .distributions import (
     EntryTriple,
     NotDiscreteError,
     SpecError,
-    cross_term,
     enumerate_atoms,
     load_spec,
     make_stream,
     parse_spec,
-    sample_triple,
     sample_triples,
 )
 from .estimators import (
@@ -32,13 +30,9 @@ from .estimators import (
     trajectory_lambda,
 )
 from .product import (
-    ProductAccumulator,
-    accumulator_init,
-    accumulator_step,
     build_matrix,
     chain_log_norms,
     direct_log_norm,
-    log_norm,
 )
 
 __version__ = "0.1.0"
@@ -52,14 +46,10 @@ __all__ = [
     "EstimateResult",
     "NoClosedFormError",
     "NotDiscreteError",
-    "ProductAccumulator",
     "SpecError",
-    "accumulator_init",
-    "accumulator_step",
     "build_matrix",
     "chain_log_norms",
     "closed_form",
-    "cross_term",
     "degeneracy_check",
     "direct_log_norm",
     "enumerate_atoms",
@@ -69,10 +59,8 @@ __all__ = [
     "ks_distance",
     "lambda_view",
     "load_spec",
-    "log_norm",
     "make_stream",
     "parse_spec",
-    "sample_triple",
     "sample_triples",
     "simulate_normalized",
     "trajectory_lambda",

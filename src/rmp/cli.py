@@ -210,8 +210,22 @@ def cmd_selftest(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError after the usage line.
+
+    argparse would exit 2, which means "no closed form" here; main maps
+    a ValueError to 1, a config error.  Subcommand parsers are made of
+    the same class.  Not an ArgumentError, which a parent parser would
+    catch and report again.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rmp",
         description=(
             "Lyapunov exponents and CLT variances for products of "
@@ -265,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except tuple(exc for exc, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)

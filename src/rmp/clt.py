@@ -105,7 +105,9 @@ def simulate_normalized(
     """Simulate Z_k = (log ||S_n|| - n*lam) / sqrt(n) over m_chains chains.
 
     Chains that collapse to the zero matrix are excluded from the
-    statistics and counted in minus_inf_events.
+    statistics and counted in minus_inf_events.  The empirical mean is
+    NaN when no chain is left, and the empirical variance when fewer
+    than two are.
     """
     if n < 10:
         raise ValueError("need chain length n >= 10")
@@ -118,12 +120,8 @@ def simulate_normalized(
     n_inf = int(m_chains - finite.sum())
     z = (log_norms[finite] - n * lam) / math.sqrt(n)
 
-    if z.size:
-        emp_mean = float(z.mean())
-        emp_var = float(z.var(ddof=1)) if z.size > 1 else 0.0
-    else:
-        emp_mean = float("nan")
-        emp_var = float("nan")
+    emp_mean = float(z.mean()) if z.size else float("nan")
+    emp_var = float(z.var(ddof=1)) if z.size > 1 else float("nan")
 
     ks = None
     if sigma2 > 0.0 and z.size:

@@ -89,14 +89,6 @@ class EntryTriple:
             )
 
 
-def cross_term(xi1: EntryTriple, xi2: EntryTriple) -> float:
-    """Scalar cross_terms: log |a_1 + b_2 c_1 / a_2|; -inf on exact cancellation."""
-    v = xi1.a + xi2.b * xi1.c / xi2.a
-    if v == 0.0:
-        return float("-inf")
-    return math.log(abs(v))
-
-
 def cross_terms(t1, t2, out=None) -> np.ndarray:
     """log |a_1 + b_2 c_1 / a_2| of two triple batches; -inf on cancellation.
 
@@ -540,12 +532,6 @@ def _nonzero(draw, x: np.ndarray) -> np.ndarray:
         mask = x == 0.0
         x[mask] = draw(np.empty(np.count_nonzero(mask)))
     return x
-
-
-def sample_triple(spec: DistributionSpec, gen: np.random.Generator) -> EntryTriple:
-    """Draw a single triple from the joint law, advancing the stream."""
-    a, b, c = sample_triples(spec, 1, gen)
-    return EntryTriple(float(a[0]), float(b[0]), float(c[0]))
 
 
 def enumerate_atoms(spec: DistributionSpec):

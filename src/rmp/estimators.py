@@ -207,8 +207,10 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
 def _batch_se(v: np.ndarray) -> float:
     """Sample std of the batch values v over sqrt(len(v)).
 
-    NaN below two batches (batch_length always leaves at least two);
-    exactly 0 when every batch agrees, since _mean is exact there.
+    NaN below two batches: batch_length leaves at least two full ones,
+    but estimate_sigma2_mc passes no variance batches at all when a
+    batch is one row long.  Exactly 0 when every batch agrees, since
+    _mean is exact there.
     """
     if v.size < 2:
         return float("nan")
@@ -242,7 +244,9 @@ def estimate_sigma2_mc(
     of lam, sigma2, c0 and c1 are batch means: each full batch (n_b =
     batch_length(n_samples); the tail is left out) gives its own
     (m_b, Sxx / n_b, Sxy / n_b), and a standard error is the sample std
-    of a batch value over sqrt(number of batches).
+    of a batch value over sqrt(number of batches).  Below 4 rows a batch
+    is one row, whose centered sums are 0, so the standard errors of
+    sigma2, c0 and c1 are NaN there.
     Returns (EstimateResult, CovarianceLadder); the ladder carries lam
     and its standard error (estimate_lambda_mc reads them).  If any
     cross term cancelled exactly, lam is -inf, the variance and every
@@ -265,6 +269,9 @@ def estimate_sigma2_mc(
     sigma2 = c0 + 2.0 * c1
     full = table[n_b == L]
     lam_b, c0_b, c1_b = full[:, 1], full[:, 2] / L, full[:, 3] / L
+    if L < 2:
+        # a one-row batch centered at its own mean has Sxx = Sxy = 0
+        c0_b = c1_b = c0_b[:0]
     se = _batch_se(c0_b + 2.0 * c1_b)
     result = EstimateResult(sigma2, se, n, seed, 0, time.perf_counter() - t0)
     ladder = CovarianceLadder(
@@ -308,7 +315,7 @@ def trajectory_lambda(
 ) -> EstimateResult:
     """Lyapunov exponent as the across-chain mean of log ||S_n|| / n.
 
-    Runs n_chains independent accumulator chains of length n; the
+    Runs n_chains independent chains of length n (chain_log_norms); the
     almost-sure limit of log ||S_n|| / n is the exponent.  Chains whose
     product collapsed contribute -inf and are counted.
     """

@@ -3,15 +3,16 @@
 The product S_n = Y_n ... Y_2 Y_1 of matrices Y_j = [[a_j, b_j],
 [c_j, b_j*c_j/a_j]] collapses to a rank-one matrix scaled by the
 product of the scalar cross terms a_j + b_{j+1} c_j / a_{j+1}, defined
-once in distributions (cross_term, and cross_terms for arrays).  The
-accumulator tracks log |that product| plus the generators of the
-rank-one remainder, so log ||S_n|| (Hilbert-Schmidt norm) is a sum of
-logs and the accumulated sum never overflows.  A single cross term is
-still formed in linear space.  A finite-support law is rejected at
-validation if one of its atom pairs gives a cross term that is not
-finite, but two draws of a continuous law with extreme support can
-still overflow to inf.  A naive rescaled-multiplication oracle is kept
-alongside for validating the representation.
+once in distributions.cross_terms.  Its Hilbert-Schmidt norm is
+
+    ||S_n|| = |prod of cross terms| * hypot(a_n, c_n) * hypot(1, b_1/a_1),
+
+so log ||S_n|| is a sum of logs and the sum never overflows.  A single
+cross term is still formed in linear space.  A finite-support law is
+rejected at validation if one of its atom pairs gives a cross term that
+is not finite, but two draws of a continuous law with extreme support
+can still overflow to inf.  direct_log_norm, a naive rescaled
+multiplication that shares no code with the kernel, validates it.
 
 A cross term that is exactly zero makes S_n the zero matrix; this is a
 legitimate state, represented by -inf, not an error.
@@ -34,14 +35,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     DistributionSpec,
     EntryTriple,
-    cross_term,
     cross_terms,
     make_stream,
     sample_triples,
@@ -53,68 +52,6 @@ NEG_INF = float("-inf")
 # chains per stream chunk / steps per sampling block for the vectorized kernel
 CHAIN_CHUNK = 128
 STEP_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class ProductAccumulator:
-    """Running state of log ||Y_n ... Y_1||.
-
-    sum_log_terms is the accumulated log |product of cross terms|
-    (-inf once any cross term vanished; the sign is never needed since
-    only |.| enters the norm).  head_ratio = b_1/a_1 is fixed at the
-    first absorb; tail = (a_n, c_n) generates the last column block;
-    pending is the most recent triple, needed to form the next cross
-    term.
-    """
-
-    n: int
-    sum_log_terms: float
-    head_ratio: float
-    tail: tuple[float, float]
-    pending: EntryTriple
-
-
-def accumulator_init(xi: EntryTriple) -> ProductAccumulator:
-    """State after absorbing the first matrix."""
-    return ProductAccumulator(
-        n=1,
-        sum_log_terms=0.0,
-        head_ratio=xi.b / xi.a,
-        tail=(xi.a, xi.c),
-        pending=xi,
-    )
-
-
-def accumulator_step(acc: ProductAccumulator, xi: EntryTriple) -> ProductAccumulator:
-    """Absorb the next matrix on the left.
-
-    The cross term couples the pending triple with the incoming one as
-    pending.a + xi.b * pending.c / xi.a (note the asymmetry: the b
-    comes from the *new* factor).  An exact zero sends the sum to -inf,
-    where it stays.
-    """
-    return ProductAccumulator(
-        n=acc.n + 1,
-        sum_log_terms=acc.sum_log_terms + cross_term(acc.pending, xi),
-        head_ratio=acc.head_ratio,
-        tail=(xi.a, xi.c),
-        pending=xi,
-    )
-
-
-def log_norm(acc: ProductAccumulator) -> float:
-    """log of the Hilbert-Schmidt norm of the absorbed product.
-
-    ||S_n|| = |prod of cross terms| * sqrt((a_n^2 + c_n^2) * (1 + (b_1/a_1)^2));
-    hypot keeps the tail factor overflow-safe.  Returns -inf iff the
-    product collapsed to the zero matrix.
-    """
-    ta, tc = acc.tail
-    return (
-        acc.sum_log_terms
-        + math.log(math.hypot(ta, tc))
-        + math.log(math.hypot(1.0, acc.head_ratio))
-    )
 
 
 def build_matrix(xi: EntryTriple) -> np.ndarray:
@@ -132,8 +69,8 @@ def direct_log_norm(matrices) -> float:
     and explicit scalar 2x2 multiplication keep the arithmetic free of
     rescaling rounding and FMA contraction, so an exactly cancelling
     product really reaches the zero matrix.  Returns -inf in that case.
-    This is the oracle the accumulator is validated against; it shares
-    no code with the accumulator path.
+    This is the oracle chain_log_norms is validated against; it shares
+    no code with the kernel.
     """
     matrices = list(matrices)
     if not matrices:

@@ -35,13 +35,8 @@ from .estimators import (
     lambda_view,
     trajectory_lambda,
 )
-from .product import (
-    accumulator_init,
-    accumulator_step,
-    build_matrix,
-    direct_log_norm,
-    log_norm,
-)
+from . import product
+from .product import NEG_INF, build_matrix, chain_log_norms, direct_log_norm
 
 LOG2 = math.log(2.0)
 PI2 = math.pi**2
@@ -162,47 +157,69 @@ def check_binary_formula(quick=False, threads=1) -> CheckResult:
 
 
 def check_product_formula_oracle(quick=False, threads=1) -> CheckResult:
-    """Accumulator log-norm vs naive rescaled multiplication, 200 trials."""
+    """Chain kernel vs naive rescaled multiplication of the triples it drew.
+
+    200 chains of random length in [1, 200] and, per law, one chain that
+    crosses a step block, within 1e-9 relative; chains of a law whose
+    atom pair cancels must give -inf on both routes.
+    """
     t0 = time.perf_counter()
     zoo = _spec_zoo()
     names = sorted(zoo)
     trials = 50 if quick else 200
-    worst = 0.0
-    bad = None
+    cases = []
     for trial in range(trials):
-        spec = zoo[names[trial % len(names)]]
         gen = make_stream(4242, trial)
-        n = int(gen.integers(1, 201))
-        a, b, c = sample_triples(spec, n, gen)
-        triples = [EntryTriple(a[i], b[i], c[i]) for i in range(n)]
-        acc = accumulator_init(triples[0])
-        for xi in triples[1:]:
-            acc = accumulator_step(acc, xi)
-        via_acc = log_norm(acc)
-        via_direct = direct_log_norm([build_matrix(xi) for xi in triples])
-        rel = abs(via_acc - via_direct) / max(1.0, abs(via_acc))
+        n, seed = int(gen.integers(1, 201)), int(gen.integers(1 << 63))
+        cases.append((names[trial % len(names)], n, seed))
+    cases += [(name, product.STEP_BLOCK + 37, 4243) for name in names]
+    worst, bad, fails = 0.0, None, 0
+    for name, n, seed in cases:
+        via_kernel, via_direct = _both_routes(zoo[name], n, seed)
+        rel = abs(via_kernel - via_direct) / max(1.0, abs(via_kernel))
+        fails += not rel <= 1e-9
         if rel > worst:
-            worst, bad = rel, (names[trial % len(names)], n)
-    # constructed exact cancellations must agree as -inf on both routes
-    cancel = [
-        [EntryTriple(2.0, 5.0, 1.0), EntryTriple(1.0, -2.0, 3.0)],
-        [EntryTriple(2.0, 5.0, 1.0), EntryTriple(1.0, -2.0, 3.0), EntryTriple(4.0, 7.0, 9.0)],
-        [EntryTriple(1.0, 1.0, 1.0), EntryTriple(-1.0, 1.0, 1.0), EntryTriple(2.0, 2.0, 2.0)],
-    ]
-    inf_ok = True
-    for triples in cancel:
-        acc = accumulator_init(triples[0])
-        for xi in triples[1:]:
-            acc = accumulator_step(acc, xi)
-        inf_ok &= math.isinf(log_norm(acc)) and math.isinf(
-            direct_log_norm([build_matrix(xi) for xi in triples])
-        )
+            worst, bad = rel, (name, n)
+    cancelling = DistributionSpec.discrete_atoms(
+        [((2.0, 5.0, 1.0), 0.5), ((1.0, -2.0, 3.0), 0.5)]
+    )
+    inf_ok = all(
+        _both_routes(cancelling, 57, seed) == (NEG_INF, NEG_INF) for seed in range(3)
+    )
     return CheckResult(
         "product-formula-oracle",
-        worst <= 1e-9 and inf_ok,
-        f"worst rel err {worst:.2e} at {bad}; -inf agreement {inf_ok}",
+        not fails and inf_ok,
+        f"worst rel err {worst:.2e} at {bad}, {fails}/{len(cases)} chains off; "
+        f"-inf agreement {inf_ok}",
         time.perf_counter() - t0,
     )
+
+
+def _chain_triples(spec, n, seed, width=1):
+    """The triples that chain_log_norms(spec, n, width, seed) draws, per chain.
+
+    For width <= CHAIN_CHUNK every chain is in chunk 0, which draws from
+    make_stream(seed, 0) block by block: sample_triples of
+    min(STEP_BLOCK, rest) * width triples, step-major, so step i of
+    chain j is entry i * width + j of its block.  STEP_BLOCK is read at
+    call time, so the replay follows a kernel run with another block.
+    """
+    gen = make_stream(seed, 0)
+    chains = [[] for _ in range(width)]
+    for done in range(0, n, product.STEP_BLOCK):
+        block = min(product.STEP_BLOCK, n - done)
+        steps = sample_triples(spec, block * width, gen)
+        a, b, c = (x.reshape(block, width).T.tolist() for x in steps)
+        for chain, *entries in zip(chains, a, b, c):
+            chain.extend(map(EntryTriple, *entries))
+    return chains
+
+
+def _both_routes(spec, n, seed):
+    """(chain_log_norms, direct_log_norm of the replayed triples) of one chain."""
+    [triples] = _chain_triples(spec, n, seed)
+    via_kernel = float(chain_log_norms(spec, n, 1, seed)[0])
+    return via_kernel, direct_log_norm(map(build_matrix, triples))
 
 
 def check_clt_normality(quick=False, threads=1) -> CheckResult:

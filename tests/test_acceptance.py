@@ -49,7 +49,9 @@ def test_c04_binary_formula_reproduction():
 
 
 def test_c05_product_formula_oracle():
-    # accumulator vs naive rescaled multiplication, 200 mixed trials, 1e-9 rel
+    # chain kernel vs naive rescaled multiplication of the triples it drew:
+    # 200 chains plus one per law across a step block, 1e-9 rel; -inf on a
+    # cancelling law on both routes
     _run(check_product_formula_oracle, 5, 5.0)
 
 

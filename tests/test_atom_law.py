@@ -23,7 +23,6 @@ from rmp.distributions import (
     DistributionSpec,
     index_search,
     make_stream,
-    sample_triple,
     sample_triples,
 )
 from rmp.estimators import (
@@ -203,7 +202,7 @@ class TestAtomLaw:
         law = spec.atom_law
         assert len(builds) == 1
         sample_triples(spec, 100, make_stream(0))
-        sample_triple(spec, make_stream(0))
+        sample_triples(spec, 1, make_stream(0))
         chain_log_norms(spec, 50, 8, seed=0, threads=2)
         estimate_sigma2_mc(spec, 1000, seed=0, threads=2)
         exact_discrete(spec)

@@ -102,6 +102,14 @@ class TestEstimate:
         assert out.returncode == 0
         assert out.stderr.startswith("estimate ") and out.stderr.count("\n") == 1
 
+    def test_variance_std_error_nan_at_3_samples(self, dists):
+        # batches of one row have no spread, so the variance SE is undefined
+        out = rmp("estimate", "--dist", dists["atoms"], "--samples", "3")
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        assert doc["sigma2"]["std_error"] == "nan"
+        assert isinstance(doc["lambda"]["std_error"], float)
+
     def test_exact_on_continuous_fails(self, dists):
         out = rmp("estimate", "--dist", dists["cauchy"], "--exact")
         assert out.returncode == 1
@@ -202,6 +210,32 @@ class TestClt:
         )
         assert out.returncode == 2
         assert "no closed form" in out.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("estimate", "--dist", "atoms", "--samples", "abc"),
+            ("estimate", "--samples", "10"),
+            (),
+            ("clt", "--dist", "atoms", "--source", "bogus"),
+            ("degeneracy", "--dist", "atoms", "--tolerance", "-inf"),
+        ],
+        ids=["bad_int", "missing_dist", "no_subcommand", "bad_choice", "option_value"],
+    )
+    def test_usage_error_exit_1(self, dists, args):
+        # 2 is kept for a missing closed form; a usage error is a config error
+        out = rmp(*(dists.get(a, a) for a in args))
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("usage: rmp")
+        assert out.stderr.splitlines()[-1].startswith("error: rmp")
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args", [("--help",), ("estimate", "--help")])
+    def test_help_exit_0(self, args):
+        out = rmp(*args)
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: rmp")
 
     def test_exact_source_on_continuous_exit_1(self, dists):
         out = rmp(

@@ -68,6 +68,16 @@ class TestSimulateNormalized:
         assert rep.minus_inf_events > 0
         assert sum(c for _, _, c in rep.histogram) == 40 - rep.minus_inf_events
 
+    def test_one_surviving_chain_has_no_variance(self):
+        # 9 of 10 chains hit the cancelling pair; one value has no spread
+        spec = DistributionSpec.discrete_atoms(
+            [((2.0, 5.0, 1.0), 0.3), ((1.0, -2.0, 3.0), 0.3), ((3.0, 2.0, -1.0), 0.4)]
+        )
+        rep = simulate_normalized(spec, 10, 10, lam=0.0, sigma2=1.0, seed=9)
+        assert rep.minus_inf_events == 9
+        assert math.isfinite(rep.empirical_mean)
+        assert math.isnan(rep.empirical_var)
+
     def test_histogram_covers_five_sigma(self):
         spec = DistributionSpec.cauchy_rank_one()
         sigma2 = math.pi**2 / 4.0

@@ -17,12 +17,10 @@ from rmp.distributions import (
     EntryTriple,
     NotDiscreteError,
     SpecError,
-    cross_term,
     cross_terms,
     enumerate_atoms,
     make_stream,
     parse_spec,
-    sample_triple,
     sample_triples,
 )
 from rmp.product import CHAIN_CHUNK, chain_log_norms
@@ -191,8 +189,8 @@ class TestCrossTerms:
         with np.errstate(divide="ignore"):
             assert np.array_equal(got, np.log(np.abs(t1[0] + t2[1] * t1[2] / t2[0])))
         for i in range(200):
-            x = cross_term(EntryTriple(*(v[i] for v in t1)), EntryTriple(*(v[i] for v in t2)))
-            assert x == pytest.approx(got[i], rel=1e-15, abs=0)
+            x = cross_terms(*((v[i : i + 1] for v in t) for t in (t1, t2)))
+            assert x[0] == pytest.approx(got[i], rel=1e-15, abs=0)
 
 
 def _atom_law(k, seed):
@@ -293,13 +291,15 @@ class TestSampling:
     def test_constant_point_mass(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
         gen = make_stream(0)
-        assert sample_triple(spec, gen) == EntryTriple(1.0, 1.0, 1.0)
+        a, b, c = sample_triples(spec, 1, gen)
+        assert (a.tolist(), b.tolist(), c.tolist()) == ([1.0], [1.0], [1.0])
 
     def test_binary_p1_degenerate(self):
         spec = DistributionSpec.binary_hill(2.0, 3.0, 1.0)
         gen = make_stream(0)
         for _ in range(5):
-            assert sample_triple(spec, gen) == EntryTriple(2.0, 0.5, 1.0)
+            a, b, c = sample_triples(spec, 1, gen)
+            assert (a.tolist(), b.tolist(), c.tolist()) == ([2.0], [0.5], [1.0])
 
     def test_exponential_mean(self):
         # standard exponential sampler against its analytic mean of 1
@@ -351,9 +351,9 @@ class TestSampling:
         spec = DistributionSpec.exponential_rank_one(2.0)
         batch = sample_triples(spec, 4, make_stream(11))
         gen = make_stream(11)
-        singles = [sample_triple(spec, gen) for _ in range(4)]
+        singles = [sample_triples(spec, 1, gen) for _ in range(4)]
         # batch order is the x block then the y block
-        assert batch[0][0] == pytest.approx(singles[0].a, abs=0)
+        assert batch[0][0] == pytest.approx(singles[0][0][0], abs=0)
 
 
 ONE_PER_FAMILY = (

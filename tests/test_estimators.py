@@ -16,7 +16,6 @@ from rmp.distributions import (
     DistributionSpec,
     EntryTriple,
     SpecError,
-    cross_term,
     enumerate_atoms,
     make_stream,
     sample_triples,
@@ -111,15 +110,30 @@ def batch_means_se(rows, n_samples):
     return se(c0 + 2.0 * c1), se(c0), se(c1), se(lam)
 
 
+def one_cross_term(t1, t2) -> float:
+    """cross_terms of one pair of triples, passed as length-1 arrays."""
+    (x,) = cross_terms(*(np.array([t], dtype=float).T for t in (t1, t2)))
+    return float(x)
+
+
 class TestCrossTerm:
     def test_constant_hill(self):
-        assert cross_term(EntryTriple(1, 1, 1), EntryTriple(1, 1, 1)) == LOG2
+        assert one_cross_term((1, 1, 1), (1, 1, 1)) == LOG2
 
     def test_zero_c(self):
-        assert cross_term(EntryTriple(1, 0, 0), EntryTriple(3, 5, 7)) == 0.0
+        assert one_cross_term((1, 0, 0), (3, 5, 7)) == 0.0
 
     def test_exact_cancellation(self):
-        assert cross_term(EntryTriple(2, 9, 1), EntryTriple(1, -2, 4)) == -math.inf
+        assert one_cross_term((2, 9, 1), (1, -2, 4)) == -math.inf
+
+    def test_asymmetric(self):
+        # the cross term takes b from the incoming factor and c from the
+        # pending one; swapping the pair must change the result
+        t1, t2 = (1.0, 2.0, 3.0), (2.0, 5.0, 0.5)
+        fwd, rev = one_cross_term(t1, t2), one_cross_term(t2, t1)
+        assert fwd == np.log(abs(1.0 + 5.0 * 3.0 / 2.0))
+        assert rev == np.log(abs(2.0 + 2.0 * 0.5 / 1.0))
+        assert fwd != rev
 
 
 class TestLambdaMC:
@@ -290,6 +304,15 @@ class TestOnePass:
         assert batch_length(3) == 1 and batch_length(4) == 2
         assert batch_length(16384) == 128 and batch_length(4_000_000) == 1024
         assert batch_length(1 << 40) == SAMPLE_CHUNK
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_variance_std_errors_need_two_row_batches(self, n):
+        # a one-row batch centered at its own mean has Sxx = Sxy = 0, so
+        # below 4 rows the variance SEs are undefined, not 0
+        r, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), n, seed=1)
+        ses = np.array([r.std_error, ladder.c0_std_error, ladder.c1_std_error])
+        assert np.isnan(ses).all() if n < 4 else np.isfinite(ses).all()
+        assert math.isfinite(ladder.lam_std_error)
 
     @pytest.mark.parametrize(
         "spec, cancels",

@@ -1,110 +1,83 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmp import product
 from rmp.distributions import DistributionSpec, EntryTriple, make_stream, sample_triples
+from rmp.parallel import chunk_sizes
 from rmp.product import (
     CHAIN_CHUNK,
     STEP_BLOCK,
-    accumulator_init,
-    accumulator_step,
     build_matrix,
     chain_log_norms,
     direct_log_norm,
-    log_norm,
 )
-from rmp.parallel import chunk_sizes
+from rmp.selftest import _both_routes, _chain_triples
 
 LOG2 = math.log(2.0)
 
-
-def run_chain(triples):
-    acc = accumulator_init(triples[0])
-    for xi in triples[1:]:
-        acc = accumulator_step(acc, xi)
-    return acc
+CANCEL = EntryTriple(2, 5, 1), EntryTriple(1, -2, 3)  # Y_2 Y_1 = 0 for this pair
 
 
-class TestAccumulator:
-    def test_init_unit(self):
-        acc = accumulator_init(EntryTriple(1, 1, 1))
-        assert (acc.n, acc.sum_log_terms, acc.head_ratio, acc.tail) == (1, 0.0, 1.0, (1.0, 1.0))
+def one_chain(spec, n, seed=0):
+    return float(chain_log_norms(spec, n, 1, seed)[0])
 
-    def test_init_general(self):
-        acc = accumulator_init(EntryTriple(2, 6, 3))
-        assert (acc.n, acc.sum_log_terms, acc.head_ratio, acc.tail) == (1, 0.0, 3.0, (2.0, 3.0))
 
-    def test_init_zero_b(self):
-        acc = accumulator_init(EntryTriple(1, 0, 0))
-        assert (acc.head_ratio, acc.tail) == (0.0, (1.0, 0.0))
+class TestKernelLogNorm:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_log2_per_unit_step(self, n):
+        spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
+        assert one_chain(spec, n) == pytest.approx(n * LOG2, rel=1e-15)
 
-    def test_step_constant(self):
-        acc = run_chain([EntryTriple(1, 1, 1), EntryTriple(1, 1, 1)])
-        assert acc.n == 2
-        assert acc.sum_log_terms == LOG2
-        assert acc.tail == (1.0, 1.0)
+    @pytest.mark.parametrize("xi", [(2, 6, 3), (1, 1, 1), (1, 0, 0)])
+    def test_single_step_is_matrix_norm(self, xi):
+        # n=1: head ratio b/a and tail (a, c) give the Hilbert-Schmidt norm
+        m = build_matrix(EntryTriple(*xi))
+        got = one_chain(DistributionSpec.constant_triple(*xi), 1)
+        assert got == pytest.approx(0.5 * math.log((m * m).sum()), rel=1e-12)
 
-    def test_step_exact_cancellation(self):
-        acc = run_chain([EntryTriple(2, 5, 1), EntryTriple(1, -2, 3)])
-        assert acc.sum_log_terms == -math.inf
-
-    def test_step_zero_c_kills_coupling(self):
-        acc = run_chain([EntryTriple(1, 0, 0), EntryTriple(5, 7, 9)])
-        assert acc.sum_log_terms == 0.0
+    def test_zero_c_kills_coupling(self):
+        # c_1 = 0 makes the cross term a_1 whatever Y_2 is, so
+        # ||Y_2 Y_1|| = hypot(a_2, c_2)
+        zero_c, other = EntryTriple(1, 0, 0), EntryTriple(5, 7, 9)
+        spec = DistributionSpec.discrete_atoms([(zero_c, 0.5), (other, 0.5)])
+        got = chain_log_norms(spec, 2, 16, seed=0)
+        chains = _chain_triples(spec, 2, 0, width=16)
+        hits = [j for j, ts in enumerate(chains) if ts == [zero_c, other]]
+        assert hits
+        assert got[hits] == pytest.approx(math.log(math.hypot(5.0, 9.0)), rel=1e-15)
 
     def test_minus_inf_is_absorbing(self):
-        acc = run_chain(
-            [EntryTriple(2, 5, 1), EntryTriple(1, -2, 3), EntryTriple(4, 7, 9)]
+        # a chain is -inf exactly when the cancelling pair occurs in it,
+        # however many steps follow
+        spec = DistributionSpec.discrete_atoms(
+            [(CANCEL[0], 0.4), (CANCEL[1], 0.3), ((4, 7, 9), 0.3)]
         )
-        assert acc.sum_log_terms == -math.inf
-        assert log_norm(acc) == -math.inf
+        n, width = 20, 64
+        got = chain_log_norms(spec, n, width, seed=0)
+        firsts = []
+        for j, ts in enumerate(_chain_triples(spec, n, 0, width)):
+            pairs = [i for i in range(n - 1) if (ts[i], ts[i + 1]) == CANCEL]
+            assert np.isneginf(got[j]) == bool(pairs)
+            firsts += pairs[:1]
+        assert firsts and min(firsts) < n - 2
+        assert np.isfinite(got).any()
 
-    def test_cross_term_is_asymmetric(self):
-        # the cross term takes b from the incoming factor and c from the
-        # pending one; swapping the pair must change the result
-        t1, t2 = EntryTriple(1.0, 2.0, 3.0), EntryTriple(2.0, 5.0, 0.5)
-        fwd = accumulator_step(accumulator_init(t1), t2).sum_log_terms
-        rev = accumulator_step(accumulator_init(t2), t1).sum_log_terms
-        assert fwd == math.log(abs(1.0 + 5.0 * 3.0 / 2.0))
-        assert rev == math.log(abs(2.0 + 2.0 * 0.5 / 1.0))
-        assert fwd != rev
-
-
-class TestLogNorm:
-    def test_single_ones_matrix(self):
-        acc = accumulator_init(EntryTriple(1, 1, 1))
-        assert log_norm(acc) == pytest.approx(LOG2, rel=1e-15)
-
-    def test_two_ones_matrices(self):
-        acc = run_chain([EntryTriple(1, 1, 1)] * 2)
-        assert log_norm(acc) == pytest.approx(2 * LOG2, rel=1e-15)
-
-    def test_rank_one_consistency(self):
-        # n=1: must equal the Hilbert-Schmidt norm of the built matrix
-        xi = EntryTriple(2.0, 6.0, 3.0)
-        m = build_matrix(xi)
-        assert log_norm(accumulator_init(xi)) == pytest.approx(
-            0.5 * math.log((m * m).sum()), rel=1e-12
-        )
+    def test_huge_accumulated_logs_do_not_overflow(self):
+        out = one_chain(DistributionSpec.constant_triple(1e300, 1.0, 1e300), 100)
+        assert math.isfinite(out)
+        assert out > 6e4
 
     def test_exponential_chain_matches_direct(self):
         spec = DistributionSpec.exponential_rank_one(1.0)
-        a, b, c = sample_triples(spec, 100, make_stream(123))
-        triples = [EntryTriple(a[i], b[i], c[i]) for i in range(100)]
-        via_acc = log_norm(run_chain(triples))
-        via_direct = direct_log_norm([build_matrix(t) for t in triples])
-        assert abs(via_acc - via_direct) <= 1e-9 * max(1.0, abs(via_acc))
-
-    def test_huge_accumulated_logs_do_not_overflow(self):
-        big = EntryTriple(1e300, 1.0, 1e300)
-        acc = run_chain([big] * 100)
-        assert math.isfinite(log_norm(acc))
-        assert log_norm(acc) > 6e4
+        via_kernel, via_direct = _both_routes(spec, 100, 123)
+        assert abs(via_kernel - via_direct) <= 1e-9 * max(1.0, abs(via_kernel))
 
 
 class TestBuildMatrix:
@@ -137,13 +110,13 @@ class TestDirectLogNorm:
     def test_zero_matrix(self):
         assert direct_log_norm([np.zeros((2, 2))]) == -math.inf
 
-    def test_binary_matrices_match_accumulator(self):
+    def test_cancelling_pair(self):
+        assert direct_log_norm([build_matrix(t) for t in CANCEL]) == -math.inf
+
+    def test_binary_matrices_match_kernel(self):
         spec = DistributionSpec.binary_hill(2.0, 3.0, 0.5)
-        a, b, c = sample_triples(spec, 50, make_stream(9))
-        triples = [EntryTriple(a[i], b[i], c[i]) for i in range(50)]
-        via_acc = log_norm(run_chain(triples))
-        via_direct = direct_log_norm([build_matrix(t) for t in triples])
-        assert abs(via_acc - via_direct) <= 1e-9 * max(1.0, abs(via_acc))
+        via_kernel, via_direct = _both_routes(spec, 50, 9)
+        assert abs(via_kernel - via_direct) <= 1e-9 * max(1.0, abs(via_kernel))
 
     def test_no_overflow_long_product(self):
         m = np.full((2, 2), 1e4)
@@ -170,52 +143,40 @@ def triples(draw):
     return EntryTriple(entry(nonzero=True), entry(), entry())
 
 
+@st.composite
+def atom_laws(draw):
+    atoms = draw(st.lists(triples(), min_size=1, max_size=4))
+    return DistributionSpec.discrete_atoms([(t, 1.0 / len(atoms)) for t in atoms])
+
+
 class TestProductFormulaProperty:
-    @given(st.lists(triples(), min_size=1, max_size=40))
+    @given(atom_laws(), st.integers(0, (1 << 64) - 1), st.integers(1, 40), st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
-    def test_accumulator_agrees_with_direct(self, ts):
-        via_acc = log_norm(run_chain(ts))
-        via_direct = direct_log_norm([build_matrix(t) for t in ts])
-        if math.isinf(via_acc) or math.isinf(via_direct):
-            assert math.isinf(via_acc) and math.isinf(via_direct)
+    def test_kernel_agrees_with_direct(self, spec, seed, n, block):
+        # step blocks of 1 to 8 put most steps of a chain on a block
+        # boundary, where the kernel carries the last step into the next block
+        with mock.patch.object(product, "STEP_BLOCK", block):
+            via_kernel, via_direct = _both_routes(spec, n, seed)
+        if math.isinf(via_kernel) or math.isinf(via_direct):
+            assert via_kernel == via_direct == -math.inf
         else:
-            assert abs(via_acc - via_direct) <= 1e-9 * max(1.0, abs(via_acc))
+            assert abs(via_kernel - via_direct) <= 1e-9 * max(1.0, abs(via_kernel))
 
 
 class TestChainKernel:
-    def test_matches_scalar_accumulators_single_block(self):
-        spec = DistributionSpec.binary_hill(2.0, 3.0, 0.3)
-        n, width = 200, 8
-        got = chain_log_norms(spec, n, width, seed=21)
-        a, b, c = sample_triples(spec, n * width, make_stream(21, 0))
-        for j in range(width):
-            ts = [
-                EntryTriple(a[i * width + j], b[i * width + j], c[i * width + j])
-                for i in range(n)
-            ]
-            want = log_norm(run_chain(ts))
-            assert abs(got[j] - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_matches_scalar_accumulators_across_blocks(self):
-        spec = DistributionSpec.exponential_rank_one(1.0)
-        width = 4
-        n = STEP_BLOCK + 37  # force a block boundary
-        got = chain_log_norms(spec, n, width, seed=3)
-        # replicate the kernel's block-sampling layout
-        gen = make_stream(3, 0)
-        rows = [[] for _ in range(width)]
-        done = 0
-        while done < n:
-            block = min(STEP_BLOCK, n - done)
-            a, b, c = sample_triples(spec, block * width, gen)
-            for i in range(block):
-                for j in range(width):
-                    rows[j].append(
-                        EntryTriple(a[i * width + j], b[i * width + j], c[i * width + j])
-                    )
-            done += block
-        for j in range(width):
-            want = log_norm(run_chain(rows[j]))
+    @pytest.mark.parametrize(
+        "spec, n, width, seed",
+        [
+            (DistributionSpec.binary_hill(2.0, 3.0, 0.3), 200, 8, 21),
+            # force a block boundary: the carry between blocks is replayed
+            (DistributionSpec.exponential_rank_one(1.0), STEP_BLOCK + 37, 4, 3),
+        ],
+        ids=["single_block", "across_blocks"],
+    )
+    def test_matches_direct(self, spec, n, width, seed):
+        got = chain_log_norms(spec, n, width, seed)
+        for j, ts in enumerate(_chain_triples(spec, n, seed, width)):
+            want = direct_log_norm(map(build_matrix, ts))
             assert abs(got[j] - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_chunking_is_thread_invariant(self):
