@@ -155,10 +155,6 @@ def cmd_clt(args) -> int:
         lam_r = lambda_view(sig_r, ladder)
         lam, sigma2 = lam_r.value, sig_r.value
         source_doc = {"lambda": _result_doc(lam_r), "sigma2": _result_doc(sig_r)}
-    if not math.isfinite(lam):
-        raise SpecError(f"cannot run the CLT harness: lambda = {lam}")
-    if not math.isfinite(sigma2):
-        raise SpecError(f"cannot run the CLT harness: sigma2 = {sigma2}")
 
     report = simulate_normalized(
         spec, args.n, args.chains, lam, sigma2, args.seed, args.threads
@@ -224,6 +220,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type: an int in [lo, hi]; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in [{lo}, {hi}]")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rmp",
@@ -237,8 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, dist=True):
         if dist:
             p.add_argument("--dist", required=True, help="distribution JSON path")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (default 1)")
+        p.add_argument(
+            "--seed", type=_int_in(0, _MASK64), default=0, help="64-bit seed (default 0)"
+        )
+        p.add_argument("--threads", type=_int_in(1), default=1, help="worker cap (default 1)")
         p.add_argument("--out", help="write the JSON result here instead of stdout")
 
     p = sub.add_parser("estimate", help="estimate lambda and sigma^2")
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (default 1)")
+    p.add_argument("--threads", type=_int_in(1), default=1, help="worker cap (default 1)")
     p.set_defaults(fn=cmd_selftest)
 
     return parser

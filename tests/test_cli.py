@@ -27,6 +27,7 @@ def dists(tmp_path):
         "const111": {"family": "ConstantTriple", "value": [1, 1, 1]},
         "binary": {"family": "BinaryHill", "alpha": 2, "beta": 3, "p": 0.5},
         "uniform11": {"family": "UniformRankOne", "a": 1, "b": 1},
+        "hill": {"family": "HillRandom", "a": 0.5, "b": 2},
         "atoms": {
             "family": "DiscreteAtoms",
             "atoms": [[[1, 0.5, 1], 0.5], [[2, 1, -1], 0.5]],
@@ -109,6 +110,12 @@ class TestEstimate:
         doc = json.loads(out.stdout)
         assert doc["sigma2"]["std_error"] == "nan"
         assert isinstance(doc["lambda"]["std_error"], float)
+
+    def test_largest_seed(self, dists):
+        out = rmp("estimate", "--dist", dists["atoms"], "--samples", "100",
+                  "--seed", str(2**64 - 1))
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["lambda"]["seed"] == 2**64 - 1
 
     def test_exact_on_continuous_fails(self, dists):
         out = rmp("estimate", "--dist", dists["cauchy"], "--exact")
@@ -219,8 +226,19 @@ class TestClt:
             (),
             ("clt", "--dist", "atoms", "--source", "bogus"),
             ("degeneracy", "--dist", "atoms", "--tolerance", "-inf"),
+            # a seed outside 64 bits would run the stream of seed mod 2**64
+            # under another reported seed; no thread count below 1 exists
+            ("estimate", "--dist", "atoms", "--seed", "-1"),
+            ("estimate", "--dist", "atoms", "--seed", str(2**64)),
+            ("estimate", "--dist", "atoms", "--threads", "0"),
+            ("clt", "--dist", "atoms", "--source", "exact", "--threads", "-4"),
+            ("selftest", "--quick", "--threads", "0"),
         ],
-        ids=["bad_int", "missing_dist", "no_subcommand", "bad_choice", "option_value"],
+        ids=[
+            "bad_int", "missing_dist", "no_subcommand", "bad_choice", "option_value",
+            "seed_negative", "seed_2_64", "threads_0", "threads_negative",
+            "selftest_threads_0",
+        ],
     )
     def test_usage_error_exit_1(self, dists, args):
         # 2 is kept for a missing closed form; a usage error is a config error
@@ -262,6 +280,17 @@ class TestClt:
         )
         assert out.returncode == 1
         assert "-inf" in out.stderr
+
+    def test_negative_sigma2_estimate_exit_1(self, dists):
+        # 8 MC samples of this law give sigma2 = -0.0092: no hypothesis to
+        # test, unlike the degenerate law sigma2 = 0
+        out = rmp(
+            "clt", "--dist", dists["hill"], "--source", "mc", "--samples", "8",
+            "--n", "20", "--chains", "20", "--seed", "1",
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and "sigma2" in out.stderr
+        assert out.stdout == ""
 
 
 class TestDegeneracy:
@@ -368,3 +397,31 @@ class TestDeterminism:
         b = rmp(*cmd, "--threads", "6")
         assert a.stdout == b.stdout
         assert a.returncode == 0
+
+
+_NO_SCIPY = """
+import json, sys
+import rmp.cli
+for argv in json.loads(sys.argv[1]):
+    assert rmp.cli.main(argv) == 0, argv
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+
+
+def test_runtime_needs_no_scipy(dists):
+    # numpy is the one runtime dependency; scipy is for tests only
+    runs = [
+        ["estimate", "--dist", dists["atoms"], "--samples", "1000"],
+        ["estimate", "--dist", dists["atoms"], "--exact"],
+        ["clt", "--dist", dists["uniform11"], "--source", "closed-form",
+         "--n", "100", "--chains", "50"],
+        ["clt", "--dist", dists["atoms"], "--source", "exact", "--n", "100", "--chains", "50"],
+        ["clt", "--dist", dists["cauchy"], "--source", "mc", "--samples", "1000",
+         "--n", "100", "--chains", "50"],
+        ["degeneracy", "--dist", dists["atoms"]],
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(runs)], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr

@@ -1,8 +1,8 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from rmp.clt import degeneracy_check, ks_distance, simulate_normalized
 from rmp.distributions import DistributionSpec, NotDiscreteError, SpecError
@@ -11,12 +11,17 @@ from rmp.estimators import exact_discrete
 LOG2 = math.log(2.0)
 
 
+def _phi(z):
+    """The normal CDF ks_distance evaluates: erfc(-z sqrt(1/2)) / 2 per value."""
+    return 0.5 * np.fromiter(map(math.erfc, (z * -math.sqrt(0.5)).tolist()), float, z.size)
+
+
 class TestKsDistance:
     def test_exact_quantile_construction(self):
         # samples at the quantiles of (k - 0.5)/m pin the distance at
         # half an empirical-CDF step
         m = 100
-        samples = ndtri((np.arange(1, m + 1) - 0.5) / m)
+        samples = np.array([NormalDist().inv_cdf((k - 0.5) / m) for k in range(1, m + 1)])
         assert ks_distance(samples, 1.0) <= 0.5 / m + 1e-9
 
     def test_point_mass(self):
@@ -42,10 +47,39 @@ class TestKsDistance:
         assert ks_distance(2.0 * z, 1.0) > 0.1
 
     def test_rejects_bad_sigma2(self):
-        with pytest.raises(ValueError):
-            ks_distance(np.zeros(10), 0.0)
+        for sigma2 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma2"):
+                ks_distance(np.zeros(10), sigma2)
         with pytest.raises(ValueError):
             ks_distance(np.array([]), 1.0)
+
+    def test_uses_the_stdlib_cdf(self):
+        # one sample z >= 0 has distance Phi(z); many give the sup over both sides
+        z = np.random.default_rng(8).standard_normal(4000)
+        for x in np.abs(z[:200]).tolist() + [0.0, math.sqrt(0.5), 1.0]:
+            assert ks_distance(np.array([x]), 1.0) == _phi(np.array([x]))[0]
+        f = _phi(np.sort(z))
+        grid = np.arange(1, z.size + 1) / z.size
+        want = max((grid - f).max(), (f - (grid - 1.0 / z.size)).max())
+        assert ks_distance(z, 1.0) == want
+
+    def test_cdf_matches_ndtr(self):
+        # the one tier-1 test that reads scipy, a test-only dependency
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        s = math.sqrt(0.5)
+        # both roundings of 1/sqrt(2), and +-1
+        ends = [-1.0, -s, s, 1.0, -1 / math.sqrt(2), 1 / math.sqrt(2)]
+        grid = np.concatenate([np.linspace(-38.4, 9.0, 47401), ends])
+        z = np.concatenate([grid, np.random.default_rng(20241018).standard_normal(10**6)])
+        ours, ref = _phi(z), ndtr(z)
+        err = np.abs(ours - ref)
+        assert err.max() <= 2.3e-16
+        body, tail = z >= -5.0, (z >= -37.5) & (z < -5.0)
+        assert (err[body] / ref[body]).max() <= 4e-15
+        assert (err[tail] / ref[tail]).max() <= 1e-13
+        edges = _phi(np.array([math.inf, -math.inf, math.nan]))
+        assert edges[:2].tolist() == [1.0, 0.0]
+        assert math.isnan(edges[2])
 
 
 class TestSimulateNormalized:
@@ -104,6 +138,11 @@ class TestSimulateNormalized:
             simulate_normalized(spec, 100, 5, LOG2, 1.0)
         with pytest.raises(ValueError):
             simulate_normalized(spec, 100, 50, -math.inf, 1.0)
+        # sigma2 = 0 is the degenerate law; a negative or non-finite one
+        # is no hypothesis at all
+        for sigma2 in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma2"):
+                simulate_normalized(spec, 100, 50, LOG2, sigma2)
 
 
 class TestDegeneracyCheck:
