@@ -156,14 +156,14 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
     """Test the necessary conditions for a degenerate (sigma^2 = 0) CLT.
 
     Each atom i of the finite support is tried as the candidate.  With
-    T = AtomLaw.log_cross() (T[i, j] = log |a_i + b_j c_i / a_j|), the
-    exact exponent must equal T[i, i] = log |a_i + b_i c_i / a_i|, and
+    T = AtomLaw.log_cross() (T[i, j] = log |a_i + c_i (b_j / a_j)|), the
+    exact exponent must equal T[i, i] = log |a_i + c_i (b_i / a_i)|, and
     every support point j must satisfy
 
         T[i, j] + T[j, i] = 2 T[i, i],
 
     the logarithm of the quartic identity
-    (a_i + b_j c_i / a_j)^2 (a_j + b_i c_j / a_i)^2 = (a_i + b_i c_i / a_i)^4,
+    (a_i + c_i b_j / a_j)^2 (a_j + c_j b_i / a_i)^2 = (a_i + c_i b_i / a_i)^4,
     so no power is formed and nothing overflows.  The residuals are
     absolute differences in log units (0 where both sides are -inf) and
     pass at tolerance * max(1, |T[i, i]|).  The verdict reports the atom

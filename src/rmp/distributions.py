@@ -1,7 +1,7 @@
 """Joint laws of the entry triple (a, b, c) of a singular 2x2 random matrix.
 
 A triple (a, b, c) with a != 0 determines the rank-one matrix
-[[a, b], [c, b*c/a]].  The built-in families are:
+[[a, b], [c, c*(b/a)]].  The built-in families are:
 
 * rank-one matrices [[x, x], [y, y]] with uniform, exponential, or
   standard-Cauchy entries ((a, b, c) = (x, x, y)),
@@ -9,9 +9,10 @@ A triple (a, b, c) with a != 0 determines the rank-one matrix
 * random Hill-type matrices [[1, x], [1/x, 1]],
 * arbitrary finite atom lists and constant triples.
 
-Specs are immutable and validated on construction; sampling is driven
-by counter-based Philox streams so that (seed, chunk) pairs give
-reproducible, independent substreams.
+Specs are immutable and validated on construction.  Sampling draws from
+SFC64 streams, one per (seed, chunk) key hashed through a SeedSequence
+(make_stream), so (seed, chunk) pairs give reproducible, independent
+substreams.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ FAMILIES = (
 # families whose matrices have the rank-one form [[x, x], [y, y]]
 RANK_ONE_FAMILIES = (UNIFORM_RANK_ONE, EXPONENTIAL_RANK_ONE, CAUCHY_RANK_ONE)
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _ATOM_SUM_TOL = 1e-12
 # largest finite support: every route on it holds the k x k cross-term
@@ -60,9 +62,9 @@ class NotDiscreteError(ValueError):
 
 @dataclass(frozen=True)
 class EntryTriple:
-    """One draw (a, b, c); the matrix it generates is [[a, b], [c, b*c/a]].
+    """One draw (a, b, c); the matrix it generates is [[a, b], [c, c*(b/a)]].
 
-    a must be nonzero, and the head ratio b/a and the entry b*c/a, both
+    a must be nonzero, and the head ratio b/a and the entry c*(b/a), both
     evaluated in double precision, must be finite.
     """
 
@@ -80,28 +82,40 @@ class EntryTriple:
             object.__setattr__(self, name, float(v))
         if self.a == 0.0:
             raise SpecError("a must be nonzero")
-        # the kernels form b/a and b*c/a in double precision, in this order
+        # the kernels form b/a and c*(b/a) in double precision, in this order
         if not math.isfinite(self.b / self.a):
             raise SpecError(f"head ratio b/a = {self.b!r}/{self.a!r} is not finite")
-        if not math.isfinite(self.b * self.c / self.a):
+        if not math.isfinite(self.c * (self.b / self.a)):
             raise SpecError(
-                f"matrix entry b*c/a = {self.b!r}*{self.c!r}/{self.a!r} is not finite"
+                f"matrix entry c*(b/a) = {self.c!r}*({self.b!r}/{self.a!r}) is not finite"
             )
 
 
-def cross_terms(t1, t2, out=None) -> np.ndarray:
-    """log |a_1 + b_2 c_1 / a_2| of two triple batches; -inf on cancellation.
+def cross_terms(t1, t2, out=None, ratio=None) -> np.ndarray:
+    """log |a_1 + c_1 (b_2 / a_2)| of two triple batches; -inf on cancellation.
 
     t1, t2 are (a, b, c) arrays that broadcast (t1's b and t2's c are not
     read).  Every vectorised path forms its cross terms here, by numpy's
-    multiply, divide, add, abs and log in this order, so they agree bit
-    for bit.  ``out`` may be c_1 itself; without it one array is allocated.
+    divide, multiply, add, abs and log in this order, so they agree bit
+    for bit.  The head ratio b_2/a_2 comes first: it is exactly 1 for a
+    rank-one law, whose term is then log |a_1 + c_1| with no overflow
+    beyond that sum.  ``out`` may be c_1 itself, and ``ratio``, a buffer
+    for b_2/a_2, may be b_2 itself, but not c_1: c_1 is read after the
+    ratio is written.  Each one left out is allocated.
     """
     a1, _, c1 = t1
     a2, b2, _ = t2
-    out = np.multiply(b2, c1, out=out)
-    np.divide(out, a2, out=out)
-    np.add(a1, out, out=out)
+    ratio = np.divide(b2, a2, out=ratio)
+    out = np.multiply(c1, ratio, out=out)
+    return log_abs_sum(a1, out, out=out)
+
+
+def log_abs_sum(x, y, out=None) -> np.ndarray:
+    """log |x + y| by numpy's add, abs and log; -inf where x + y = 0.
+
+    The last three steps of cross_terms.  ``out`` may be x or y.
+    """
+    out = np.add(x, y, out=out)
     np.abs(out, out=out)
     with np.errstate(divide="ignore"):
         np.log(out, out=out)
@@ -109,14 +123,23 @@ def cross_terms(t1, t2, out=None) -> np.ndarray:
 
 
 def make_stream(seed: int, chunk: int = 0) -> np.random.Generator:
-    """Counter-based random stream for (seed, chunk).
+    """SFC64 random stream for (seed, chunk).
 
-    Distinct (seed, chunk) keys yield statistically independent
-    substreams, so chunked runs are deterministic for a given seed and
-    chunk layout regardless of how chunks are scheduled.
+    The stream is keyed by a SeedSequence of four uint32 words: the low
+    and high halves of seed, then of chunk, each taken mod 2^64.  The
+    fixed word count makes the key injective.  A SeedSequence of the two
+    ints would split each into as many words as it needs and pad the
+    pool with zeros, so (5 + 7 * 2^32, 0) and (5, 7) would share a
+    stream.  SeedSequence hashes distinct keys to unrelated SFC64 states
+    (each stream has period at least 2^64), so substreams are
+    statistically independent, and chunked runs are deterministic for a
+    given seed and chunk layout regardless of how chunks are scheduled.
     """
-    key = np.array([seed & _MASK64, chunk & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seed, chunk = seed & _MASK64, chunk & _MASK64
+    words = np.array(
+        [seed & _MASK32, seed >> 32, chunk & _MASK32, chunk >> 32], dtype=np.uint32
+    )
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 @dataclass(frozen=True)
@@ -254,7 +277,7 @@ def _validate_binary(spec):
             raise SpecError(f"{name} must be nonzero")
         if x == -1.0:
             raise SpecError(f"{name} must not be -1 (the log term degenerates)")
-        # b/a and b*c/a of the atom (x, 1/x, 1)
+        # b/a and c*(b/a) of the atom (x, 1/x, 1)
         if not math.isfinite(1.0 / x / x):
             raise SpecError(f"{name} = {x!r} is too small: 1/{name}^2 is not finite")
     # squares by multiplication, since float ** raises OverflowError
@@ -331,7 +354,7 @@ def _validate_cross_terms(spec) -> "AtomLaw":
     """The law's AtomLaw, or SpecError if an atom pair's cross term overflows.
 
     Each of the k^2 ordered atom pairs (i, j) is one possible cross term
-    a_i + b_j c_i / a_j, evaluated as the kernels evaluate it.  If one is
+    a_i + c_i (b_j / a_j), evaluated as the kernels evaluate it.  If one is
     not finite, its log would be +inf (or NaN) in every estimator.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -342,7 +365,7 @@ def _validate_cross_terms(spec) -> "AtomLaw":
         i, j = bad[0]
         (ai, _, ci), (aj, bj, _) = law.atoms[i].tolist(), law.atoms[j].tolist()
         raise SpecError(
-            f"cross term a_i + b_j*c_i/a_j = {ai!r} + {bj!r}*{ci!r}/{aj!r} "
+            f"cross term a_i + c_i*(b_j/a_j) = {ai!r} + {ci!r}*({bj!r}/{aj!r}) "
             f"of atoms i, j = {i}, {j} is not finite"
         )
     return law
@@ -587,7 +610,7 @@ class AtomLaw:
             arr.flags.writeable = False
 
     def log_cross(self) -> np.ndarray:
-        """k x k table T[i, j] = log |a_i + b_j c_i / a_j|; -inf on cancellation.
+        """k x k table T[i, j] = log |a_i + c_i (b_j / a_j)|; -inf on cancellation.
 
         cross_terms of the atom columns, broadcast as rows i against
         columns j, so T[i, j] equals the cross term of sampled triples

@@ -3,7 +3,7 @@
 Three independent routes are provided and cross-checked against each
 other:
 
-* Monte Carlo over the scalar cross terms x_j = log |a_j + b_{j+1} c_j / a_{j+1}|
+* Monte Carlo over the scalar cross terms x_j = log |a_j + c_j (b_{j+1} / a_{j+1})|
   of one chain segment per chunk,
 * exact enumeration for finite-support laws: O(k^2) sums over the k x k
   table of atom-pair cross terms that the MC and chain kernels gather

@@ -1,17 +1,20 @@
 """Overflow-safe log-norm of products of singular 2x2 matrices.
 
 The product S_n = Y_n ... Y_2 Y_1 of matrices Y_j = [[a_j, b_j],
-[c_j, b_j*c_j/a_j]] collapses to a rank-one matrix scaled by the
-product of the scalar cross terms a_j + b_{j+1} c_j / a_{j+1}, defined
+[c_j, c_j*(b_j/a_j)]] collapses to a rank-one matrix scaled by the
+product of the scalar cross terms a_j + c_j (b_{j+1} / a_{j+1}), defined
 once in distributions.cross_terms.  Its Hilbert-Schmidt norm is
 
     ||S_n|| = |prod of cross terms| * hypot(a_n, c_n) * hypot(1, b_1/a_1),
 
 so log ||S_n|| is a sum of logs and the sum never overflows.  A single
-cross term is still formed in linear space.  A finite-support law is
-rejected at validation if one of its atom pairs gives a cross term that
-is not finite, but two draws of a continuous law with extreme support
-can still overflow to inf.  direct_log_norm, a naive rescaled
+cross term is still formed in linear space, in head-ratio order: the
+ratio b_{j+1}/a_{j+1} first, then c_j times it, then the sum.  For a
+rank-one law the ratio x/x is exactly 1, so its term is log |x_j + y_j|
+and only that sum can overflow.  A finite-support law is rejected at
+validation if one of its atom pairs gives a cross term that is not
+finite, but two draws of a continuous law with extreme support can
+still overflow to inf.  direct_log_norm, a naive rescaled
 multiplication that shares no code with the kernel, validates it.
 
 A cross term that is exactly zero makes S_n the zero matrix; this is a
@@ -23,7 +26,8 @@ thread gets one workspace of three float64 buffers, made once per call
 and reused for every block of every chunk it runs, so memory is fixed
 whatever the chain length and chain count are.  Only the block step
 depends on the law: a continuous law samples the block's triples into
-the workspace and forms the cross terms in place; a finite-support law
+the workspace and forms the cross terms in place (a rank-one law as
+log |a + c|, with no divide or multiply); a finite-support law
 draws atom indices and gathers the cross term of each consecutive index
 pair (AtomLaw.cross), with no divide or log per step.  Both give the
 values of sampled triples bit for bit.  The Monte Carlo estimators draw
@@ -42,6 +46,7 @@ from .distributions import (
     DistributionSpec,
     EntryTriple,
     cross_terms,
+    log_abs_sum,
     make_stream,
     sample_triples,
 )
@@ -55,8 +60,8 @@ STEP_BLOCK = 4096
 
 
 def build_matrix(xi: EntryTriple) -> np.ndarray:
-    """The singular matrix [[a, b], [c, b*c/a]] generated by a triple."""
-    d = xi.b * xi.c / xi.a
+    """The singular matrix [[a, b], [c, c*(b/a)]] generated by a triple."""
+    d = xi.c * (xi.b / xi.a)
     return np.array([[xi.a, xi.b], [xi.c, d]])
 
 
@@ -213,11 +218,20 @@ def _chain_chunk(draw, n, width, gen, workspace) -> np.ndarray:
 
 
 def _sampled_block(spec, block, width, gen, workspace):
-    """Sampled triples; the cross terms overwrite all but the last row of c."""
+    """Sampled triples; the cross terms overwrite all but the last row of c.
+
+    A rank-one law's b is a itself and b/a = 1 exactly, so its terms are
+    log |a_1 + c_1|, bit for bit those of cross_terms.  Other laws write
+    their head ratios over b's rows after the first.
+    """
     a, b, c = sample_triples(spec, block * width, gen, out=workspace)
     A, B, C = (x.reshape(block, width) for x in (a, b, c))
     last = (A[-1].copy(), B[-1].copy(), C[-1].copy())
-    cross_terms((A[:-1], None, C[:-1]), (A[1:], B[1:], None), out=C[:-1])
+    if spec.is_rank_one:
+        log_abs_sum(A[:-1], C[:-1], out=C[:-1])
+    else:
+        t1, t2 = (A[:-1], None, C[:-1]), (A[1:], B[1:], None)
+        cross_terms(t1, t2, out=C[:-1], ratio=B[1:])
     return (A[0], B[0], C[0]), last, C[:-1]
 
 

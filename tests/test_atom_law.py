@@ -96,10 +96,10 @@ def legacy_chain_chunk(spec, n, width, gen):
         else:
             pa, pc = prev
             with np.errstate(divide="ignore"):
-                sumlog += np.log(np.abs(pa + B[0] * pc / A[0]))
+                sumlog += np.log(np.abs(pa + pc * (B[0] / A[0])))
         if block > 1:
             with np.errstate(divide="ignore"):
-                cross = np.log(np.abs(A[:-1] + B[1:] * C[:-1] / A[1:]))
+                cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
             sumlog += cross.sum(axis=0)
         prev = (A[-1], C[-1])
         done += block

@@ -132,7 +132,7 @@ class TestEstimate:
         path.write_text('{"family": "ConstantTriple", "value": [1, 1e200, 1e200]}')
         out = rmp("estimate", "--dist", str(path), "--samples", "1024")
         assert out.returncode == 1
-        assert "b*c/a" in out.stderr and out.stdout == ""
+        assert "c*(b/a)" in out.stderr and out.stdout == ""
 
     @pytest.mark.parametrize(
         "doc, match",

@@ -187,7 +187,7 @@ class TestCrossTerms:
         t1, t2 = _triple_pair(200, 3)
         got = cross_terms(t1, t2)
         with np.errstate(divide="ignore"):
-            assert np.array_equal(got, np.log(np.abs(t1[0] + t2[1] * t1[2] / t2[0])))
+            assert np.array_equal(got, np.log(np.abs(t1[0] + t1[2] * (t2[1] / t2[0]))))
         for i in range(200):
             x = cross_terms(*((v[i : i + 1] for v in t) for t in (t1, t2)))
             assert x[0] == pytest.approx(got[i], rel=1e-15, abs=0)
@@ -257,8 +257,8 @@ class TestEntryTriple:
             EntryTriple(0.0, 1.0, 1.0)
 
     def test_overflowing_entry_rejected(self):
-        # b*c/a = 1e400: lambda was +inf and build_matrix overflowed
-        with pytest.raises(SpecError, match="b\\*c/a"):
+        # c*(b/a) = 1e400: lambda was +inf and build_matrix overflowed
+        with pytest.raises(SpecError, match="c\\*\\(b/a\\)"):
             EntryTriple(1.0, 1e200, 1e200)
 
     def test_overflowing_head_ratio_rejected(self):
@@ -275,16 +275,41 @@ class TestEntryTriple:
             entry, ratio = b * c / a, b / a
         top = Decimal(sys.float_info.max)
         assert entry < top and ratio < top
-        assert xi.b * xi.c / xi.a == pytest.approx(float(entry), rel=1e-15)
+        assert xi.c * (xi.b / xi.a) == pytest.approx(float(entry), rel=1e-15)
         assert xi.b / xi.a == pytest.approx(float(ratio), rel=1e-15)
 
     def test_huge_entries_with_finite_ratios_accepted(self):
         xi = EntryTriple(1e300, 1.0, 1e300)
-        assert (xi.b / xi.a, xi.b * xi.c / xi.a) == (1e-300, 1.0)
+        assert (xi.b / xi.a, xi.c * (xi.b / xi.a)) == (1e-300, 1.0)
 
     def test_nan_rejected(self):
         with pytest.raises(SpecError, match="finite"):
             EntryTriple(1.0, float("nan"), 1.0)
+
+
+STREAM_KEYS = (
+    (5 + 7 * 2**32, 0), (5, 7), (5, 0), (0, 0), (2**64 - 1, 2**64 - 1), (2**63, 1)
+)
+
+
+class TestMakeStream:
+    @pytest.mark.parametrize("seed, chunk", STREAM_KEYS)
+    def test_sfc64_keyed_by_four_words(self, seed, chunk):
+        words = [seed & 0xFFFFFFFF, seed >> 32, chunk & 0xFFFFFFFF, chunk >> 32]
+        seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        want = np.random.Generator(np.random.SFC64(seq))
+        gen = make_stream(seed, chunk)
+        assert isinstance(gen.bit_generator, np.random.SFC64)
+        assert np.array_equal(gen.random(1000), want.random(1000))
+
+    def test_distinct_keys_give_distinct_streams(self):
+        # (5 + 7 * 2^32, 0) and (5, 7) share a stream if the key words of
+        # an int depend on its size, as in SeedSequence([seed, chunk])
+        firsts = [make_stream(seed, chunk).random() for seed, chunk in STREAM_KEYS]
+        assert len(set(firsts)) == len(STREAM_KEYS)
+
+    def test_chunk_defaults_to_zero(self):
+        assert make_stream(9).random(4).tolist() == make_stream(9, 0).random(4).tolist()
 
 
 class TestSampling:
@@ -413,7 +438,7 @@ class TestSampleIntoBuffers:
 
 
 class PlantedStream:
-    """A Philox stream whose calls listed in ``plant`` return ``value`` at
+    """A make_stream stream whose calls listed in ``plant`` return ``value`` at
     the given positions, so that the sampler sees exact zeros."""
 
     def __init__(self, value, plant):

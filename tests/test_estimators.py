@@ -131,8 +131,8 @@ class TestCrossTerm:
         # pending one; swapping the pair must change the result
         t1, t2 = (1.0, 2.0, 3.0), (2.0, 5.0, 0.5)
         fwd, rev = one_cross_term(t1, t2), one_cross_term(t2, t1)
-        assert fwd == np.log(abs(1.0 + 5.0 * 3.0 / 2.0))
-        assert rev == np.log(abs(2.0 + 2.0 * 0.5 / 1.0))
+        assert fwd == np.log(abs(1.0 + 3.0 * (5.0 / 2.0)))
+        assert rev == np.log(abs(2.0 + 0.5 * (2.0 / 1.0)))
         assert fwd != rev
 
 
@@ -165,6 +165,32 @@ class TestLambdaMC:
             estimate_lambda_mc(DistributionSpec.cauchy_rank_one(), 1)
 
 
+def _ln(x) -> decimal.Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return decimal.Decimal(x).ln()
+
+
+class TestOverflowingRankOneLaws:
+    # x + y is finite, but x * y overflows; closed forms in 50 digits:
+    # log(2b) - 3/2 on [-b, b], and 1 - gamma - log(theta)
+    @pytest.mark.parametrize(
+        "spec, lam",
+        [
+            (DistributionSpec.uniform_rank_one(1e300, 1e300),
+             float(_ln(2) + _ln(1e300) - decimal.Decimal("1.5"))),
+            (DistributionSpec.exponential_rank_one(1e-300),
+             float(1 - decimal.Decimal("0.57721566490153286060651209") - _ln(1e-300))),
+        ],
+        ids=["uniform", "exponential"],
+    )
+    def test_lambda_within_4se_of_closed_form(self, spec, lam):
+        r = estimate_lambda_mc(spec, 10**5, seed=0)
+        assert math.isfinite(r.value) and r.minus_inf_events == 0
+        assert abs(r.value - lam) <= 4.0 * r.std_error
+        assert lam == pytest.approx(closed_form(spec)[0], rel=1e-15)
+
+
 class TestSigma2MC:
     def test_constant_exactly_zero(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
@@ -192,10 +218,17 @@ class TestSigma2MC:
         assert ladder.lam == -math.inf
 
     def test_last_term_event_makes_lambda_minus_inf(self):
-        # seed 0 draws atoms 0, 0, 0, 1: the only -inf is the segment's
-        # last term, which is never an x; lambda is -inf all the same,
-        # since the law can cancel
-        r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=0)
+        # the first seed whose chunk draws atoms 0, 0, 0, 1: the only -inf
+        # is the segment's last term, which is never an x; lambda is -inf
+        # all the same, since the law can cancel
+        law = CANCELLING.atom_law
+        seed = next(
+            (s for s in range(1000)
+             if law.indices(4, make_stream(s, 0)).tolist() == [0, 0, 0, 1]),
+            None,
+        )
+        assert seed is not None
+        r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=seed)
         assert math.isnan(r.value) and r.minus_inf_events == 1
         assert ladder.lam == -math.inf and ladder.minus_inf_events == 1
         assert math.isnan(ladder.lam_std_error)

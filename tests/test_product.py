@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmp import product
-from rmp.distributions import DistributionSpec, EntryTriple, make_stream, sample_triples
+from rmp.distributions import (
+    DistributionSpec,
+    EntryTriple,
+    cross_terms,
+    make_stream,
+    sample_triples,
+)
+from rmp.estimators import exact_discrete
 from rmp.parallel import chunk_sizes
 from rmp.product import (
     CHAIN_CHUNK,
@@ -163,6 +170,36 @@ class TestProductFormulaProperty:
             assert abs(via_kernel - via_direct) <= 1e-9 * max(1.0, abs(via_kernel))
 
 
+class TestHeadRatioOrder:
+    @pytest.mark.parametrize("x", [0.1, 1.9])
+    def test_cancelling_single_atom_is_minus_inf(self, x):
+        # a + c (b/a) = x - x * 1 = 0 exactly, where b*c/a rounds to +-2e-16
+        spec = DistributionSpec.discrete_atoms([((x, x, -x), 1.0)])
+        assert _both_routes(spec, 2, 0) == (-math.inf, -math.inf)
+        assert exact_discrete(spec)[0] == -math.inf
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec.exponential_rank_one(1.0),
+            DistributionSpec.cauchy_rank_one(),
+            DistributionSpec.uniform_rank_one(1.0, 2.0),
+            DistributionSpec.uniform_rank_one(1e300, 1e300),
+        ],
+        ids=["exponential", "cauchy", "uniform", "uniform-1e300"],
+    )
+    def test_rank_one_block_step_is_general_cross_terms(self, spec):
+        # the rank-one step forms log|a + c| with no divide or multiply
+        block, width = STEP_BLOCK, 64
+        workspace = tuple(np.empty(block * width) for _ in range(3))
+        _, _, got = product.block_step(spec)(block, width, make_stream(6), workspace)
+        steps = sample_triples(spec, block * width, make_stream(6))
+        A, B, C = (x.reshape(block, width) for x in steps)
+        want = cross_terms((A[:-1], None, C[:-1]), (A[1:], B[1:], None))
+        assert np.isfinite(want).all()
+        assert np.array_equal(got, want)
+
+
 class TestChainKernel:
     @pytest.mark.parametrize(
         "spec, n, width, seed",
@@ -225,10 +262,10 @@ def allocating_chain_chunk(spec, n, width, gen):
         else:
             pa, _, pc = prev
             with np.errstate(divide="ignore"):
-                sumlog += np.log(np.abs(pa + B[0] * pc / A[0]))
+                sumlog += np.log(np.abs(pa + pc * (B[0] / A[0])))
         if block > 1:
             with np.errstate(divide="ignore"):
-                cross = np.log(np.abs(A[:-1] + B[1:] * C[:-1] / A[1:]))
+                cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
             sumlog += cross.sum(axis=0)
         prev = (A[-1], B[-1], C[-1])
         done += block
