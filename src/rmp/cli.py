@@ -113,30 +113,14 @@ def cmd_estimate(args) -> int:
     spec = load_spec(args.dist)
     if args.exact:
         lam, sigma2, ladder = exact_discrete(spec)
-        doc = {
-            "lambda": {
-                "value": lam,
-                "n_samples": 0,
-                "seed": args.seed,
-                "minus_inf_events": ladder.minus_inf_events,
-            },
-            "sigma2": {
-                "value": sigma2,
-                "n_samples": 0,
-                "seed": args.seed,
-                "minus_inf_events": ladder.minus_inf_events,
-            },
-            "ladder": {"c0": ladder.c0, "c1": ladder.c1},
-        }
+        meta = {"n_samples": 0, "seed": args.seed, "minus_inf_events": ladder.minus_inf_events}
+        lam_doc, sig_doc = {"value": lam, **meta}, {"value": sigma2, **meta}
     else:
         sig_r, ladder = estimate_sigma2_mc(spec, args.samples, args.seed, args.threads)
         print(f"estimate {sig_r.wall_time_s:.2f}s", file=sys.stderr)
-        doc = {
-            "lambda": _result_doc(lambda_view(sig_r, ladder)),
-            "sigma2": _result_doc(sig_r),
-            "ladder": {"c0": ladder.c0, "c1": ladder.c1},
-        }
-    _dump(doc, args.out)
+        lam_doc, sig_doc = _result_doc(lambda_view(sig_r, ladder)), _result_doc(sig_r)
+    ladder_doc = {"c0": ladder.c0, "c1": ladder.c1}
+    _dump({"lambda": lam_doc, "sigma2": sig_doc, "ladder": ladder_doc}, args.out)
     return 0
 
 
@@ -184,7 +168,6 @@ def cmd_degeneracy(args) -> int:
         "lambda": verdict.lam,
         "sigma2": verdict.sigma2,
         "tolerance": verdict.tolerance,
-        "seed": args.seed,
     }
     _dump(doc, args.out)
     return 0
@@ -243,13 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dist=True):
-        if dist:
-            p.add_argument("--dist", required=True, help="distribution JSON path")
-        p.add_argument(
-            "--seed", type=_int_in(0, _MASK64), default=0, help="64-bit seed (default 0)"
-        )
-        p.add_argument("--threads", type=_int_in(1), default=1, help="worker cap (default 1)")
+    def common(p, sampled=True):
+        p.add_argument("--dist", required=True, help="distribution JSON path")
+        if sampled:
+            p.add_argument(
+                "--seed", type=_int_in(0, _MASK64), default=0, help="64-bit seed (default 0)"
+            )
+            p.add_argument(
+                "--threads", type=_int_in(1), default=1, help="worker cap (default 1)"
+            )
         p.add_argument("--out", help="write the JSON result here instead of stdout")
 
     p = sub.add_parser("estimate", help="estimate lambda and sigma^2")
@@ -277,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_clt)
 
     p = sub.add_parser("degeneracy", help="atomic-case degeneracy conditions")
-    common(p)
+    common(p, sampled=False)
     p.add_argument("--tolerance", type=float, default=1e-9, help="relative tolerance")
     p.set_defaults(fn=cmd_degeneracy)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,6 +290,14 @@ def _validate_binary(spec):
         raise SpecError(f"p must lie in [0, 1], got {p}")
 
 
+# A rank-one cross term is log |x + y| of two draws; if neither exceeds
+# DBL_MAX/2 = 2^1023 - 2^970 in magnitude, |x + y| <= DBL_MAX is finite.
+_HALF_MAX = sys.float_info.max / 2
+# 2 m / DBL_MAX, with m = 36.7368005696771 the largest Exp(1) draw: -log1p(-u)
+# at u = 1 - 2^-53 as numpy evaluates it (53 log 2), which the tests pin
+_EXP_MIN_THETA = 2.0 * 36.7368005696771 / sys.float_info.max
+
+
 def _validate_uniform(spec):
     a = _need(spec, "a")
     b = _need(spec, "b")
@@ -299,14 +308,31 @@ def _validate_uniform(spec):
         raise SpecError(f"b must be >= 0 (interval is [-a, b]), got {b}")
     if a + b == 0.0:
         raise SpecError("interval [-a, b] is degenerate; need a + b > 0")
-    if not math.isfinite(a + b):
-        raise SpecError(f"interval [-a, b] too wide: a + b = {a!r} + {b!r} overflows")
+    # A draw x = fl(-a + fl(W u)), W = fl(a + b), 0 <= u <= 1 - 2^-53, lies in
+    # [-a, b]: for a normal W, fl(W u) <= pred(W) < a + b, as W is the double
+    # nearest a + b (a subnormal W adds exactly).  Tight for a: a = 2^1023
+    # draws -2^1023 at u = 0.  One double short for b: b = 2^1023 draws at
+    # most DBL_MAX/2, and the double after it draws 2^1023 (a = 0).
+    if max(a, b) > _HALF_MAX:
+        raise SpecError(
+            f"interval [-a, b] too wide: a + b or x + y of two draws can overflow; "
+            f"need max(a, b) <= DBL_MAX/2, got a = {a!r}, b = {b!r}"
+        )
 
 
 def _validate_exponential(spec):
     theta = _need(spec, "theta")
     if theta <= 0.0:
         raise SpecError(f"theta must be > 0, got {theta}")
+    # A draw is fl(-log1p(-u) / theta) <= fl(m / theta).  2 m / DBL_MAX
+    # (about 4.0871e-307) rounds up, so theta >= _EXP_MIN_THETA gives
+    # m / theta <= DBL_MAX/2.  Tight: one double below, m / theta rounds to
+    # 2^1023, and two such draws sum to 2^1024.
+    if theta < _EXP_MIN_THETA:
+        raise SpecError(
+            f"theta = {theta!r} too small: x + y of two draws can overflow; "
+            f"need theta >= {_EXP_MIN_THETA!r}"
+        )
 
 
 def _validate_cauchy(spec):

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cross_terms, make_stream and sample_triples stay module attributes:
-# perfbench/tracing.py wraps them here by name
+# cross_terms, make_stream, map_chunks and sample_triples stay module
+# attributes: perfbench/tracing.py wraps them here by name, though this
+# module calls none of them
 from .distributions import (
     BINARY_HILL,
     CAUCHY_RANK_ONE,
@@ -45,8 +46,7 @@ from .distributions import (
     make_stream,
     sample_triples,
 )
-from .parallel import chunk_sizes, map_chunks
-from .product import NEG_INF, block_step, chain_log_norms, workspace_pool
+from .product import NEG_INF, chain_log_norms, map_chunks, map_streams
 
 # Euler-Mascheroni constant, fixed to 20 digits so closed forms are
 # constants rather than estimates.
@@ -172,11 +172,12 @@ def _segment(c: np.ndarray, L: int, out=None):
 def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     """One pass over n_samples lag rows of cross terms, chunk by chunk.
 
-    Chunk k of size m draws one chain segment of m + 2 consecutive
-    triples from its (seed, k) stream with the chain kernel's block step
-    (a finite-support law draws atom indices and gathers its cross terms
-    from AtomLaw's table, the same values bit for bit), which gives
-    m + 1 cross terms and m lag rows; _segment cuts them into batches of
+    map_streams cuts the rows into chunks of SAMPLE_CHUNK.  Chunk k of
+    size m draws one chain segment of m + 2 consecutive triples from its
+    (seed, k) stream with the chain kernel's block step (a finite-support
+    law draws atom indices and gathers its cross terms from AtomLaw's
+    table, the same values bit for bit), which gives m + 1 cross terms
+    and m lag rows; _segment cuts them into batches of
     batch_length(n_samples) rows.  Returns (events, table): the -inf
     term count, and the batch rows of every chunk in chunk order (see
     _summary), or None if any term was -inf.  Memory is O(SAMPLE_CHUNK)
@@ -184,20 +185,16 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    sizes = chunk_sizes(n_samples, SAMPLE_CHUNK)
     L = batch_length(n_samples)
-    draw = block_step(spec)
-    borrow = workspace_pool(sizes[0] + 2)
 
-    def run(k: int):
-        gen = make_stream(seed, k)
-        with borrow() as workspace:
-            # the cross terms land in the last buffer; the other two are
-            # spent draws, reused as the reducer's scratch
-            _, _, cross = draw(sizes[k] + 2, 1, gen, workspace)
-            return _segment(cross.ravel(), L, workspace[:2])
+    def segment(draw, m, gen, workspace):
+        # the cross terms land in the last buffer; the other two are
+        # spent draws, reused as the reducer's scratch
+        _, _, cross = draw(m + 2, 1, gen, workspace)
+        return _segment(cross.ravel(), L, workspace[:2])
 
-    parts = map_chunks(run, len(sizes), threads)
+    length = min(n_samples, SAMPLE_CHUNK) + 2
+    parts = map_streams(spec, seed, n_samples, SAMPLE_CHUNK, length, threads, segment)
     events = sum(p[0] for p in parts)
     if events:
         return events, None

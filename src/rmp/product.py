@@ -20,13 +20,18 @@ multiplication that shares no code with the kernel, validates it.
 A cross term that is exactly zero makes S_n the zero matrix; this is a
 legitimate state, represented by -inf, not an error.
 
+Both sampled routes, chain_log_norms and the estimators' Monte Carlo
+reducer, run their chunks through one function, map_streams.  Chunks do
+not depend on the worker count, chunk k draws from the (seed, k) stream
+and results merge in chunk order, so any thread count gives
+bit-identical output.  A running chunk borrows one of the call's
+workspaces of three float64 buffers, so memory is fixed whatever the
+chain length, chain count or sample count are.
+
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
-STEP_BLOCK steps at a time, in one kernel for every law.  Each worker
-thread gets one workspace of three float64 buffers, made once per call
-and reused for every block of every chunk it runs, so memory is fixed
-whatever the chain length and chain count are.  Only the block step
-depends on the law: a continuous law samples the block's triples into
-the workspace and forms the cross terms in place (a rank-one law as
+STEP_BLOCK steps at a time, in one kernel for every law.  Only the block
+step depends on the law: a continuous law samples the block's triples
+into the workspace and forms the cross terms in place (a rank-one law as
 log |a + c|, with no divide or multiply); a finite-support law
 draws atom indices and gathers the cross term of each consecutive index
 pair (AtomLaw.cross), with no divide or log per step.  Both give the
@@ -36,9 +41,9 @@ their chain segments through the same block step (block_step) at width 1.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,7 +55,6 @@ from .distributions import (
     make_stream,
     sample_triples,
 )
-from .parallel import chunk_sizes, map_chunks
 
 NEG_INF = float("-inf")
 
@@ -131,51 +135,64 @@ def chain_log_norms(
 ) -> np.ndarray:
     """log ||S_n|| for n_chains independent chains of length n.
 
-    Chains are partitioned into fixed-size chunks; chunk k draws from
-    the (seed, k) substream, so the result is deterministic for a given
-    (spec, n, n_chains, seed) regardless of the thread count.  Chains
-    whose product collapsed carry -inf.
+    Chains are cut into chunks of CHAIN_CHUNK; map_streams runs each
+    through _chain_chunk on its (seed, k) stream, so the result is
+    deterministic for a given (spec, n, n_chains, seed) regardless of
+    the thread count.  Chains whose product collapsed carry -inf.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
     if n_chains < 1:
         raise ValueError("need at least one chain")
-    sizes = chunk_sizes(n_chains, CHAIN_CHUNK)
-    borrow = workspace_pool(min(STEP_BLOCK, n) * sizes[0])
-    draw = block_step(spec)
-
-    def run(k: int) -> np.ndarray:
-        gen = make_stream(seed, k)
-        with borrow() as workspace:
-            return _chain_chunk(draw, n, sizes[k], gen, workspace)
-
-    return np.concatenate(map_chunks(run, len(sizes), threads))
+    body = functools.partial(_chain_chunk, n)
+    length = min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains)
+    parts = map_streams(spec, seed, n_chains, CHAIN_CHUNK, length, threads, body)
+    return np.concatenate(parts)
 
 
-def workspace_pool(length: int):
-    """borrow() context manager lending three float64 buffers of ``length``.
+def map_streams(spec, seed, total, chunk, length, threads, body):
+    """[body(draw, size_k, make_stream(seed, k), workspace) for each chunk k].
 
-    Buffers are made on first need and returned to the pool after use,
-    so there are never more workspaces than chunks running at once.
+    ``total`` items are cut into chunks of ``chunk``; the results come in
+    chunk order whatever ``threads`` is.  draw is the law's block_step.
+    workspace is three float64 buffers of ``length`` from a free list of
+    the call, made on first need: one per chunk running at once.
     """
+    sizes = chunk_sizes(total, chunk)
+    draw = block_step(spec)
     free = []
 
-    @contextlib.contextmanager
-    def borrow():
+    def run(k: int):
         try:
             workspace = free.pop()
         except IndexError:
             workspace = (np.empty(length), np.empty(length), np.empty(length))
         try:
-            yield workspace
+            return body(draw, sizes[k], make_stream(seed, k), workspace)
         finally:
             free.append(workspace)
 
-    return borrow
+    return map_chunks(run, len(sizes), threads)
+
+
+def chunk_sizes(total: int, chunk: int):
+    """Sizes of consecutive chunks covering ``total`` items."""
+    sizes = [chunk] * (total // chunk)
+    if total % chunk:
+        sizes.append(total % chunk)
+    return sizes
+
+
+def map_chunks(fn, n_chunks: int, threads: int = 1):
+    """Apply fn(0..n_chunks-1), returning results in chunk order."""
+    if threads <= 1 or n_chunks <= 1:
+        return [fn(i) for i in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as ex:
+        return list(ex.map(fn, range(n_chunks)))
 
 
 def block_step(spec: DistributionSpec):
-    """The law's draw(block, width, gen, workspace), as _chain_chunk calls it.
+    """The law's draw(block, width, gen, workspace), as map_streams passes it.
 
     _atom_block on the spec's AtomLaw for a finite-support law,
     _sampled_block otherwise.  At width 1 a block is one chain segment
@@ -188,7 +205,7 @@ def block_step(spec: DistributionSpec):
     return functools.partial(_sampled_block, spec)
 
 
-def _chain_chunk(draw, n, width, gen, workspace) -> np.ndarray:
+def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
     """One chunk of ``width`` chains, in step blocks.
 
     draw(block, width, gen, workspace) fills ``workspace``, three float64

@@ -33,8 +33,7 @@ from rmp.estimators import (
     estimate_sigma2_mc,
     exact_discrete,
 )
-from rmp.parallel import chunk_sizes
-from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms
+from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 
 
 def _random_atoms(k, seed, cancelling=False):

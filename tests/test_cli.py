@@ -293,7 +293,35 @@ class TestClt:
         assert out.stdout == ""
 
 
+class TestRankOneOverflow:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"family": "ExponentialRankOne", "theta": 1e-308},
+            {"family": "UniformRankOne", "a": 1.7e308, "b": 1e300},
+        ],
+        ids=["exponential", "uniform"],
+    )
+    def test_estimate_exit_1(self, tmp_path, doc):
+        # x + y of two draws can overflow: once lambda = NaN with 0 events
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(doc))
+        out = rmp("estimate", "--dist", str(path), "--samples", "1000")
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and "overflow" in out.stderr
+        assert out.stdout == ""
+
+
 class TestDegeneracy:
+    @pytest.mark.parametrize("option", [("--seed", "1"), ("--threads", "2")])
+    def test_no_seed_or_threads(self, dists, option):
+        # the verdict is exact: nothing is drawn and nothing runs in parallel
+        out = rmp("degeneracy", "--dist", dists["atoms"], *option)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.splitlines()[-1].startswith("error: rmp")
+        doc = json.loads(rmp("degeneracy", "--dist", dists["atoms"]).stdout)
+        assert "seed" not in doc
+
     def test_constant_true(self, dists):
         out = rmp("degeneracy", "--dist", dists["const111"])
         assert out.returncode == 0

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rmp import estimators, product
+from rmp import product
 from rmp.clt import degeneracy_check
 from rmp.distributions import (
+    _EXP_MIN_THETA,
+    _HALF_MAX,
     MAX_ATOMS,
     AtomLaw,
     DistributionSpec,
@@ -33,8 +35,7 @@ from rmp.estimators import (
     exact_discrete,
     trajectory_lambda,
 )
-from rmp.parallel import chunk_sizes
-from rmp.product import chain_log_norms
+from rmp.product import chain_log_norms, chunk_sizes
 from rmp.selftest import _spec_zoo
 
 LOG2 = math.log(2.0)
@@ -191,6 +192,92 @@ class TestOverflowingRankOneLaws:
         assert lam == pytest.approx(closed_form(spec)[0], rel=1e-15)
 
 
+class TestRankOneOverflowBounds:
+    # a rank-one law is valid only while x + y of two draws stays finite:
+    # max(a, b) <= DBL_MAX/2 for Uniform, theta >= 2 m / DBL_MAX for
+    # Exponential, with m its largest Exp(1) draw
+    DBL_MAX = sys.float_info.max
+
+    def test_overflowing_laws_rejected(self):
+        # both once printed lambda = NaN with no event counted
+        with pytest.raises(SpecError, match="overflow"):
+            DistributionSpec.exponential_rank_one(1e-308)
+        with pytest.raises(SpecError, match="overflow"):
+            DistributionSpec.uniform_rank_one(1.7e308, 1e300)
+        DistributionSpec.uniform_rank_one(1e300, 1e300)
+        DistributionSpec.exponential_rank_one(1e-300)
+
+    def test_uniform_bound_in_exact_decimal(self):
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.traps[decimal.Inexact] = 2000, True
+            half = D(_HALF_MAX)
+            assert half == D(2) ** 1023 - D(2) ** 970 and 2 * half == D(self.DBL_MAX)
+            # sums at or past the midpoint of DBL_MAX and 2^1024 round to inf
+            inf_at = D(2) ** 1024 - D(2) ** 970
+            above = np.nextafter(_HALF_MAX, math.inf)
+            assert D(above) == D(2) ** 1023
+            # a = 2^1023, b = 0: u = 0 draws x = -a, twice
+            assert 2 * D(above) >= inf_at
+            # a = 0, b = 2^1023 + 2^971: u = 1 - 2^-53 draws x = 2^1023 (the
+            # doubles above it are 2^971 apart), twice
+            wide = np.nextafter(above, math.inf)
+            assert abs(D(wide) * (1 - D(2) ** -53) - D(above)) < D(2) ** 970
+        for a, b in ((above, 0.0), (0.0, wide), (above, above)):
+            with pytest.raises(SpecError, match="overflow"):
+                DistributionSpec.uniform_rank_one(a, b)
+
+    def test_exponential_bound_in_exact_decimal(self):
+        # the largest Exp(1) draw, -log1p(-u) at u = 1 - 2^-53: 53 log 2
+        D, m = decimal.Decimal, float(-np.log1p(-(1.0 - 2.0**-53)))
+        assert abs(D(m) - 53 * _ln(2)) <= D(math.ulp(m))
+        assert _EXP_MIN_THETA == 2.0 * m / self.DBL_MAX
+        below = np.nextafter(_EXP_MIN_THETA, 0.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.traps[decimal.Inexact] = 2000, True
+            # m / theta <= DBL_MAX/2 at the bound: two draws sum to <= DBL_MAX
+            assert 2 * D(m) <= D(_EXP_MIN_THETA) * D(self.DBL_MAX)
+            # one double below, m / theta rounds up to 2^1023 (ties to even)
+            assert D(m) >= D(below) * (D(2) ** 1023 - D(2) ** 969)
+        assert m / _EXP_MIN_THETA <= _HALF_MAX and m / below == 2.0**1023
+        with pytest.raises(SpecError, match="overflow"):
+            DistributionSpec.exponential_rank_one(below)
+
+    # (law at the bound, its closed-form lambda in 50 digits, the uniforms
+    # that give its extreme draws; u = 0 would draw an Exp(1) zero forever)
+    @pytest.mark.parametrize(
+        "spec, lam, extremes",
+        [
+            (DistributionSpec.uniform_rank_one(_HALF_MAX, _HALF_MAX),
+             float(_ln(2 * _HALF_MAX) - decimal.Decimal("1.5")),
+             (0.0, 1.0 - 2.0**-53)),
+            (DistributionSpec.exponential_rank_one(_EXP_MIN_THETA),
+             float(1 - decimal.Decimal("0.57721566490153286060651209")
+                   - _ln(_EXP_MIN_THETA)),
+             (1.0 - 2.0**-53,)),
+        ],
+        ids=["uniform", "exponential"],
+    )
+    def test_law_at_bound_gives_finite_lambda(self, spec, lam, extremes):
+        for u in extremes:
+            x, _, y = sample_triples(spec, 2, _ExtremeStream(u))
+            assert np.isfinite(x + y).all(), u
+        r = estimate_lambda_mc(spec, 10**5, seed=0)
+        assert math.isfinite(r.value) and r.minus_inf_events == 0
+        assert abs(r.value - lam) <= 4.0 * r.std_error
+
+
+class _ExtremeStream:
+    """A stream whose every uniform is u, the sampler's extreme input."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out.fill(self.u)
+        return out
+
+
 class TestSigma2MC:
     def test_constant_exactly_zero(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
@@ -284,7 +371,7 @@ class TestOnePass:
     def test_one_call_draws_n_plus_two_triples_per_chunk(self, spec, monkeypatch):
         n, seed = 2 * SAMPLE_CHUNK + 5, 3
         streams, counts = {}, []
-        real_stream, real_sample = estimators.make_stream, product.sample_triples
+        real_stream, real_sample = product.make_stream, product.sample_triples
 
         def stream(s, k):
             streams[k] = real_stream(s, k)
@@ -294,7 +381,7 @@ class TestOnePass:
             counts.append(m)
             return real_sample(spec, m, gen, out=out)
 
-        monkeypatch.setattr(estimators, "make_stream", stream)
+        monkeypatch.setattr(product, "make_stream", stream)
         monkeypatch.setattr(product, "sample_triples", sample)
         estimate_sigma2_mc(spec, n, seed=seed)
         sizes = chunk_sizes(n, SAMPLE_CHUNK)

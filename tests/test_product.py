@@ -17,12 +17,12 @@ from rmp.distributions import (
     sample_triples,
 )
 from rmp.estimators import exact_discrete
-from rmp.parallel import chunk_sizes
 from rmp.product import (
     CHAIN_CHUNK,
     STEP_BLOCK,
     build_matrix,
     chain_log_norms,
+    chunk_sizes,
     direct_log_norm,
 )
 from rmp.selftest import _both_routes, _chain_triples
@@ -271,6 +271,25 @@ def allocating_chain_chunk(spec, n, width, gen):
         done += block
     pa, _, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
+
+
+class TestMapStreams:
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_chunk_order_streams_sizes_and_workspaces(self, threads):
+        spec, seed, chunk, length = DistributionSpec.cauchy_rank_one(), 17, 8, 5
+        total = 4 * chunk + 3  # five chunks, the last one short
+
+        def record(draw, size, gen, workspace):
+            return draw, size, gen.random(), workspace
+
+        got = product.map_streams(spec, seed, total, chunk, length, threads, record)
+        draws, sizes, firsts, workspaces = zip(*got)
+        assert list(sizes) == chunk_sizes(total, chunk) == [8, 8, 8, 8, 3]
+        assert list(firsts) == [make_stream(seed, k).random() for k in range(5)]
+        assert all(d is draws[0] for d in draws)  # the block step, taken once
+        assert all(len(w) == 3 and all(b.shape == (length,) for b in w) for w in workspaces)
+        if threads == 1:
+            assert all(w is workspaces[0] for w in workspaces)
 
 
 class TestChainWorkspace:
