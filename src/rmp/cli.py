@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .clt import CltReport, degeneracy_check, simulate_normalized
@@ -233,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "--seed", type=_int_in(0, _MASK64), default=0, help="64-bit seed (default 0)"
             )
             p.add_argument(
-                "--threads", type=_int_in(1), default=1, help="worker cap (default 1)"
+                "--threads",
+                type=_int_in(1),
+                default=os.cpu_count() or 1,
+                help="worker cap (default: the CPU count); output does not depend on it",
             )
         p.add_argument("--out", help="write the JSON result here instead of stdout")
 

@@ -29,14 +29,20 @@ workspaces of three float64 buffers, so memory is fixed whatever the
 chain length, chain count or sample count are.
 
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
-STEP_BLOCK steps at a time, in one kernel for every law.  Only the block
-step depends on the law: a continuous law samples the block's triples
-into the workspace and forms the cross terms in place (a rank-one law as
-log |a + c|, with no divide or multiply); a finite-support law
-draws atom indices and gathers the cross term of each consecutive index
-pair (AtomLaw.cross), with no divide or log per step.  Both give the
-values of sampled triples bit for bit.  The Monte Carlo estimators draw
-their chain segments through the same block step (block_step) at width 1.
+STEP_BLOCK steps at a time, in one kernel for every law.  A block is
+sized so that its workspace stays in cache: STEP_BLOCK * CHAIN_CHUNK =
+65 536 steps, so the three buffers of a running chunk take 1.5 MiB and
+fit in a 2 MiB L2, where every elementwise pass of the block step then
+reads and writes.  The Monte Carlo route sizes its own block (a segment
+of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
+STEP_BLOCK.  Only the block step depends on the law: a continuous law
+samples the block's triples into the workspace and forms the cross
+terms in place (a rank-one law as log |a + c|, with no divide or
+multiply); a finite-support law draws atom indices and gathers the
+cross term of each consecutive index pair (AtomLaw.cross), with no
+divide or log per step.  Both give the values of sampled triples bit
+for bit.  The Monte Carlo estimators draw their chain segments through
+the same block step (block_step) at width 1.
 """
 
 from __future__ import annotations
@@ -58,9 +64,10 @@ from .distributions import (
 
 NEG_INF = float("-inf")
 
-# chains per stream chunk / steps per sampling block for the vectorized kernel
+# chains per stream chunk / steps per sampling block for the vectorized
+# kernel: three buffers of STEP_BLOCK * CHAIN_CHUNK doubles are 1.5 MiB
 CHAIN_CHUNK = 128
-STEP_BLOCK = 4096
+STEP_BLOCK = 512
 
 
 def build_matrix(xi: EntryTriple) -> np.ndarray:
@@ -138,7 +145,10 @@ def chain_log_norms(
     Chains are cut into chunks of CHAIN_CHUNK; map_streams runs each
     through _chain_chunk on its (seed, k) stream, so the result is
     deterministic for a given (spec, n, n_chains, seed) regardless of
-    the thread count.  Chains whose product collapsed carry -inf.
+    the thread count.  Each running chunk's workspace is three buffers
+    of min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains) doubles, at most
+    1.5 MiB, which fit in a 2 MiB L2.  Chains whose product collapsed
+    carry -inf.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
@@ -210,10 +220,13 @@ def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
 
     draw(block, width, gen, workspace) fills ``workspace``, three float64
     buffers of at least min(STEP_BLOCK, n) * width entries, with the next
-    ``block`` steps.  It returns the (a, b, c) rows of the first and the
-    last step, and the (block - 1) x width cross terms within the block.
-    Only a and b of the first row are read; the last row is a copy, the
-    carry into the next block.
+    ``block`` steps, each entry drawn over the whole block in turn (a
+    rank-one law draws the block's a's, then its c's).  At width
+    CHAIN_CHUNK the buffers take 1.5 MiB and stay in a 2 MiB L2 through
+    all passes of the block step.  It returns the (a, b, c) rows of the
+    first and the last step, and the (block - 1) x width cross terms
+    within the block.  Only a and b of the first row are read; the last
+    row is a copy, the carry into the next block.
     """
     sumlog = np.zeros(width)
     head_ratio = None

@@ -2,10 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from test_estimators import decimal_reference
 
+from rmp.cli import build_parser
 from rmp.distributions import MAX_ATOMS, parse_spec
 
 LOG2 = math.log(2.0)
@@ -425,6 +427,26 @@ class TestDeterminism:
         b = rmp(*cmd, "--threads", "6")
         assert a.stdout == b.stdout
         assert a.returncode == 0
+
+    def test_default_threads_byte_identical_to_one(self, dists):
+        # several chunks each, so a default above 1 runs chunks at once
+        for cmd in (
+            ["estimate", "--dist", dists["cauchy"], "--samples", "140000", "--seed", "3"],
+            ["clt", "--dist", dists["uniform11"], "--n", "1100", "--chains", "300",
+             "--source", "closed-form", "--seed", "4"],
+        ):
+            default, one = rmp(*cmd), rmp(*cmd, "--threads", "1")
+            assert default.returncode == one.returncode == 0
+            assert default.stdout == one.stdout
+
+    @pytest.mark.parametrize(
+        "argv", [["estimate"], ["clt", "--source", "closed-form"]], ids=["estimate", "clt"]
+    )
+    @pytest.mark.parametrize("cpus, want", [(8, 8), (None, 1)])
+    def test_threads_default_to_cpu_count(self, argv, cpus, want):
+        with mock.patch("os.cpu_count", return_value=cpus):
+            args = build_parser().parse_args([*argv, "--dist", "x.json"])
+        assert args.threads == want
 
 
 _NO_SCIPY = """

@@ -437,6 +437,42 @@ class TestSampleIntoBuffers:
         assert np.all(a == 1.0)
 
 
+class ReplayStream:
+    """Returns the given uniforms from random(out=x)."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+        return out
+
+
+EXP_THETAS = [1.0, 0.5, 3.0, 1.0 / 3.0, distributions._EXP_MIN_THETA, 1e300]
+
+
+class TestExponentialDivisor:
+    # the sampler divides log1p(-u) by -theta; IEEE division is
+    # sign-symmetric, so that is -log1p(-u) / theta bit for bit
+    @pytest.mark.parametrize("theta", EXP_THETAS)
+    def test_sampler_is_formula_on_the_same_stream(self, theta):
+        n = 10_000
+        a, _, c = sample_triples(DistributionSpec.exponential_rank_one(theta), n, make_stream(5))
+        ref = make_stream(5)
+        for got in (a, c):
+            want = -np.log1p(-ref.random(n)) / theta
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("theta", EXP_THETAS)
+    def test_extreme_uniforms(self, theta):
+        # u = 0 draws +0.0 (not -0.0); 1 - 2^-53 draws the largest value
+        u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+        got = distributions._exponential(ReplayStream(u), theta)(np.empty(u.size))
+        want = -np.log1p(-u) / theta
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.signbit(got[0])
+
+
 class PlantedStream:
     """A make_stream stream whose calls listed in ``plant`` return ``value`` at
     the given positions, so that the sampler sees exact zeros."""

@@ -671,6 +671,47 @@ def extreme_atom_pairs(draw):
     return [(tuple(_extreme(draw) for _ in range(3)), w) for w in (p, 1.0 - p)]
 
 
+def extreme_lambda_bound(spec):
+    """Bound on exact_discrete's lambda error for atoms of any magnitude.
+
+    T[i, j] = log |v|, v = fl(a_i + fl(c_i fl(b_j / a_j))).  With gradual
+    underflow a rounding is fl(x) = x (1 + d) + e, |d| <= u, |e| <= eta,
+    and an addition of doubles is exact when it underflows.  So with
+    Q = c_i b_j / a_j and V = a_i + Q,
+
+        |fl(c_i fl(b_j / a_j)) - Q| <= gamma(2) |Q| + (1 + u) |c_i| eta + eta,
+        |v - V| <= (1 + u) |fl(c_i fl(b_j / a_j)) - Q| + u |V| = rho |V|,
+
+    and |log |v| - log |V|| <= -log(1 - rho), plus 4 ulp (8u |T|) for
+    np.log.  No step overflows: a law with a cross term that is not
+    finite fails validation, and an overflow anywhere makes v inf or NaN.
+    p^T T p over k^2 terms adds gamma(2k) p^T |T| p, as in
+    exact_error_bounds.  Q would overflow a double, so the bound is
+    formed in 50-digit decimal.  Returns None when rho >= 1/2 for some
+    pair (a near cancellation, or an underflowed ratio that matters).
+    """
+    D = decimal.Decimal
+    law = spec.atom_law
+    T, p, atoms = law.log_cross(), law.p, law.atoms.tolist()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        # eta = 2^-1075, half the smallest subnormal, is no double
+        u, eta, g2, g2k = D(U), D(2) ** -1075, D(gamma(2)), D(gamma(2 * law.k))
+        err = D(0)
+        for i, (a_i, _, c_i) in enumerate(atoms):
+            for j, (a_j, b_j, _) in enumerate(atoms):
+                Q = D(c_i) * D(b_j) / D(a_j)
+                V = D(a_i) + Q
+                if V == 0:
+                    return None
+                rho = u + (1 + u) * (g2 * abs(Q) + (1 + u) * abs(D(c_i)) * eta + eta) / abs(V)
+                if rho >= D("0.5"):
+                    return None
+                t = abs(D(T[i, j]))
+                err += D(p[i]) * D(p[j]) * (-(1 - rho).ln() + 8 * u * t + g2k * t)
+        return float(err)
+
+
 class TestExtremeAtoms:
     @given(extreme_atom_pairs())
     @settings(max_examples=200, deadline=None)
@@ -688,6 +729,23 @@ class TestExtremeAtoms:
             assert not (math.isnan(v) or v == math.inf)
         if lam != -math.inf:
             assert math.isfinite(sigma2)
+
+    @given(extreme_atom_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_lambda_matches_decimal_within_rounding_bound(self, atoms):
+        # on an accepted law that does not cancel, p^T T p in 50 digits
+        # from the stored atoms; the reference is rounded to float once.
+        # The 50-digit reference itself is off by < 1e-30 where rho < 1/2
+        # (|Q / V| < 1 / (2 gamma(2)) bounds its cancellation)
+        try:
+            spec = DistributionSpec.discrete_atoms(atoms)
+        except SpecError:
+            return
+        lam = exact_discrete(spec)[0]
+        bound = extreme_lambda_bound(spec) if lam != -math.inf else None
+        assume(bound is not None)
+        ref = decimal_reference(spec, digits=50)[0]
+        assert abs(lam - ref) <= bound + U * abs(ref)
 
 
 @st.composite

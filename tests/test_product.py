@@ -332,3 +332,16 @@ class TestChainWorkspace:
                 tracemalloc.stop()
 
         assert peak(4 * STEP_BLOCK) <= 1.25 * peak(STEP_BLOCK)
+
+    def test_peak_memory_fits_in_l2(self):
+        # a running chunk's three buffers of STEP_BLOCK * CHAIN_CHUNK
+        # doubles (1.5 MiB) and its per-chain rows stay within a 2 MiB L2
+        spec = DistributionSpec.exponential_rank_one(1.0)
+        chain_log_norms(spec, 2, 1, seed=1)  # numpy.random's lazy imports
+        tracemalloc.start()
+        try:
+            chain_log_norms(spec, 4 * STEP_BLOCK + 37, 2 * CHAIN_CHUNK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
