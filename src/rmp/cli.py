@@ -81,6 +81,7 @@ def _result_doc(r: EstimateResult) -> dict:
         "n_samples": r.n_samples,
         "seed": r.seed,
         "minus_inf_events": r.minus_inf_events,
+        "inf_nan_events": r.inf_nan_events,
     }
 
 
@@ -103,6 +104,7 @@ def _report_doc(report: CltReport, source: str) -> dict:
         "ks_distance": report.ks_distance,
         "histogram": [list(b) for b in report.histogram],
         "minus_inf_events": report.minus_inf_events,
+        "inf_nan_events": report.inf_nan_events,
         "seed": report.seed,
         "source": source,
     }
@@ -114,7 +116,12 @@ def cmd_estimate(args) -> int:
     spec = load_spec(args.dist)
     if args.exact:
         lam, sigma2, ladder = exact_discrete(spec)
-        meta = {"n_samples": 0, "seed": args.seed, "minus_inf_events": ladder.minus_inf_events}
+        meta = {
+            "n_samples": 0,
+            "seed": args.seed,
+            "minus_inf_events": ladder.minus_inf_events,
+            "inf_nan_events": 0,
+        }
         lam_doc, sig_doc = {"value": lam, **meta}, {"value": sigma2, **meta}
     else:
         sig_r, ladder = estimate_sigma2_mc(spec, args.samples, args.seed, args.threads)

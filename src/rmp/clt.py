@@ -36,8 +36,8 @@ class CltReport:
 
     Histogram bins cover [-5 sigma, 5 sigma] (out-of-range values are
     clipped into the edge bins, so counts always total
-    m_chains - minus_inf_events).  ks_distance is None when
-    sigma2_used = 0, where the reference law is degenerate.
+    m_chains - minus_inf_events - inf_nan_events).  ks_distance is None
+    when sigma2_used = 0, where the reference law is degenerate.
     """
 
     n: int
@@ -49,6 +49,7 @@ class CltReport:
     ks_distance: float | None
     histogram: tuple[tuple[float, float, int], ...]
     minus_inf_events: int
+    inf_nan_events: int
     seed: int
 
 
@@ -106,7 +107,9 @@ def simulate_normalized(
     """Simulate Z_k = (log ||S_n|| - n*lam) / sqrt(n) over m_chains chains.
 
     Chains that collapse to the zero matrix are excluded from the
-    statistics and counted in minus_inf_events.  The empirical mean is
+    statistics and counted in minus_inf_events, and chains whose
+    log-norm came out +inf or NaN, a numerical failure, likewise in
+    inf_nan_events.  The empirical mean is
     NaN when no chain is left, and the empirical variance when fewer
     than two are.  sigma2 must be finite and >= 0; sigma2 = 0 is the
     degenerate law, which has no KS distance.
@@ -120,8 +123,8 @@ def simulate_normalized(
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
     log_norms = chain_log_norms(spec, n, m_chains, seed, threads)
-    finite = ~np.isneginf(log_norms)
-    n_inf = int(m_chains - finite.sum())
+    finite = np.isfinite(log_norms)
+    n_inf = int(np.isneginf(log_norms).sum())
     z = (log_norms[finite] - n * lam) / math.sqrt(n)
 
     emp_mean = float(z.mean()) if z.size else float("nan")
@@ -148,6 +151,7 @@ def simulate_normalized(
         ks_distance=ks,
         histogram=histogram,
         minus_inf_events=n_inf,
+        inf_nan_events=m_chains - n_inf - z.size,
         seed=seed,
     )
 

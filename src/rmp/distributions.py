@@ -293,8 +293,10 @@ def _validate_binary(spec):
 # A rank-one cross term is log |x + y| of two draws; if neither exceeds
 # DBL_MAX/2 = 2^1023 - 2^970 in magnitude, |x + y| <= DBL_MAX is finite.
 _HALF_MAX = sys.float_info.max / 2
-# 2 m / DBL_MAX, with m = 36.7368005696771 the largest Exp(1) draw: -log1p(-u)
-# at u = 1 - 2^-53 as numpy evaluates it (53 log 2), which the tests pin
+# S / DBL_MAX, with S = 73.4736011393542 the largest Exp(1) sum draw: -log p
+# at p = (1 - u_1)(1 - u_2) = 2^-106 as numpy evaluates it (106 log 2).  S is
+# also 2 m, m = -log1p(-u) at u = 1 - 2^-53 the largest single Exp(1) draw,
+# so the bound covers x + y of a drawn pair too; the tests pin both
 _EXP_MIN_THETA = 2.0 * 36.7368005696771 / sys.float_info.max
 
 
@@ -324,10 +326,11 @@ def _validate_exponential(spec):
     theta = _need(spec, "theta")
     if theta <= 0.0:
         raise SpecError(f"theta must be > 0, got {theta}")
-    # A draw is fl(-log1p(-u) / theta) <= fl(m / theta).  2 m / DBL_MAX
+    # A sum draw is fl(log p / -theta) <= fl(S / theta), and a single draw
+    # fl(-log1p(-u) / theta) <= fl(m / theta) with S = 2 m.  S / DBL_MAX
     # (about 4.0871e-307) rounds up, so theta >= _EXP_MIN_THETA gives
-    # m / theta <= DBL_MAX/2.  Tight: one double below, m / theta rounds to
-    # 2^1023, and two such draws sum to 2^1024.
+    # S / theta <= DBL_MAX and m / theta <= DBL_MAX/2.  Tight: one double
+    # below, S / theta overflows, and m / theta rounds to 2^1023.
     if theta < _EXP_MIN_THETA:
         raise SpecError(
             f"theta = {theta!r} too small: x + y of two draws can overflow; "

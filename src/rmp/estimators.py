@@ -64,9 +64,11 @@ class EstimateResult:
     """Point estimate with provenance.
 
     std_error is None on exact (non-Monte-Carlo) paths and NaN when the
-    estimate degenerated (-inf samples).  n_samples counts cross terms
-    (lag rows) on the Monte Carlo route; minus_inf_events counts cross
-    terms (or chains) that vanished exactly.
+    estimate degenerated (non-finite samples).  n_samples counts cross
+    terms (lag rows) on the Monte Carlo route; minus_inf_events counts
+    cross terms (or chains) that vanished exactly, and inf_nan_events
+    those that came out +inf or NaN, a numerical failure: the value is
+    then NaN.
     """
 
     value: float
@@ -74,6 +76,7 @@ class EstimateResult:
     n_samples: int
     seed: int
     minus_inf_events: int = 0
+    inf_nan_events: int = 0
     wall_time_s: float = 0.0
 
 
@@ -86,7 +89,8 @@ class CovarianceLadder:
     and of lam) are filled on the Monte Carlo path only.
     minus_inf_events counts the -inf cross terms the ladder was made
     from: sampled terms on the Monte Carlo path, ordered atom pairs of
-    the table in exact enumeration.  It is > 0 exactly when lam = -inf.
+    the table in exact enumeration.  It is > 0 exactly when lam = -inf,
+    unless a +inf or NaN term made lam NaN.
     """
 
     c0: float
@@ -153,35 +157,38 @@ def _segment(c: np.ndarray, L: int, out=None):
     The rows are the len(c) - 1 lag pairs (c[j], c[j + 1]).  Consecutive
     runs of L rows are batches, and the last len(c) - 1 mod L rows (only
     the last chunk has any) are one shorter tail batch; the table holds
-    their _summary rows in order.  A -inf term is an event, and then
-    only the event count is returned (the table is None), since the
-    variance is undefined.  ``out`` is _summary's optional pair of
-    scratch buffers.
+    their _summary rows in order.  A term that is not finite is an
+    event, counted in events = (-inf terms, +inf or NaN terms), and then
+    only the counts are returned (the table is None), since the variance
+    is undefined.  ``out`` is _summary's optional pair of scratch buffers.
     """
-    events = int(np.count_nonzero(c == NEG_INF))
-    if events:
-        return events, None
+    finite = np.isfinite(c)
+    if not finite.all():
+        minus_inf = int(np.count_nonzero(c == NEG_INF))
+        return (minus_inf, c.size - minus_inf - int(np.count_nonzero(finite))), None
     x, y = c[:-1], c[1:]
     rows = x.size // L * L
     table = _summary(x[:rows].reshape(-1, L), y[:rows].reshape(-1, L), out)
     if rows < x.size:
         table = np.concatenate([table, _summary(x[None, rows:], y[None, rows:], out)])
-    return 0, table
+    return (0, 0), table
 
 
 def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     """One pass over n_samples lag rows of cross terms, chunk by chunk.
 
     map_streams cuts the rows into chunks of SAMPLE_CHUNK.  Chunk k of
-    size m draws one chain segment of m + 2 consecutive triples from its
-    (seed, k) stream with the chain kernel's block step (a finite-support
-    law draws atom indices and gathers its cross terms from AtomLaw's
-    table, the same values bit for bit), which gives m + 1 cross terms
-    and m lag rows; _segment cuts them into batches of
-    batch_length(n_samples) rows.  Returns (events, table): the -inf
-    term count, and the batch rows of every chunk in chunk order (see
-    _summary), or None if any term was -inf.  Memory is O(SAMPLE_CHUNK)
-    per worker whatever n_samples is.
+    size m draws one chain segment of m + 2 consecutive steps from its
+    (seed, k) stream with the chain kernel's block step, which gives
+    m + 1 cross terms and m lag rows; _segment cuts them into batches of
+    batch_length(n_samples) rows.  A finite-support law draws atom
+    indices and gathers its cross terms from AtomLaw's table, the same
+    values bit for bit; a rank-one law draws the m + 1 sums s_j whose
+    log |s_j| are the terms, and a last pair that no term reads.
+    Returns (events, table): the counts of -inf terms and of +inf or NaN
+    terms, and the batch rows of every chunk in chunk order (see
+    _summary), or None if any term was not finite.  Memory is
+    O(SAMPLE_CHUNK) per worker whatever n_samples is.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
@@ -195,10 +202,10 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
 
     length = min(n_samples, SAMPLE_CHUNK) + 2
     parts = map_streams(spec, seed, n_samples, SAMPLE_CHUNK, length, threads, segment)
-    events = sum(p[0] for p in parts)
-    if events:
+    events = tuple(sum(counts) for counts in zip(*(p[0] for p in parts)))
+    if any(events):
         return events, None
-    return 0, np.concatenate([p[1] for p in parts])
+    return events, np.concatenate([p[1] for p in parts])
 
 
 def _batch_se(v: np.ndarray) -> float:
@@ -248,14 +255,17 @@ def estimate_sigma2_mc(
     and its standard error (estimate_lambda_mc reads them).  If any
     cross term cancelled exactly, lam is -inf, the variance and every
     standard error are undefined (NaN), and the -inf terms are counted.
+    A +inf or NaN term is a numerical failure, counted in the result's
+    inf_nan_events; lam is then NaN too.
     """
     t0 = time.perf_counter()
-    events, table = _reduce(spec, n_samples, seed, threads)
-    if events:
+    (minus_inf, inf_nan), table = _reduce(spec, n_samples, seed, threads)
+    if table is None:
         nan = float("nan")
         wall = time.perf_counter() - t0
-        result = EstimateResult(nan, nan, n_samples, seed, events, wall)
-        return result, CovarianceLadder(nan, nan, NEG_INF, nan, nan, nan, events)
+        result = EstimateResult(nan, nan, n_samples, seed, minus_inf, inf_nan, wall)
+        lam = nan if inf_nan else NEG_INF
+        return result, CovarianceLadder(nan, nan, lam, nan, nan, nan, minus_inf)
 
     n, L = n_samples, batch_length(n_samples)
     n_b, m, Sxx, Sxy, Sx, Sy = table.T
@@ -270,7 +280,7 @@ def estimate_sigma2_mc(
         # a one-row batch centered at its own mean has Sxx = Sxy = 0
         c0_b = c1_b = c0_b[:0]
     se = _batch_se(c0_b + 2.0 * c1_b)
-    result = EstimateResult(sigma2, se, n, seed, 0, time.perf_counter() - t0)
+    result = EstimateResult(sigma2, se, n, seed, wall_time_s=time.perf_counter() - t0)
     ladder = CovarianceLadder(
         c0, c1, lam, _batch_se(c0_b), _batch_se(c1_b), _batch_se(lam_b)
     )
@@ -285,6 +295,7 @@ def lambda_view(result: EstimateResult, ladder: CovarianceLadder) -> EstimateRes
         result.n_samples,
         result.seed,
         ladder.minus_inf_events,
+        result.inf_nan_events,
         result.wall_time_s,
     )
 
@@ -314,7 +325,8 @@ def trajectory_lambda(
 
     Runs n_chains independent chains of length n (chain_log_norms); the
     almost-sure limit of log ||S_n|| / n is the exponent.  Chains whose
-    product collapsed contribute -inf and are counted.
+    product collapsed contribute -inf and are counted, and so are chains
+    whose log-norm came out +inf or NaN.
     """
     if n < 2:
         raise ValueError("need chain length n >= 2")
@@ -323,8 +335,9 @@ def trajectory_lambda(
     t0 = time.perf_counter()
     per_chain = chain_log_norms(spec, n, n_chains, seed, threads) / n
     n_inf = int(np.isneginf(per_chain).sum())
+    n_inf_nan = n_chains - n_inf - int(np.isfinite(per_chain).sum())
     value = float(per_chain.mean())
-    if n_inf or n_chains < 2:
+    if n_inf or n_inf_nan or n_chains < 2:
         se = float("nan")
     else:
         se = float(per_chain.std(ddof=1)) / math.sqrt(n_chains)
@@ -334,6 +347,7 @@ def trajectory_lambda(
         n_samples=n_chains,
         seed=seed,
         minus_inf_events=n_inf,
+        inf_nan_events=n_inf_nan,
         wall_time_s=time.perf_counter() - t0,
     )
 

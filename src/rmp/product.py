@@ -35,14 +35,17 @@ sized so that its workspace stays in cache: STEP_BLOCK * CHAIN_CHUNK =
 fit in a 2 MiB L2, where every elementwise pass of the block step then
 reads and writes.  The Monte Carlo route sizes its own block (a segment
 of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
-STEP_BLOCK.  Only the block step depends on the law: a continuous law
-samples the block's triples into the workspace and forms the cross
-terms in place (a rank-one law as log |a + c|, with no divide or
-multiply); a finite-support law draws atom indices and gathers the
-cross term of each consecutive index pair (AtomLaw.cross), with no
-divide or log per step.  Both give the values of sampled triples bit
-for bit.  The Monte Carlo estimators draw their chain segments through
-the same block step (block_step) at width 1.
+STEP_BLOCK.  Only the block step depends on the law.  A rank-one law,
+whose cross term log |x_j + y_j| depends on step j alone, draws one sum
+s_j = x_j + y_j per step (sums.sample_sums) and takes log |s_j|,
+with no divide or multiply; only the last step of a block is drawn as a
+pair (x, y), the carry into the next block and a chain's tail.  Another
+continuous law samples the block's triples into the workspace and forms
+the cross terms in place.  A finite-support law draws atom indices and
+gathers the cross term of each consecutive index pair (AtomLaw.cross),
+with no divide or log per step, the values of sampled triples bit for
+bit.  The Monte Carlo estimators draw their chain segments through the
+same block step (block_step) at width 1.
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ from .distributions import (
     DistributionSpec,
     EntryTriple,
     cross_terms,
-    log_abs_sum,
     make_stream,
     sample_triples,
 )
+from .sums import sample_sums
 
 NEG_INF = float("-inf")
 
@@ -221,12 +224,15 @@ def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
     draw(block, width, gen, workspace) fills ``workspace``, three float64
     buffers of at least min(STEP_BLOCK, n) * width entries, with the next
     ``block`` steps, each entry drawn over the whole block in turn (a
-    rank-one law draws the block's a's, then its c's).  At width
+    rank-one law draws the sums of its first block - 1 steps, then the
+    x's and y's of the last).  At width
     CHAIN_CHUNK the buffers take 1.5 MiB and stay in a 2 MiB L2 through
     all passes of the block step.  It returns the (a, b, c) rows of the
     first and the last step, and the (block - 1) x width cross terms
     within the block.  Only a and b of the first row are read; the last
-    row is a copy, the carry into the next block.
+    row is a copy, the carry into the next block.  A rank-one chain of n
+    steps is thus the sum of log |s_j| over j < n (at a block's end s_j is
+    x + y of the drawn pair), plus log hypot(x_n, y_n) + log hypot(1, 1).
     """
     sumlog = np.zeros(width)
     head_ratio = None
@@ -248,20 +254,33 @@ def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
 
 
 def _sampled_block(spec, block, width, gen, workspace):
-    """Sampled triples; the cross terms overwrite all but the last row of c.
+    """Sampled steps; the cross terms land in the third buffer.
 
-    A rank-one law's b is a itself and b/a = 1 exactly, so its terms are
-    log |a_1 + c_1|, bit for bit those of cross_terms.  Other laws write
-    their head ratios over b's rows after the first.
+    A rank-one law's head ratio x/x is exactly 1, so the cross term of
+    step j is log |x_j + y_j|, a function of that step's sum alone.  Its
+    block draws the sums of its first block - 1 steps (sample_sums) into
+    the third buffer, the first holding the second uniforms, and takes
+    log |s| in place; then the (x, x, y) rows of its last step, fresh
+    from sample_triples.  That row is the carry, whose x + y is the term
+    into the next block and, at a chain's end, whose (x, y) give the
+    tail; it also serves as the first row, of which only the head ratio
+    1 is read.  Other laws sample the block's triples; their cross terms
+    overwrite all but the last row of c, and their head ratios b's rows
+    after the first.
     """
+    if spec.is_rank_one:
+        m = (block - 1) * width
+        s = sample_sums(spec, m, gen, out=(workspace[2], workspace[0]))
+        last = sample_triples(spec, width, gen)
+        np.abs(s, out=s)
+        with np.errstate(divide="ignore"):
+            np.log(s, out=s)
+        return last, last, s.reshape(block - 1, width)
     a, b, c = sample_triples(spec, block * width, gen, out=workspace)
     A, B, C = (x.reshape(block, width) for x in (a, b, c))
     last = (A[-1].copy(), B[-1].copy(), C[-1].copy())
-    if spec.is_rank_one:
-        log_abs_sum(A[:-1], C[:-1], out=C[:-1])
-    else:
-        t1, t2 = (A[:-1], None, C[:-1]), (A[1:], B[1:], None)
-        cross_terms(t1, t2, out=C[:-1], ratio=B[1:])
+    t1, t2 = (A[:-1], None, C[:-1]), (A[1:], B[1:], None)
+    cross_terms(t1, t2, out=C[:-1], ratio=B[1:])
     return (A[0], B[0], C[0]), last, C[:-1]
 
 

@@ -17,6 +17,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .clt import degeneracy_check, simulate_normalized
 from .distributions import (
     CONSTANT_TRIPLE,
@@ -37,6 +39,7 @@ from .estimators import (
 )
 from . import product
 from .product import NEG_INF, build_matrix, chain_log_norms, direct_log_norm
+from .sums import sample_sums
 
 LOG2 = math.log(2.0)
 PI2 = math.pi**2
@@ -199,20 +202,41 @@ def _chain_triples(spec, n, seed, width=1):
     """The triples that chain_log_norms(spec, n, width, seed) draws, per chain.
 
     For width <= CHAIN_CHUNK every chain is in chunk 0, which draws from
-    make_stream(seed, 0) block by block: sample_triples of
-    min(STEP_BLOCK, rest) * width triples, step-major, so step i of
-    chain j is entry i * width + j of its block.  STEP_BLOCK is read at
-    call time, so the replay follows a kernel run with another block.
+    make_stream(seed, 0) block by block: _block_triples of
+    min(STEP_BLOCK, rest) steps, step-major, so step i of chain j is
+    entry i * width + j of its block.  STEP_BLOCK is read at call time,
+    so the replay follows a kernel run with another block.
     """
     gen = make_stream(seed, 0)
     chains = [[] for _ in range(width)]
     for done in range(0, n, product.STEP_BLOCK):
         block = min(product.STEP_BLOCK, n - done)
-        steps = sample_triples(spec, block * width, gen)
+        steps = _block_triples(spec, block, width, gen)
         a, b, c = (x.reshape(block, width).T.tolist() for x in steps)
         for chain, *entries in zip(chains, a, b, c):
             chain.extend(map(EntryTriple, *entries))
     return chains
+
+
+def _block_triples(spec, block, width, gen):
+    """Triples (a, b, c), block * width each, that replay one block step.
+
+    Other laws draw sample_triples of the whole block.  A rank-one block
+    draws the sums s of its first block - 1 steps (sample_sums), then the
+    (x, x, y) of its last (sample_triples).  A sum step becomes the
+    triple (s, s, 0), whose cross term into any rank-one step is exactly
+    s + 0 * 1, and an exact s = 0 the triple (1, 1, -1), whose term is
+    1 - 1 = 0; the head ratio of both is 1, as it is for every rank-one
+    step.
+    """
+    if not spec.is_rank_one:
+        return sample_triples(spec, block * width, gen)
+    s = sample_sums(spec, (block - 1) * width, gen)
+    x, _, y = sample_triples(spec, width, gen)
+    zero = s == 0.0
+    a = np.concatenate([np.where(zero, 1.0, s), x])
+    c = np.concatenate([np.where(zero, -1.0, 0.0), y])
+    return a, a, c
 
 
 def _both_routes(spec, n, seed):

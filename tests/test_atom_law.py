@@ -111,7 +111,9 @@ def one_pass_reduce(spec, n_samples, seed):
 
     Chunk k draws m + 2 triples and forms their m + 1 cross terms.  Every
     L-row batch, and the shorter tail of the last chunk, is summarised on
-    its own, one 1-D _summary each; any -inf term leaves no table.
+    its own, one 1-D _summary each; any -inf term leaves no table.  The
+    events are (-inf terms, +inf or NaN terms); a finite law that passed
+    validation has none of the second kind.
     """
     L = 1 << int(math.log2(math.isqrt(n_samples)))
     events, table = 0, []
@@ -122,7 +124,7 @@ def one_pass_reduce(spec, n_samples, seed):
         if not events:
             x, y = terms[:-1], terms[1:]
             table += [_summary(x[j:j + L], y[j:j + L]) for j in range(0, m, L)]
-    return (events, None) if events else (0, np.array(table))
+    return ((events, 0), None) if events else ((0, 0), np.array(table))
 
 
 class TestPinnedToSampledTriples:
@@ -171,7 +173,7 @@ class TestPinnedToSampledTriples:
     def test_cancelling_law_reaches_minus_inf(self):
         # the pins above compare -inf events, so make sure some happen
         spec = LAWS[IDS.index("atoms5")]
-        assert _reduce(spec, 4096, 0, 1)[0] > 0
+        assert _reduce(spec, 4096, 0, 1)[0][0] > 0
         assert np.isneginf(chain_log_norms(spec, 200, 64, seed=0)).any()
 
 

@@ -91,6 +91,7 @@ class TestEstimate:
         doc = json.loads(out.stdout)
         assert doc["lambda"]["minus_inf_events"] == events
         assert doc["sigma2"]["minus_inf_events"] == events
+        assert doc["lambda"]["inf_nan_events"] == doc["sigma2"]["inf_nan_events"] == 0
         assert (doc["lambda"]["value"] == "-inf") is (events > 0)
 
     def test_mc_counts_cancelled_terms(self, dists):
@@ -99,6 +100,19 @@ class TestEstimate:
         doc = json.loads(out.stdout)
         assert doc["lambda"]["value"] == "-inf" and doc["sigma2"]["value"] == "nan"
         assert doc["lambda"]["minus_inf_events"] == doc["sigma2"]["minus_inf_events"] > 0
+
+    @pytest.mark.parametrize("a, b", [(1e-310, 2e-310), (-1e-307, 1e-307)])
+    def test_counts_inf_and_nan_terms(self, tmp_path, a, b):
+        # 1/x overflows on these Hill supports; the NaN estimate is data,
+        # its +inf and NaN cross terms are counted
+        dist = tmp_path / "hill.json"
+        dist.write_text(json.dumps({"family": "HillRandom", "a": a, "b": b}))
+        out = rmp("estimate", "--dist", str(dist), "--samples", "4096")
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        for key in ("lambda", "sigma2"):
+            assert doc[key]["value"] == "nan" and doc[key]["minus_inf_events"] == 0
+            assert doc[key]["inf_nan_events"] > 0
 
     def test_one_pass_timing_line(self, dists):
         out = rmp("estimate", "--dist", dists["cauchy"], "--samples", "1000")
@@ -191,6 +205,7 @@ class TestClt:
         assert doc["empirical_var"] <= 1e-24
         assert doc["ks_distance"] is None
         assert sum(c for _, _, c in doc["histogram"]) == 50
+        assert doc["minus_inf_events"] == doc["inf_nan_events"] == 0
 
     def test_uniform_closed_form(self, dists, tmp_path):
         hist = tmp_path / "hist.csv"

@@ -24,6 +24,8 @@ from rmp.distributions import (
     sample_triples,
 )
 from rmp.product import CHAIN_CHUNK, chain_log_norms
+from rmp.selftest import KS_COEFF
+from rmp.sums import sample_sums
 
 
 class TestParseSpec:
@@ -573,3 +575,106 @@ class TestEnumerateAtoms:
     def test_continuous_raises(self):
         with pytest.raises(NotDiscreteError, match="not discrete"):
             enumerate_atoms(DistributionSpec.cauchy_rank_one())
+
+
+class QueueStream:
+    """random(out) fills out with the next of the given values, then with
+    make_stream(99)'s uniforms once they are used up."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.gen = make_stream(99)
+
+    def random(self, out):
+        if not self.values:
+            return self.gen.random(out=out)
+        out[...] = self.values.pop(0)
+        return out
+
+
+def _triangular_cdf(lo, hi):
+    """CDF of x + y for x, y i.i.d. uniform on [lo, hi]."""
+    w = hi - lo
+
+    def cdf(s):
+        z = (s - 2.0 * lo) / w  # x + y = 2 lo + w z, z triangular on [0, 2]
+        return np.where(z <= 1.0, z * z / 2.0, 1.0 - (2.0 - z) ** 2 / 2.0)
+
+    return cdf
+
+
+SUM_LAWS = [
+    pytest.param(DistributionSpec.uniform_rank_one(0.0, 1.0), _triangular_cdf(0.0, 1.0),
+                 id="uniform-0-1"),
+    pytest.param(DistributionSpec.uniform_rank_one(1.0, 1.0), _triangular_cdf(-1.0, 1.0),
+                 id="uniform-sym"),
+    # Gamma(2, theta): 1 - exp(-theta s)(1 + theta s)
+    pytest.param(DistributionSpec.exponential_rank_one(1.0),
+                 lambda s: -np.expm1(-s) - s * np.exp(-s), id="exp1"),
+    pytest.param(DistributionSpec.exponential_rank_one(3.0),
+                 lambda s: -np.expm1(-3.0 * s) - 3.0 * s * np.exp(-3.0 * s), id="exp3"),
+    # Cauchy(0, 2)
+    pytest.param(DistributionSpec.cauchy_rank_one(),
+                 lambda s: 0.5 + np.arctan(s / 2.0) / np.pi, id="cauchy"),
+]
+
+
+class TestSampleSums:
+    @pytest.mark.parametrize("spec, cdf", SUM_LAWS)
+    def test_law_of_s_below_ks_line(self, spec, cdf):
+        # the sampler alone against the exact CDF of s = x + y, at the
+        # battery's one-sample KS line (level 0.001)
+        n = 10**5
+        s = np.sort(sample_sums(spec, n, make_stream(31)))
+        f = cdf(s)
+        i = np.arange(1, n + 1) / n
+        ks = max(float((i - f).max()), float((f - (i - 1.0 / n)).max()))
+        assert ks < KS_COEFF / math.sqrt(n), ks
+
+    @pytest.mark.parametrize("spec", [s for s in ONE_PER_FAMILY if s.is_rank_one],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_out_is_bitwise_equal_and_aliases_buffers(self, spec, n):
+        gen_ref, gen_out = make_stream(13, 2), make_stream(13, 2)
+        ref = sample_sums(spec, n, gen_ref)
+        bufs = (np.full(n + 5, np.nan), np.empty(n + 5))
+        got = sample_sums(spec, n, gen_out, out=bufs)
+        assert got.shape == (n,) and np.array_equal(ref, got)
+        assert np.shares_memory(got, bufs[0]) and np.isnan(bufs[0][n:]).all()
+        assert gen_ref.random() == gen_out.random()
+
+    def test_discrete_and_hill_rejected(self):
+        for spec in ONE_PER_FAMILY:
+            if not spec.is_rank_one:
+                with pytest.raises(ValueError, match="not a rank-one family"):
+                    sample_sums(spec, 4, make_stream(0))
+
+    # (law, uniforms (u_1, u_2) that draw s = 0 exactly, uniforms that give
+    # two draws with x + y = 0, or None where no two draws can cancel)
+    ZERO_SUMS = [
+        pytest.param(DistributionSpec.exponential_rank_one(2.0), (0.0, 0.0), None,
+                     id="exponential"),
+        pytest.param(DistributionSpec.uniform_rank_one(0.0, 1.0), (0.0, 0.0), None,
+                     id="uniform-0-b"),
+        pytest.param(DistributionSpec.uniform_rank_one(5e-324, 0.0), (0.75, 0.75), None,
+                     id="uniform-a-0"),
+        pytest.param(DistributionSpec.cauchy_rank_one(), (0.5,), (0.25, 0.75),
+                     id="cauchy"),
+        pytest.param(DistributionSpec.uniform_rank_one(1.0, 1.0), (0.25, 0.75),
+                     (0.25, 0.75), id="uniform-sym"),
+    ]
+
+    @pytest.mark.parametrize("spec, zero, cancel", ZERO_SUMS)
+    def test_exact_zero_redrawn_only_where_two_draws_cannot_cancel(self, spec, zero, cancel):
+        # x is never 0, so x + y = 0 needs y = -x: impossible where both
+        # draws have one sign, and there s = 0 is redrawn; elsewhere the
+        # cancellation is kept, as for two draws
+        s = sample_sums(spec, 1, QueueStream(zero))
+        if cancel is None:
+            assert s[0] != 0.0
+            x, _, y = sample_triples(spec, 10**5, make_stream(3))
+            assert (np.sign(x) == np.sign(x[0])).all() and (x * y >= 0.0).all()
+        else:
+            assert s[0] == 0.0
+            x, _, y = sample_triples(spec, 1, QueueStream(cancel))
+            assert x[0] + y[0] == 0.0

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rmp import product
-from rmp.clt import degeneracy_check
+from rmp.clt import degeneracy_check, simulate_normalized
 from rmp.distributions import (
     _EXP_MIN_THETA,
     _HALF_MAX,
@@ -33,10 +34,12 @@ from rmp.estimators import (
     estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
+    lambda_view,
     trajectory_lambda,
 )
 from rmp.product import chain_log_norms, chunk_sizes
-from rmp.selftest import _spec_zoo
+from rmp.selftest import _block_triples, _spec_zoo
+from rmp.sums import sample_sums
 
 LOG2 = math.log(2.0)
 PI2 = math.pi**2
@@ -81,7 +84,7 @@ def segment_rows(spec, n_samples, seed):
     """The (x, y) lag rows of every chunk's chain segment, one list entry per chunk."""
     rows = []
     for k, m in enumerate(chunk_sizes(n_samples, SAMPLE_CHUNK)):
-        a, b, c = sample_triples(spec, m + 2, make_stream(seed, k))
+        a, b, c = _block_triples(spec, m + 2, 1, make_stream(seed, k))
         terms = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
         rows.append((terms[:-1], terms[1:]))
     return rows
@@ -193,9 +196,10 @@ class TestOverflowingRankOneLaws:
 
 
 class TestRankOneOverflowBounds:
-    # a rank-one law is valid only while x + y of two draws stays finite:
-    # max(a, b) <= DBL_MAX/2 for Uniform, theta >= 2 m / DBL_MAX for
-    # Exponential, with m its largest Exp(1) draw
+    # a rank-one law is valid only while x + y of two draws, and the sum
+    # draw s, stay finite: max(a, b) <= DBL_MAX/2 for Uniform,
+    # theta >= 2 m / DBL_MAX for Exponential, with m its largest Exp(1)
+    # draw and 2 m its largest sum draw
     DBL_MAX = sys.float_info.max
 
     def test_overflowing_laws_rejected(self):
@@ -242,40 +246,134 @@ class TestRankOneOverflowBounds:
         assert m / _EXP_MIN_THETA <= _HALF_MAX and m / below == 2.0**1023
         with pytest.raises(SpecError, match="overflow"):
             DistributionSpec.exponential_rank_one(below)
+        # the largest sum draw, -log p at the smallest product
+        # p = (1 - u)^2 = 2^-106, u = 1 - 2^-53: 106 log 2, which is 2 m
+        S = float(-np.log(2.0**-106))
+        assert (1.0 - (1.0 - 2.0**-53)) ** 2 == 2.0**-106 and S == 2.0 * m
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.traps[decimal.Inexact] = 2000, True
+            # S / theta <= DBL_MAX at the bound
+            assert D(S) <= D(_EXP_MIN_THETA) * D(self.DBL_MAX)
+            # one double below, S / theta reaches the midpoint of DBL_MAX
+            # and 2^1024, and rounds to inf
+            assert D(S) >= D(below) * (D(2) ** 1024 - D(2) ** 970)
+        spec = DistributionSpec.exponential_rank_one(_EXP_MIN_THETA)
+        got = sample_sums(spec, 2, _ExtremeStream([1.0 - 2.0**-53]))
+        assert (got == S / _EXP_MIN_THETA).all() and S / _EXP_MIN_THETA <= self.DBL_MAX
+        with np.errstate(over="ignore"):
+            assert np.float64(S) / below == math.inf
+
+    @pytest.mark.parametrize("theta", [1.0, 3.0, 1e-300, 1e300])
+    def test_exponential_sum_error_near_zero_in_decimal(self, theta):
+        """|s - s*| <= 10 u s* + (1 + 10 u) (u / (1 - u)) / theta + 2^-1074.
+
+        s* = -(log(1 - u_1) + log(1 - u_2)) / theta is the exact sum of the
+        two draws, u = 2^-53.  1 - u_i is exact, fl(p) = p (1 + d) with
+        |d| <= u, and |log(1 + d)| <= u / (1 - u): an absolute error in s
+        that the 4 ulp (8u) of np.log and the rounding of the divide do
+        not scale down as s* -> 0.  2^-1074 covers a subnormal result.
+        Near s* = 0 the relative error of s is therefore not O(u), while
+        -log1p(-u) / theta of a single draw is.
+        """
+        rng = make_stream(17)
+        k = np.concatenate([np.arange(64.0), rng.integers(1, 2**40, 2000).astype(float)])
+        u1 = np.concatenate([k * 2.0**-53, rng.random(500), [1.0 - 2.0**-53]])
+        u2 = np.concatenate([k[::-1] * 2.0**-53, rng.random(500), [1.0 - 2.0**-53]])
+        keep = (u1 > 0.0) | (u2 > 0.0)  # both 0 is the redrawn s = 0
+        u1, u2 = u1[keep], u2[keep]
+        spec = DistributionSpec.exponential_rank_one(theta)
+        got = sample_sums(spec, u1.size, _ExtremeStream([u1, u2]))
+        D = decimal.Decimal
+        beyond_relative = 0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            u, t = D(2) ** -53, D(theta)
+            floor = (1 + 10 * u) * (u / (1 - u)) / t + D(2) ** -1074
+            for g, a, b in zip(got.tolist(), u1.tolist(), u2.tolist()):
+                exact = -((1 - D(a)).ln() + (1 - D(b)).ln()) / t
+                err = abs(D(g) - exact)
+                assert err <= 10 * u * exact + floor, (a, b)
+                beyond_relative += err > 10 * u * exact
+        assert beyond_relative  # the absolute term is needed
 
     # (law at the bound, its closed-form lambda in 50 digits, the uniforms
-    # that give its extreme draws; u = 0 would draw an Exp(1) zero forever)
+    # that give its extreme draws; u = 0 would draw an Exp(1) zero, or a
+    # Uniform [0, b] one, forever)
     @pytest.mark.parametrize(
         "spec, lam, extremes",
         [
             (DistributionSpec.uniform_rank_one(_HALF_MAX, _HALF_MAX),
              float(_ln(2 * _HALF_MAX) - decimal.Decimal("1.5")),
              (0.0, 1.0 - 2.0**-53)),
+            (DistributionSpec.uniform_rank_one(0.0, _HALF_MAX),
+             float(2 * _ln(2) - decimal.Decimal("1.5") + _ln(_HALF_MAX)),
+             (1.0 - 2.0**-53,)),
+            (DistributionSpec.uniform_rank_one(_HALF_MAX, 0.0),
+             float(2 * _ln(2) - decimal.Decimal("1.5") + _ln(_HALF_MAX)),
+             (0.0, 1.0 - 2.0**-53)),
             (DistributionSpec.exponential_rank_one(_EXP_MIN_THETA),
              float(1 - decimal.Decimal("0.57721566490153286060651209")
                    - _ln(_EXP_MIN_THETA)),
              (1.0 - 2.0**-53,)),
         ],
-        ids=["uniform", "exponential"],
+        ids=["uniform", "uniform-0-b", "uniform-a-0", "exponential"],
     )
     def test_law_at_bound_gives_finite_lambda(self, spec, lam, extremes):
-        for u in extremes:
-            x, _, y = sample_triples(spec, 2, _ExtremeStream(u))
-            assert np.isfinite(x + y).all(), u
+        # every pair of extreme uniforms, as the two draws x, y and as the
+        # two uniforms of a sum draw
+        for pair in itertools.product(extremes, repeat=2):
+            x, _, y = sample_triples(spec, 2, _ExtremeStream(pair))
+            assert np.isfinite(x + y).all(), pair
+            assert np.isfinite(sample_sums(spec, 2, _ExtremeStream(pair))).all(), pair
         r = estimate_lambda_mc(spec, 10**5, seed=0)
         assert math.isfinite(r.value) and r.minus_inf_events == 0
         assert abs(r.value - lam) <= 4.0 * r.std_error
 
 
 class _ExtremeStream:
-    """A stream whose every uniform is u, the sampler's extreme input."""
+    """A stream whose calls return the given uniforms in turn, cycling: each
+    fills its whole output with one of them (a number or an array)."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, us):
+        self.us = itertools.cycle(us)
 
     def random(self, out):
-        out.fill(self.u)
+        out[...] = next(self.us)
         return out
+
+
+# c = 1/x overflows in sample_triples on these supports, so cross terms
+# come out +inf or NaN where the true lambda is finite (Hill's term
+# 1 + x_2/x_1 does not change when the support is scaled)
+OVERFLOWING_HILL = [
+    pytest.param(DistributionSpec.hill_random(1e-310, 2e-310), id="subnormal"),
+    pytest.param(DistributionSpec.hill_random(-1e-307, 1e-307), id="around-zero"),
+]
+
+
+class TestNonFiniteEvents:
+    @pytest.mark.parametrize("spec", OVERFLOWING_HILL)
+    def test_counted_on_every_sampled_route(self, spec):
+        # these once gave lambda = sigma2 = NaN with no event counted
+        with np.errstate(over="ignore", invalid="ignore"):
+            (minus_inf, inf_nan), table = _reduce(spec, 4096, 0, 1)
+            sig, ladder = estimate_sigma2_mc(spec, 4096, seed=0)
+            traj = trajectory_lambda(spec, 100, 20, seed=0)
+            report = simulate_normalized(spec, 100, 20, 0.0, 1.0, seed=0)
+        assert table is None and minus_inf == 0 and inf_nan > 0
+        for r in (sig, lambda_view(sig, ladder)):
+            assert math.isnan(r.value) and math.isnan(r.std_error)
+            assert r.minus_inf_events == 0 and r.inf_nan_events == inf_nan
+        assert math.isnan(ladder.lam)
+        assert traj.inf_nan_events > 0 and math.isnan(traj.std_error)
+        assert report.inf_nan_events > 0 and report.minus_inf_events == 0
+        assert sum(c for *_, c in report.histogram) == 20 - report.inf_nan_events
+
+    def test_finite_laws_count_none(self):
+        for spec in _spec_zoo().values():
+            sig, _ = estimate_sigma2_mc(spec, 4096, seed=0)
+            assert sig.inf_nan_events == 0
+            assert simulate_normalized(spec, 20, 10, 0.0, 1.0).inf_nan_events == 0
 
 
 class TestSigma2MC:
@@ -371,28 +469,37 @@ class TestOnePass:
     def test_one_call_draws_n_plus_two_triples_per_chunk(self, spec, monkeypatch):
         n, seed = 2 * SAMPLE_CHUNK + 5, 3
         streams, counts = {}, []
-        real_stream, real_sample = product.make_stream, product.sample_triples
+        real_stream = product.make_stream
 
         def stream(s, k):
             streams[k] = real_stream(s, k)
             return streams[k]
 
-        def sample(spec, m, gen, out=None):
-            counts.append(m)
-            return real_sample(spec, m, gen, out=out)
+        def counted(name):
+            real = getattr(product, name)
+
+            def sample(spec, m, gen, out=None):
+                counts.append((name, m))
+                return real(spec, m, gen, out=out)
+
+            monkeypatch.setattr(product, name, sample)
 
         monkeypatch.setattr(product, "make_stream", stream)
-        monkeypatch.setattr(product, "sample_triples", sample)
+        counted("sample_triples")
+        counted("sample_sums")
         estimate_sigma2_mc(spec, n, seed=seed)
         sizes = chunk_sizes(n, SAMPLE_CHUNK)
         assert sorted(streams) == list(range(len(sizes)))
         for k, m in enumerate(sizes):
-            # each chunk's stream stands exactly m + 2 triples in
+            # each chunk's stream stands exactly m + 2 steps in
             ref = make_stream(seed, k)
-            sample_triples(spec, m + 2, ref)
+            _block_triples(spec, m + 2, 1, ref)
             assert streams[k].random() == ref.random(), k
         if not spec.is_discrete:  # a finite-support law draws atom indices
-            assert sum(counts) == n + 2 * len(sizes)
+            assert sum(m for _, m in counts) == n + 2 * len(sizes)
+            # a rank-one chunk draws its m + 1 sums, then one pair
+            want = [[("sample_sums", m + 1), ("sample_triples", 1)] for m in sizes]
+            assert counts == [c for pair in want for c in pair]
 
     def test_pooled_workspaces_under_thread_stress(self):
         # more workers than cores, switching often: a workspace lent to two
@@ -406,7 +513,7 @@ class TestOnePass:
             got = _reduce(spec, n, 5, 16)
         finally:
             sys.setswitchinterval(interval)
-        assert got[0] == want[0] == 0
+        assert got[0] == want[0] == (0, 0)
         assert np.array_equal(got[1], want[1])
 
     def test_constant_std_errors_exactly_zero(self):

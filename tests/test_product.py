@@ -14,7 +14,6 @@ from rmp.distributions import (
     EntryTriple,
     cross_terms,
     make_stream,
-    sample_triples,
 )
 from rmp.estimators import exact_discrete
 from rmp.product import (
@@ -25,7 +24,7 @@ from rmp.product import (
     chunk_sizes,
     direct_log_norm,
 )
-from rmp.selftest import _both_routes, _chain_triples
+from rmp.selftest import _block_triples, _both_routes, _chain_triples
 
 LOG2 = math.log(2.0)
 
@@ -189,11 +188,12 @@ class TestHeadRatioOrder:
         ids=["exponential", "cauchy", "uniform", "uniform-1e300"],
     )
     def test_rank_one_block_step_is_general_cross_terms(self, spec):
-        # the rank-one step forms log|a + c| with no divide or multiply
+        # the rank-one step draws sums and forms log|s| with no divide or
+        # multiply: the cross terms of the triples it replays, bit for bit
         block, width = STEP_BLOCK, 64
         workspace = tuple(np.empty(block * width) for _ in range(3))
         _, _, got = product.block_step(spec)(block, width, make_stream(6), workspace)
-        steps = sample_triples(spec, block * width, make_stream(6))
+        steps = _block_triples(spec, block, width, make_stream(6))
         A, B, C = (x.reshape(block, width) for x in steps)
         want = cross_terms((A[:-1], None, C[:-1]), (A[1:], B[1:], None))
         assert np.isfinite(want).all()
@@ -246,14 +246,14 @@ ONE_PER_FAMILY = (
 
 
 def allocating_chain_chunk(spec, n, width, gen):
-    """The chain kernel as it was with fresh arrays for every block."""
+    """The chain kernel with fresh arrays for every block, on replayed triples."""
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None
     done = 0
     while done < n:
         block = min(STEP_BLOCK, n - done)
-        a, b, c = sample_triples(spec, block * width, gen)
+        a, b, c = _block_triples(spec, block, width, gen)
         A = a.reshape(block, width)
         B = b.reshape(block, width)
         C = c.reshape(block, width)
