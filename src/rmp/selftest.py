@@ -48,6 +48,12 @@ PI2 = math.pi**2
 # 1.9495 / sqrt(m); 0.0437 for m = 2000.
 KS_COEFF = 1.9495
 
+# Variance acceptance band, in standard deviations of a sample variance:
+# m normal draws give one of relative SD sqrt(2 / (m - 1)).  3.16 of them
+# is 0.09995 sigma^2 at the full battery's m = 2000 chains, the 10 % band
+# the check has always had there; at --quick's 300 chains it is 0.258.
+VAR_BAND_SDS = 3.16
+
 
 @dataclass
 class CheckResult:
@@ -246,6 +252,11 @@ def _both_routes(spec, n, seed):
     return via_kernel, direct_log_norm(map(build_matrix, triples))
 
 
+def variance_band(m: int) -> float:
+    """Relative half-width of the CLT variance band at m chains."""
+    return VAR_BAND_SDS * math.sqrt(2.0 / (m - 1))
+
+
 def check_clt_normality(quick=False, threads=1) -> CheckResult:
     """KS vs N(0, sigma^2) and variance match for four families."""
     t0 = time.perf_counter()
@@ -266,15 +277,16 @@ def check_clt_normality(quick=False, threads=1) -> CheckResult:
         else:
             lam, sigma2 = closed_form(spec)
         rep = simulate_normalized(spec, n, m, lam, sigma2, seed=seed, threads=threads)
-        var_ok = abs(rep.empirical_var - sigma2) <= 0.1 * sigma2
+        var_ok = abs(rep.empirical_var - sigma2) <= variance_band(m) * sigma2
         ks_ok = rep.ks_distance <= ks_line
-        details.append(f"{name}: ks={rep.ks_distance:.4f}")
+        details.append(f"{name}: ks={rep.ks_distance:.4f} var/s2={rep.empirical_var / sigma2:.3f}")
         if not (var_ok and ks_ok):
             fails.append(f"{name} ks_ok={ks_ok} var_ok={var_ok}")
     return CheckResult(
         "clt-normality",
         not fails,
-        "; ".join(fails) or f"{'; '.join(details)} (line {ks_line:.4f})",
+        "; ".join(fails)
+        or f"{'; '.join(details)} (line {ks_line:.4f}, var band +-{variance_band(m):.3f})",
         time.perf_counter() - t0,
     )
 

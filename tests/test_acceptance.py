@@ -4,6 +4,8 @@ Each test prints a PASS line with the measured margins; the same
 battery backs ``rmp selftest``.
 """
 
+import math
+
 import pytest
 
 from rmp.selftest import (
@@ -17,6 +19,7 @@ from rmp.selftest import (
     check_product_formula_oracle,
     check_rank_one_c1_vanishing,
     check_uniform_case_table,
+    variance_band,
 )
 
 
@@ -58,6 +61,13 @@ def test_c05_product_formula_oracle():
 def test_c06_clt_normality():
     # KS <= 0.0437 (alpha = 0.001 at m = 2000) and variance within 10%
     _run(check_clt_normality, 6, 180.0)
+
+
+def test_c06_variance_band_scales_with_chain_count():
+    # the full size's 2000 chains keep the 10 % band; --quick's 300
+    # chains widen it by the sample variance's sqrt(2 / (m - 1))
+    assert variance_band(2000) <= 0.1
+    assert variance_band(300) == pytest.approx(0.1 * math.sqrt(1999 / 299), rel=1e-3)
 
 
 def test_c07_law_of_large_numbers():
