@@ -514,9 +514,9 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     if f == EXPONENTIAL_RANK_ONE:
         return _rank_one(_exponential(gen, spec.theta), a, c)
     if f == CAUCHY_RANK_ONE:
-        return _rank_one(_cauchy(gen), a, c)
+        return _rank_one(cauchy_draw(gen), a, c)
     if f == HILL_RANDOM:
-        _nonzero(_uniform(gen, spec.a, spec.b), b)
+        fill_nonzero(_uniform(gen, spec.a, spec.b), b)
         a.fill(1.0)
         np.divide(1.0, b, out=c)
         return (a, b, c)
@@ -525,7 +525,7 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
 
 def _rank_one(draw, x, y):
     """(x, x, y) of the matrix [[x, x], [y, y]]; x is drawn first."""
-    _nonzero(draw, x)
+    fill_nonzero(draw, x)
     return (x, x, draw(y))
 
 
@@ -565,7 +565,7 @@ def _exponential(gen, theta):
     return draw
 
 
-def _cauchy(gen):
+def cauchy_draw(gen):
     """tan(pi * (u - 0.5))."""
 
     def draw(x):
@@ -578,7 +578,7 @@ def _cauchy(gen):
     return draw
 
 
-def _nonzero(draw, x: np.ndarray) -> np.ndarray:
+def fill_nonzero(draw, x: np.ndarray) -> np.ndarray:
     """Fill x by draw(x), then redraw its exact zeros until none is left.
 
     x.all() is the allocation-free check of the common path; gen.random

@@ -15,8 +15,8 @@ from .distributions import (
     EXPONENTIAL_RANK_ONE,
     UNIFORM_RANK_ONE,
     DistributionSpec,
-    _cauchy,
-    _nonzero,
+    cauchy_draw,
+    fill_nonzero,
 )
 
 
@@ -50,12 +50,12 @@ def sample_sums(spec: DistributionSpec, n: int, gen: np.random.Generator, out=No
     s, scratch = out[0][:n], out[1]
     f = spec.family
     if f == EXPONENTIAL_RANK_ONE:
-        return _nonzero(_exponential_sum(gen, spec.theta, scratch), s)
+        return fill_nonzero(_exponential_sum(gen, spec.theta, scratch), s)
     if f == CAUCHY_RANK_ONE:
         return _cauchy_sum(gen)(s)
     if f == UNIFORM_RANK_ONE:
         draw = _uniform_sum(gen, -spec.a, spec.b, scratch)
-        return _nonzero(draw, s) if spec.a == 0.0 or spec.b == 0.0 else draw(s)
+        return fill_nonzero(draw, s) if spec.a == 0.0 or spec.b == 0.0 else draw(s)
     raise ValueError(f"{f} is not a rank-one family")
 
 
@@ -85,7 +85,7 @@ def _exponential_sum(gen, theta, scratch):
 
 def _cauchy_sum(gen):
     """2 tan(pi * (u - 0.5))."""
-    tan = _cauchy(gen)
+    tan = cauchy_draw(gen)
 
     def draw(x):
         return np.multiply(tan(x), 2.0, out=x)
