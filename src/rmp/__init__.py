@@ -12,7 +12,6 @@ from .distributions import (
     EntryTriple,
     NotDiscreteError,
     SpecError,
-    enumerate_atoms,
     load_spec,
     make_stream,
     parse_spec,
@@ -52,7 +51,6 @@ __all__ = [
     "closed_form",
     "degeneracy_check",
     "direct_log_norm",
-    "enumerate_atoms",
     "estimate_lambda_mc",
     "estimate_sigma2_mc",
     "exact_discrete",

@@ -1,13 +1,9 @@
-"""Joint laws of the entry triple (a, b, c) of a singular 2x2 random matrix.
+"""What the families of entry-triple laws share.
 
-A triple (a, b, c) with a != 0 determines the rank-one matrix
-[[a, b], [c, c*(b/a)]].  The built-in families are:
-
-* rank-one matrices [[x, x], [y, y]] with uniform, exponential, or
-  standard-Cauchy entries ((a, b, c) = (x, x, y)),
-* two-point "binary" multipliers x mapped to [[x, 1/x], [1, 1/x^2]],
-* random Hill-type matrices [[1, x], [1/x, 1]],
-* arbitrary finite atom lists and constant triples.
+DistributionSpec is one validated law of the triple (a, b, c), read by
+parse_spec from the JSON grammar; its family's record in
+families.FAMILIES decides its fields, validation and samplers.  Every
+finite-support law is sampled through its AtomLaw, shared by all routes.
 
 Specs are immutable and validated on construction.  Sampling draws from
 SFC64 streams, one per (seed, chunk) key hashed through a SeedSequence
@@ -18,78 +14,34 @@ substreams.
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-BINARY_HILL = "BinaryHill"
-UNIFORM_RANK_ONE = "UniformRankOne"
-EXPONENTIAL_RANK_ONE = "ExponentialRankOne"
-CAUCHY_RANK_ONE = "CauchyRankOne"
-HILL_RANDOM = "HillRandom"
-DISCRETE_ATOMS = "DiscreteAtoms"
-CONSTANT_TRIPLE = "ConstantTriple"
-
-FAMILIES = (
+from .families import (
     BINARY_HILL,
-    UNIFORM_RANK_ONE,
-    EXPONENTIAL_RANK_ONE,
     CAUCHY_RANK_ONE,
-    HILL_RANDOM,
-    DISCRETE_ATOMS,
     CONSTANT_TRIPLE,
+    DISCRETE_ATOMS,
+    EXPONENTIAL_RANK_ONE,
+    FAMILIES,
+    HILL_RANDOM,
+    UNIFORM_RANK_ONE,
+    EntryTriple,
+    Family,
+    NotDiscreteError,
+    SpecError,
 )
-
-# families whose matrices have the rank-one form [[x, x], [y, y]]
-RANK_ONE_FAMILIES = (UNIFORM_RANK_ONE, EXPONENTIAL_RANK_ONE, CAUCHY_RANK_ONE)
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_ATOM_SUM_TOL = 1e-12
-# largest finite support: every route on it holds the k x k cross-term
-# table, 8 MiB at k = 1024
-MAX_ATOMS = 1024
 
 
-class SpecError(ValueError):
-    """Malformed or invalid distribution document."""
-
-
-class NotDiscreteError(ValueError):
-    """Finite-support enumeration requested for a continuous family."""
-
-
-@dataclass(frozen=True)
-class EntryTriple:
-    """One draw (a, b, c); the matrix it generates is [[a, b], [c, c*(b/a)]].
-
-    a must be nonzero, and the head ratio b/a and the entry c*(b/a), both
-    evaluated in double precision, must be finite.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise SpecError(f"{name} must be a real number, got {v!r}")
-            if not math.isfinite(v):
-                raise SpecError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if self.a == 0.0:
-            raise SpecError("a must be nonzero")
-        # the kernels form b/a and c*(b/a) in double precision, in this order
-        if not math.isfinite(self.b / self.a):
-            raise SpecError(f"head ratio b/a = {self.b!r}/{self.a!r} is not finite")
-        if not math.isfinite(self.c * (self.b / self.a)):
-            raise SpecError(
-                f"matrix entry c*(b/a) = {self.c!r}*({self.b!r}/{self.a!r}) is not finite"
-            )
+def _record(name) -> Family:
+    """FAMILIES[name]; SpecError for a name that is not a family."""
+    if isinstance(name, str) and name in FAMILIES:
+        return FAMILIES[name]
+    raise SpecError(f"family must be one of {', '.join(FAMILIES)}; got {name!r}")
 
 
 def cross_terms(t1, t2, out=None, ratio=None) -> np.ndarray:
@@ -167,13 +119,11 @@ class DistributionSpec:
     atoms: tuple[tuple[EntryTriple, float], ...] | None = field(default=None)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise SpecError(
-                f"family must be one of {', '.join(FAMILIES)}; got {self.family!r}"
-            )
+        record = _record(self.family)
         if self.atoms is not None:
             object.__setattr__(self, "atoms", tuple(tuple(at) for at in self.atoms))
-        _VALIDATORS[self.family](self)
+        if record.validate is not None:
+            record.validate(self)
         # normalize validated numerics so JSON integers behave like reals
         for name in ("alpha", "beta", "p", "a", "b", "theta"):
             v = getattr(self, name)
@@ -183,11 +133,10 @@ class DistributionSpec:
             object.__setattr__(
                 self, "atoms", tuple((t, float(p)) for t, p in self.atoms)
             )
-        if self.is_discrete:
+        if record.atoms is not None:
             object.__setattr__(self, "_atom_law", _validate_cross_terms(self))
-        allowed = _FIELDS[self.family]
         for name in ("alpha", "beta", "p", "a", "b", "theta", "value", "atoms"):
-            if name not in allowed and getattr(self, name) is not None:
+            if name not in record.fields and getattr(self, name) is not None:
                 raise SpecError(f"{name} is not a parameter of {self.family}")
 
     # -- constructors ---------------------------------------------------
@@ -226,11 +175,13 @@ class DistributionSpec:
 
     @property
     def is_discrete(self) -> bool:
-        return self.family in (BINARY_HILL, DISCRETE_ATOMS, CONSTANT_TRIPLE)
+        """The family has a finite support (atoms)."""
+        return FAMILIES[self.family].atoms is not None
 
     @property
     def is_rank_one(self) -> bool:
-        return self.family in RANK_ONE_FAMILIES
+        """The family is rank-one [[x, x], [y, y]]: it draws sums s = x + y."""
+        return FAMILIES[self.family].sums is not None
 
     @property
     def atom_law(self) -> "AtomLaw":
@@ -246,138 +197,6 @@ class DistributionSpec:
 
 
 # -- validation ----------------------------------------------------------
-
-_FIELDS = {
-    BINARY_HILL: ("alpha", "beta", "p"),
-    UNIFORM_RANK_ONE: ("a", "b"),
-    EXPONENTIAL_RANK_ONE: ("theta",),
-    CAUCHY_RANK_ONE: (),
-    HILL_RANDOM: ("a", "b"),
-    DISCRETE_ATOMS: ("atoms",),
-    CONSTANT_TRIPLE: ("value",),
-}
-
-
-def _need(spec, name) -> float:
-    v = getattr(spec, name)
-    if v is None:
-        raise SpecError(f"{spec.family} requires field {name!r}")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecError(f"{name} must be a real number, got {v!r}")
-    if not math.isfinite(v):
-        raise SpecError(f"{name} must be finite, got {v!r}")
-    return float(v)
-
-
-def _validate_binary(spec):
-    alpha = _need(spec, "alpha")
-    beta = _need(spec, "beta")
-    p = _need(spec, "p")
-    for name, x in (("alpha", alpha), ("beta", beta)):
-        if x == 0.0:
-            raise SpecError(f"{name} must be nonzero")
-        if x == -1.0:
-            raise SpecError(f"{name} must not be -1 (the log term degenerates)")
-        # b/a and c*(b/a) of the atom (x, 1/x, 1)
-        if not math.isfinite(1.0 / x / x):
-            raise SpecError(f"{name} = {x!r} is too small: 1/{name}^2 is not finite")
-    # squares by multiplication, since float ** raises OverflowError
-    if alpha * (beta * beta) + 1.0 == 0.0 or (alpha * alpha) * beta + 1.0 == 0.0:
-        raise SpecError(
-            "alpha, beta must satisfy (alpha*beta^2+1)*(alpha^2*beta+1) != 0"
-        )
-    if not 0.0 <= p <= 1.0:
-        raise SpecError(f"p must lie in [0, 1], got {p}")
-
-
-# A rank-one cross term is log |x + y| of two draws; if neither exceeds
-# DBL_MAX/2 = 2^1023 - 2^970 in magnitude, |x + y| <= DBL_MAX is finite.
-_HALF_MAX = sys.float_info.max / 2
-# S / DBL_MAX, with S = 73.4736011393542 the largest Exp(1) sum draw: -log p
-# at p = (1 - u_1)(1 - u_2) = 2^-106 as numpy evaluates it (106 log 2).  S is
-# also 2 m, m = -log1p(-u) at u = 1 - 2^-53 the largest single Exp(1) draw,
-# so the bound covers x + y of a drawn pair too; the tests pin both
-_EXP_MIN_THETA = 2.0 * 36.7368005696771 / sys.float_info.max
-
-
-def _validate_uniform(spec):
-    a = _need(spec, "a")
-    b = _need(spec, "b")
-    # entries live on [-a, b]; a,b are the endpoint magnitudes
-    if a < 0.0:
-        raise SpecError(f"a must be >= 0 (interval is [-a, b]), got {a}")
-    if b < 0.0:
-        raise SpecError(f"b must be >= 0 (interval is [-a, b]), got {b}")
-    if a + b == 0.0:
-        raise SpecError("interval [-a, b] is degenerate; need a + b > 0")
-    # A draw x = fl(-a + fl(W u)), W = fl(a + b), 0 <= u <= 1 - 2^-53, lies in
-    # [-a, b]: for a normal W, fl(W u) <= pred(W) < a + b, as W is the double
-    # nearest a + b (a subnormal W adds exactly).  Tight for a: a = 2^1023
-    # draws -2^1023 at u = 0.  One double short for b: b = 2^1023 draws at
-    # most DBL_MAX/2, and the double after it draws 2^1023 (a = 0).
-    if max(a, b) > _HALF_MAX:
-        raise SpecError(
-            f"interval [-a, b] too wide: a + b or x + y of two draws can overflow; "
-            f"need max(a, b) <= DBL_MAX/2, got a = {a!r}, b = {b!r}"
-        )
-
-
-def _validate_exponential(spec):
-    theta = _need(spec, "theta")
-    if theta <= 0.0:
-        raise SpecError(f"theta must be > 0, got {theta}")
-    # A sum draw is fl(log p / -theta) <= fl(S / theta), and a single draw
-    # fl(-log1p(-u) / theta) <= fl(m / theta) with S = 2 m.  S / DBL_MAX
-    # (about 4.0871e-307) rounds up, so theta >= _EXP_MIN_THETA gives
-    # S / theta <= DBL_MAX and m / theta <= DBL_MAX/2.  Tight: one double
-    # below, S / theta overflows, and m / theta rounds to 2^1023.
-    if theta < _EXP_MIN_THETA:
-        raise SpecError(
-            f"theta = {theta!r} too small: x + y of two draws can overflow; "
-            f"need theta >= {_EXP_MIN_THETA!r}"
-        )
-
-
-def _validate_cauchy(spec):
-    pass
-
-
-def _validate_hill(spec):
-    a = _need(spec, "a")
-    b = _need(spec, "b")
-    if not a < b:
-        raise SpecError(f"need a < b for the multiplier support [a, b], got [{a}, {b}]")
-    if not math.isfinite(b - a):
-        raise SpecError(f"support [a, b] is too wide: b - a = {b!r} - {a!r} overflows")
-
-
-def _validate_constant(spec):
-    if spec.value is None:
-        raise SpecError("ConstantTriple requires field 'value'")
-    if not isinstance(spec.value, EntryTriple):
-        raise SpecError("value must be an EntryTriple")
-
-
-def _validate_atoms(spec):
-    if spec.atoms is None or len(spec.atoms) == 0:
-        raise SpecError("DiscreteAtoms requires a nonempty 'atoms' list")
-    if len(spec.atoms) > MAX_ATOMS:
-        raise SpecError(f"too many atoms: {len(spec.atoms)} > {MAX_ATOMS}")
-    total = 0.0
-    for i, pair in enumerate(spec.atoms):
-        if len(pair) != 2:
-            raise SpecError(f"atoms[{i}] must be a (triple, probability) pair")
-        t, p = pair
-        if not isinstance(t, EntryTriple):
-            raise SpecError(f"atoms[{i}]: first element must be an EntryTriple")
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
-            raise SpecError(f"atoms[{i}]: probability must be a finite real, got {p!r}")
-        if p <= 0.0:
-            raise SpecError(f"atoms[{i}]: probability must be strictly positive, got {p}")
-        total += p
-    if abs(total - 1.0) > _ATOM_SUM_TOL:
-        raise SpecError(f"atom probabilities must sum to 1, got {total!r}")
-
 
 def _validate_cross_terms(spec) -> "AtomLaw":
     """The law's AtomLaw, or SpecError if an atom pair's cross term overflows.
@@ -400,17 +219,6 @@ def _validate_cross_terms(spec) -> "AtomLaw":
     return law
 
 
-_VALIDATORS = {
-    BINARY_HILL: _validate_binary,
-    UNIFORM_RANK_ONE: _validate_uniform,
-    EXPONENTIAL_RANK_ONE: _validate_exponential,
-    CAUCHY_RANK_ONE: _validate_cauchy,
-    HILL_RANDOM: _validate_hill,
-    DISCRETE_ATOMS: _validate_atoms,
-    CONSTANT_TRIPLE: _validate_constant,
-}
-
-
 # -- parsing -------------------------------------------------------------
 
 def parse_spec(text: str) -> DistributionSpec:
@@ -429,14 +237,13 @@ def parse_spec(text: str) -> DistributionSpec:
     if "family" not in obj:
         raise SpecError("missing required field 'family'")
     family = obj["family"]
-    if family not in FAMILIES:
-        raise SpecError(f"family must be one of {', '.join(FAMILIES)}; got {family!r}")
-    extra = set(obj) - {"family"} - set(_FIELDS[family])
+    fields = _record(family).fields
+    extra = set(obj) - {"family"} - set(fields)
     if extra:
         raise SpecError(f"unknown field(s) for {family}: {', '.join(sorted(extra))}")
 
     kwargs = {}
-    for name in _FIELDS[family]:
+    for name in fields:
         if name not in obj:
             continue
         raw = obj[name]
@@ -488,7 +295,8 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     gathers its atoms: n uniforms u, and atom #{j : cum[j] <= u} of the
     cumulative probabilities cum, where the last atom absorbs the
     rounding slack of cum (cum[-1] is raised to 1 if it fell below).  A
-    law with a single atom draws nothing.
+    law with a single atom draws nothing.  Other laws draw by their
+    family's ``triples``.
 
     ``out`` is an optional triple of float64 buffers, each at least n
     long.  Their first n entries are overwritten and the returned arrays
@@ -500,117 +308,39 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     if out is None:
         out = (np.empty(n), np.empty(n), np.empty(n))
     a, b, c = (buf[:n] for buf in out)
-    f = spec.family
-    if spec.is_discrete:
-        law = spec.atom_law
-        idx = law.indices(n, gen, out=(c, np.empty(n, np.intp), b))
-        # idx < k; mode="clip" writes out directly, where the default
-        # mode="raise" buffers a copy
-        for j, buf in enumerate((a, b, c)):
-            np.take(law.atoms[:, j], idx, out=buf, mode="clip")
-        return (a, b, c)
-    if f == UNIFORM_RANK_ONE:
-        return _rank_one(_uniform(gen, -spec.a, spec.b), a, c)
-    if f == EXPONENTIAL_RANK_ONE:
-        return _rank_one(_exponential(gen, spec.theta), a, c)
-    if f == CAUCHY_RANK_ONE:
-        return _rank_one(cauchy_draw(gen), a, c)
-    if f == HILL_RANDOM:
-        fill_nonzero(_uniform(gen, spec.a, spec.b), b)
-        a.fill(1.0)
-        np.divide(1.0, b, out=c)
-        return (a, b, c)
-    raise AssertionError(f"unhandled family {f}")
+    if not spec.is_discrete:
+        return FAMILIES[spec.family].triples(spec, gen, a, b, c)
+    law = spec.atom_law
+    idx = law.indices(n, gen, out=(c, np.empty(n, np.intp), b))
+    # idx < k; mode="clip" writes out directly, where the default
+    # mode="raise" buffers a copy
+    for j, buf in enumerate((a, b, c)):
+        np.take(law.atoms[:, j], idx, out=buf, mode="clip")
+    return (a, b, c)
 
 
-def _rank_one(draw, x, y):
-    """(x, x, y) of the matrix [[x, x], [y, y]]; x is drawn first."""
-    fill_nonzero(draw, x)
-    return (x, x, draw(y))
+def sample_sums(spec: DistributionSpec, n: int, gen: np.random.Generator, out=None):
+    """Draw n i.i.d. sums s = x + y of the entries of a rank-one law.
 
+    The head ratio x/x of a rank-one step is exactly 1, so its cross term
+    is log |x + y|, a function of s alone, and the family's ``sums`` draws
+    s from its own law.  Where x + y of two draws cannot vanish, because
+    both draws have one sign and x is never 0 (Exponential, and Uniform
+    on [0, b] or [-a, 0]), an exact s = 0 is redrawn.  Elsewhere s = 0 is
+    kept: it is the exact cancellation that x + y = 0 is for two draws.
+    ValueError for a law that is not rank-one.
 
-# Each maker returns draw(x), which fills x in place from the stream and
-# returns it.  The docstrings give the formula; the in-place steps keep
-# its operation order, so the values are bitwise those of the formula.
-
-def _uniform(gen, lo, hi):
-    """lo + (hi - lo) * u, which is exactly gen.uniform(lo, hi)."""
-    width = hi - lo
-
-    def draw(x):
-        gen.random(out=x)
-        x *= width
-        x += lo
-        return x
-
-    return draw
-
-
-def _exponential(gen, theta):
-    """-log1p(-u) / theta, as log1p(-u) / -theta.
-
-    IEEE division is sign-symmetric, so negating the divisor instead of
-    the dividend gives the same bits, signed zeros included, in one pass
-    fewer.
+    ``out`` is an optional pair of float64 buffers, each at least n long:
+    the sums land in the first (the returned array is a view of its
+    prefix), and the second is scratch for the second uniforms.  Without
+    ``out`` fresh buffers are allocated; the draws are the same either way.
     """
-    divisor = -theta
-
-    def draw(x):
-        gen.random(out=x)
-        np.negative(x, out=x)
-        np.log1p(x, out=x)
-        np.divide(x, divisor, out=x)
-        return x
-
-    return draw
-
-
-def cauchy_draw(gen):
-    """tan(pi * (u - 0.5))."""
-
-    def draw(x):
-        gen.random(out=x)
-        np.subtract(x, 0.5, out=x)
-        np.multiply(x, np.pi, out=x)
-        np.tan(x, out=x)
-        return x
-
-    return draw
-
-
-def fill_nonzero(draw, x: np.ndarray) -> np.ndarray:
-    """Fill x by draw(x), then redraw its exact zeros until none is left.
-
-    x.all() is the allocation-free check of the common path; gen.random
-    can return exactly 0.0, so the redraw loop is reachable.
-    """
-    draw(x)
-    while not x.all():
-        mask = x == 0.0
-        x[mask] = draw(np.empty(np.count_nonzero(mask)))
-    return x
-
-
-def enumerate_atoms(spec: DistributionSpec):
-    """Finite support of a discrete spec as [(EntryTriple, probability)].
-
-    Probabilities are returned exactly as stated (no renormalization);
-    zero-probability branches of a degenerate BinaryHill are dropped.
-    Raises NotDiscreteError for continuous families.
-    """
-    f = spec.family
-    if f == CONSTANT_TRIPLE:
-        return [(spec.value, 1.0)]
-    if f == BINARY_HILL:
-        out = []
-        if spec.p > 0.0:
-            out.append((EntryTriple(spec.alpha, 1.0 / spec.alpha, 1.0), spec.p))
-        if spec.p < 1.0:
-            out.append((EntryTriple(spec.beta, 1.0 / spec.beta, 1.0), 1.0 - spec.p))
-        return out
-    if f == DISCRETE_ATOMS:
-        return list(spec.atoms)
-    raise NotDiscreteError(f"{f} is not discrete; finite support unavailable")
+    sums = FAMILIES[spec.family].sums
+    if sums is None:
+        raise ValueError(f"{spec.family} is not a rank-one family")
+    if out is None:
+        out = (np.empty(n), np.empty(n))
+    return sums(spec, gen, out[0][:n], out[1])
 
 
 # -- finite-support laws -------------------------------------------------
@@ -620,17 +350,18 @@ class AtomLaw:
 
     Validation builds it and the spec keeps it (DistributionSpec.atom_law),
     so every route and thread shares one instance.  ``atoms`` is the
-    k x 3 table of the triples of enumerate_atoms(spec), one row (a, b, c)
-    per atom, and ``p`` their probabilities as stated.  ``cum`` holds the
-    cumulative probabilities, the last raised to 1 if rounding left it
-    below, padded with +inf to a power-of-two length for index_search.
+    k x 3 table of the triples of the family's ``atoms(spec)``, one row
+    (a, b, c) per atom, and ``p`` their probabilities exactly as stated
+    (no renormalization).  ``cum`` holds the cumulative probabilities,
+    the last raised to 1 if rounding left it below, padded with +inf to
+    a power-of-two length for index_search.
     The cross term of atom i followed by atom j is one of k^2 numbers,
     kept in a table built here; ``cross`` gathers from it, so callers
     never see its layout.
     """
 
     def __init__(self, spec: DistributionSpec):
-        support = enumerate_atoms(spec)
+        support = FAMILIES[spec.family].atoms(spec)
         self.k = len(support)
         self.atoms = np.array([(t.a, t.b, t.c) for t, _ in support])
         self.p = np.array([p for _, p in support])

@@ -37,26 +37,15 @@ import numpy as np
 # attributes: perfbench/tracing.py wraps them here by name, though this
 # module calls none of them
 from .distributions import (
-    BINARY_HILL,
-    CAUCHY_RANK_ONE,
-    EXPONENTIAL_RANK_ONE,
-    UNIFORM_RANK_ONE,
     DistributionSpec,
     cross_terms,
     make_stream,
     sample_triples,
 )
+from .families import FAMILIES, NoClosedFormError
 from .product import NEG_INF, chain_log_norms, map_chunks, map_streams
 
-# Euler-Mascheroni constant, fixed to 20 digits so closed forms are
-# constants rather than estimates.
-EULER_GAMMA = 0.57721566490153286061
-
 SAMPLE_CHUNK = 1 << 16
-
-
-class NoClosedFormError(ValueError):
-    """No closed-form values for this spec's family/parameters."""
 
 
 @dataclass(frozen=True)
@@ -393,59 +382,9 @@ def exact_moments(T: np.ndarray, p: np.ndarray):
 # -- closed forms ------------------------------------------------------------
 
 def closed_form(spec: DistributionSpec):
-    """(lambda, sigma2) for the solvable families.
-
-    Uniform rank-one is solvable only for supports [0, b], [-a, 0], or
-    [-b, b]; other parameters raise NoClosedFormError rather than
-    returning a non-oracle value.
-    """
-    f = spec.family
-    if f == CAUCHY_RANK_ONE:
-        return math.log(2.0), math.pi**2 / 4.0
-    if f == EXPONENTIAL_RANK_ONE:
-        return 1.0 - EULER_GAMMA - math.log(spec.theta), math.pi**2 / 6.0 - 1.0
-    if f == UNIFORM_RANK_ONE:
-        a, b = spec.a, spec.b
-        if a == 0.0 and b > 0.0:
-            return (
-                2.0 * math.log(2.0) - 1.5 + math.log(b),
-                1.25 - 2.0 * math.log(2.0) ** 2,
-            )
-        if b == 0.0 and a > 0.0:
-            return (
-                2.0 * math.log(2.0) - 1.5 + math.log(a),
-                1.25 - 2.0 * math.log(2.0) ** 2,
-            )
-        if a == b:
-            return math.log(2.0 * b) - 1.5, 1.25
-        raise NoClosedFormError(
-            f"no closed form for uniform support [-{a}, {b}]; "
-            "solvable cases are a=0, b=0, or a=b"
-        )
-    if f == BINARY_HILL:
-        return _binary_closed_form(spec.alpha, spec.beta, spec.p)
-    raise NoClosedFormError(f"no closed form for family {f}")
-
-
-def _binary_closed_form(alpha: float, beta: float, p: float):
-    """Closed-form exponent and variance of the two-point multiplier.
-
-    Grouped by the three distinct log magnitudes: the like-pair terms
-    L1 = log|alpha + 1/alpha^2| and L3 = log|beta + 1/beta^2|, and the
-    mixed-pair combination L2 = log(|alpha + 1/beta^2| |beta + 1/alpha^2|).
-    """
-    q = 1.0 - p
-    # squares by multiplication, since float ** raises OverflowError
-    inv_a2, inv_b2 = 1.0 / (alpha * alpha), 1.0 / (beta * beta)
-    l1 = math.log(abs(alpha + inv_a2))
-    l2 = math.log(abs(alpha + inv_b2) * abs(beta + inv_a2))
-    l3 = math.log(abs(beta + inv_b2))
-    lam = p * p * l1 + p * q * l2 + q * q * l3
-    sigma2 = (
-        p**2 * (1.0 + (2.0 - 3.0 * p) * p) * l1**2
-        - 2.0 * q * p**2 * l1 * ((3.0 * p - 1.0) * l2 + 3.0 * q * l3)
-        + q * (1.0 + 3.0 * (p - 1.0) * p) * p * l2**2
-        + 2.0 * q**2 * (3.0 * p - 2.0) * p * l2 * l3
-        - q**2 * (3.0 * p - 4.0) * p * l3**2
-    )
-    return lam, sigma2
+    """(lambda, sigma2) by the family's closed form; NoClosedFormError for
+    a family or parameters without one (families._uniform_closed_form)."""
+    solve = FAMILIES[spec.family].closed_form
+    if solve is None:
+        raise NoClosedFormError(f"no closed form for family {spec.family}")
+    return solve(spec)

@@ -37,7 +37,7 @@ reads and writes.  The Monte Carlo route sizes its own block (a segment
 of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
 STEP_BLOCK.  Only the block step depends on the law.  A rank-one law,
 whose cross term log |x_j + y_j| depends on step j alone, draws one sum
-s_j = x_j + y_j per step (sums.sample_sums) and takes log |s_j|,
+s_j = x_j + y_j per step (distributions.sample_sums) and takes log |s_j|,
 with no divide or multiply; only the last step of a block is drawn as a
 pair (x, y), the carry into the next block and a chain's tail.  Another
 continuous law samples the block's triples into the workspace and forms
@@ -61,9 +61,9 @@ from .distributions import (
     EntryTriple,
     cross_terms,
     make_stream,
+    sample_sums,
     sample_triples,
 )
-from .sums import sample_sums
 
 NEG_INF = float("-inf")
 

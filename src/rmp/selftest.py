@@ -21,14 +21,13 @@ import numpy as np
 
 from .clt import degeneracy_check, simulate_normalized
 from .distributions import (
-    CONSTANT_TRIPLE,
     DistributionSpec,
     EntryTriple,
     make_stream,
+    sample_sums,
     sample_triples,
 )
 from .estimators import (
-    EULER_GAMMA,
     NoClosedFormError,
     closed_form,
     estimate_lambda_mc,
@@ -38,8 +37,8 @@ from .estimators import (
     trajectory_lambda,
 )
 from . import product
+from .families import CONSTANT_TRIPLE, EULER_GAMMA
 from .product import NEG_INF, build_matrix, chain_log_norms, direct_log_norm
-from .sums import sample_sums
 
 LOG2 = math.log(2.0)
 PI2 = math.pi**2

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 
 from rmp.clt import degeneracy_check
 from rmp.distributions import (
-    BINARY_HILL,
-    CONSTANT_TRIPLE,
     AtomLaw,
     DistributionSpec,
     index_search,
@@ -33,6 +31,7 @@ from rmp.estimators import (
     estimate_sigma2_mc,
     exact_discrete,
 )
+from rmp.families import BINARY_HILL, CONSTANT_TRIPLE
 from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 
 

@@ -8,7 +8,8 @@ import pytest
 from test_estimators import decimal_reference
 
 from rmp.cli import build_parser
-from rmp.distributions import MAX_ATOMS, parse_spec
+from rmp.distributions import parse_spec
+from rmp.families import MAX_ATOMS
 
 LOG2 = math.log(2.0)
 

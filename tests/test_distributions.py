@@ -1,31 +1,37 @@
+import json
 import math
+import re
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rmp import distributions
+from rmp import distributions, families
 from rmp.distributions import (
-    CAUCHY_RANK_ONE,
-    EXPONENTIAL_RANK_ONE,
-    HILL_RANDOM,
-    UNIFORM_RANK_ONE,
-    MAX_ATOMS,
     DistributionSpec,
     EntryTriple,
     NotDiscreteError,
     SpecError,
     cross_terms,
-    enumerate_atoms,
     make_stream,
     parse_spec,
+    sample_sums,
     sample_triples,
 )
+from rmp.families import (
+    CAUCHY_RANK_ONE,
+    EXPONENTIAL_RANK_ONE,
+    FAMILIES,
+    HILL_RANDOM,
+    UNIFORM_RANK_ONE,
+    MAX_ATOMS,
+)
+from rmp.estimators import NoClosedFormError, closed_form
 from rmp.product import CHAIN_CHUNK, chain_log_norms
 from rmp.selftest import KS_COEFF
-from rmp.sums import sample_sums
 
 
 class TestParseSpec:
@@ -450,7 +456,7 @@ class ReplayStream:
         return out
 
 
-EXP_THETAS = [1.0, 0.5, 3.0, 1.0 / 3.0, distributions._EXP_MIN_THETA, 1e300]
+EXP_THETAS = [1.0, 0.5, 3.0, 1.0 / 3.0, families._EXP_MIN_THETA, 1e300]
 
 
 class TestExponentialDivisor:
@@ -469,7 +475,7 @@ class TestExponentialDivisor:
     def test_extreme_uniforms(self, theta):
         # u = 0 draws +0.0 (not -0.0); 1 - 2^-53 draws the largest value
         u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
-        got = distributions._exponential(ReplayStream(u), theta)(np.empty(u.size))
+        got = families._exponential(ReplayStream(u), theta)(np.empty(u.size))
         want = -np.log1p(-u) / theta
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert not np.signbit(got[0])
@@ -556,11 +562,11 @@ class TestNonzeroResampling:
 class TestEnumerateAtoms:
     def test_constant(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
-        assert enumerate_atoms(spec) == [(EntryTriple(1, 1, 1), 1.0)]
+        assert FAMILIES[spec.family].atoms(spec) == [(EntryTriple(1, 1, 1), 1.0)]
 
     def test_binary(self):
         spec = DistributionSpec.binary_hill(2.0, 3.0, 0.25)
-        atoms = enumerate_atoms(spec)
+        atoms = FAMILIES[spec.family].atoms(spec)
         assert atoms == [
             (EntryTriple(2.0, 0.5, 1.0), 0.25),
             (EntryTriple(3.0, 1.0 / 3.0, 1.0), 0.75),
@@ -570,11 +576,11 @@ class TestEnumerateAtoms:
     def test_probabilities_exactly_as_stated(self):
         atoms = [((1.0, 1.0, 1.0), 0.125), ((2.0, 1.0, 1.0), 0.875)]
         spec = DistributionSpec.discrete_atoms(atoms)
-        assert [p for _, p in enumerate_atoms(spec)] == [0.125, 0.875]
+        assert [p for _, p in FAMILIES[spec.family].atoms(spec)] == [0.125, 0.875]
 
     def test_continuous_raises(self):
         with pytest.raises(NotDiscreteError, match="not discrete"):
-            enumerate_atoms(DistributionSpec.cauchy_rank_one())
+            DistributionSpec.cauchy_rank_one().atom_law
 
 
 class QueueStream:
@@ -656,8 +662,6 @@ class TestSampleSums:
                      id="exponential"),
         pytest.param(DistributionSpec.uniform_rank_one(0.0, 1.0), (0.0, 0.0), None,
                      id="uniform-0-b"),
-        pytest.param(DistributionSpec.uniform_rank_one(5e-324, 0.0), (0.75, 0.75), None,
-                     id="uniform-a-0"),
         pytest.param(DistributionSpec.cauchy_rank_one(), (0.5,), (0.25, 0.75),
                      id="cauchy"),
         pytest.param(DistributionSpec.uniform_rank_one(1.0, 1.0), (0.25, 0.75),
@@ -678,3 +682,83 @@ class TestSampleSums:
             assert s[0] == 0.0
             x, _, y = sample_triples(spec, 1, QueueStream(cancel))
             assert x[0] + y[0] == 0.0
+
+
+# the fields of a valid document of each family
+MINIMAL_DOCS = {
+    "BinaryHill": {"alpha": 2, "beta": 3, "p": 0.5},
+    "UniformRankOne": {"a": 1, "b": 1},
+    "ExponentialRankOne": {"theta": 1},
+    "CauchyRankOne": {},
+    "HillRandom": {"a": 0.5, "b": 2},
+    "DiscreteAtoms": {"atoms": [[[1, 0.5, 1], 0.25], [[2, 1, -1], 0.75]]},
+    "ConstantTriple": {"value": [1, 1, 1]},
+}
+
+
+UNSOLVED_DOCS = {"UniformRankOne": {"a": 1, "b": 2}}
+
+
+def _doc(record, **changes):
+    """JSON of the family's minimal document with ``changes``; None drops a field."""
+    doc = {"family": record.name, **MINIMAL_DOCS[record.name], **changes}
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+@pytest.mark.parametrize("record", FAMILIES.values(), ids=lambda r: r.name)
+class TestFamilyRecords:
+    def test_minimal_document_parses(self, record):
+        assert set(MINIMAL_DOCS[record.name]) == set(record.fields)
+        spec = parse_spec(_doc(record))
+        assert spec.family == record.name
+
+    def test_missing_and_unknown_fields_named(self, record):
+        for name in record.fields:
+            with pytest.raises(SpecError, match=f"'{name}'"):
+                parse_spec(_doc(record, **{name: None}))
+        with pytest.raises(SpecError, match="unknown field.*gamma"):
+            parse_spec(_doc(record, gamma=1))
+
+    def test_discrete_exactly_with_atoms(self, record):
+        spec = parse_spec(_doc(record))
+        assert spec.is_discrete == (record.atoms is not None)
+        if spec.is_discrete:
+            support = record.atoms(spec)
+            assert spec.atom_law.k == len(support)
+            assert spec.atom_law.p.tolist() == [p for _, p in support]
+        else:
+            with pytest.raises(NotDiscreteError):
+                spec.atom_law
+
+    def test_rank_one_exactly_with_sums(self, record):
+        spec = parse_spec(_doc(record))
+        assert spec.is_rank_one == (record.sums is not None)
+        if spec.is_rank_one:
+            assert sample_sums(spec, 4, make_stream(0)).shape == (4,)
+            a, b, _ = sample_triples(spec, 4, make_stream(0))
+            assert a is b  # the triple (x, x, y) of [[x, x], [y, y]]
+        else:
+            with pytest.raises(ValueError, match="not a rank-one family"):
+                sample_sums(spec, 4, make_stream(0))
+
+    def test_closed_form_raises_exactly_without_one(self, record):
+        spec = parse_spec(_doc(record))
+        if record.closed_form is None:
+            with pytest.raises(NoClosedFormError, match="no closed form"):
+                closed_form(spec)
+        else:
+            assert all(map(math.isfinite, closed_form(spec)))
+        # parameters that a family's closed form does not solve
+        if record.name in UNSOLVED_DOCS:
+            with pytest.raises(NoClosedFormError, match="no closed form"):
+                closed_form(parse_spec(_doc(record, **UNSOLVED_DOCS[record.name])))
+
+
+def test_readme_config_table_lists_every_family_and_its_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("## Distribution configs", 1)[1]
+    first_table = re.search(r"^\|.*?\n(?!\|)", section, re.M | re.S).group()
+    rows = re.findall(r"^\| `(\w+)` +\|([^|]*)\|", first_table, re.M)
+    table = {name: tuple(f.split(":")[0] for f in re.findall(r"`([^`]+)`", cell))
+             for name, cell in rows}
+    assert table == {r.name: r.fields for r in FAMILIES.values()}

@@ -12,19 +12,15 @@ from hypothesis import strategies as st
 from rmp import product
 from rmp.clt import degeneracy_check, simulate_normalized
 from rmp.distributions import (
-    _EXP_MIN_THETA,
-    _HALF_MAX,
-    MAX_ATOMS,
     AtomLaw,
     DistributionSpec,
     EntryTriple,
     SpecError,
-    enumerate_atoms,
     make_stream,
+    sample_sums,
     sample_triples,
 )
 from rmp.estimators import (
-    EULER_GAMMA,
     SAMPLE_CHUNK,
     NoClosedFormError,
     _reduce,
@@ -37,9 +33,9 @@ from rmp.estimators import (
     lambda_view,
     trajectory_lambda,
 )
+from rmp.families import _EXP_MIN_THETA, _HALF_MAX, EULER_GAMMA, FAMILIES, MAX_ATOMS
 from rmp.product import chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples, _spec_zoo
-from rmp.sums import sample_sums
 
 LOG2 = math.log(2.0)
 PI2 = math.pi**2
@@ -64,7 +60,7 @@ def decimal_reference(spec, digits=60):
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         D = decimal.Decimal
-        atoms = [(t, D(p)) for t, p in enumerate_atoms(spec)]
+        atoms = [(t, D(p)) for t, p in FAMILIES[spec.family].atoms(spec)]
         X = [
             [abs(D(ti.a) + D(tj.b) * D(ti.c) / D(tj.a)).ln() for tj, _ in atoms]
             for ti, _ in atoms
@@ -328,6 +324,30 @@ class TestRankOneOverflowBounds:
         r = estimate_lambda_mc(spec, 10**5, seed=0)
         assert math.isfinite(r.value) and r.minus_inf_events == 0
         assert abs(r.value - lam) <= 4.0 * r.std_error
+
+
+class TestUniformSupportFloor:
+    # below a + b = DBL_MIN every product W u of a draw is subnormal, one
+    # of fewer than 2^52 values: (5e-324, 0) gave lambda = -743.747 with
+    # SE 0 at 2e5 samples (closed form -744.554), every sum draw -2a
+    DBL_MIN = sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(5e-324, 0.0), (0.0, 5e-324), (np.nextafter(DBL_MIN, 0.0), 0.0)],
+        ids=["a", "b", "below-floor"],
+    )
+    def test_subnormal_width_rejected(self, a, b):
+        with pytest.raises(SpecError, match="DBL_MIN"):
+            DistributionSpec.uniform_rank_one(a, b)
+
+    @pytest.mark.parametrize("a, b", [(DBL_MIN, 0.0), (0.0, DBL_MIN)], ids=["a", "b"])
+    def test_law_at_floor_within_4se_of_closed_form(self, a, b):
+        spec = DistributionSpec.uniform_rank_one(a, b)
+        r, ladder = estimate_sigma2_mc(spec, 10**5, seed=1)
+        lam, sigma2 = closed_form(spec)
+        assert abs(ladder.lam - lam) <= 4.0 * ladder.lam_std_error
+        assert abs(r.value - sigma2) <= 4.0 * r.std_error
 
 
 class _ExtremeStream:
