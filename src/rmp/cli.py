@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate lambda and sigma^2")
     common(p)
-    p.add_argument("--samples", type=int, default=100_000, help="MC sample count")
+    p.add_argument("--samples", type=_int_in(2), default=100_000, help="MC sample count")
     p.add_argument(
         "--exact",
         action="store_true",
@@ -260,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt", help="simulate the normalized statistic")
     common(p)
-    p.add_argument("--n", type=int, default=10_000, help="chain length")
-    p.add_argument("--chains", type=int, default=500, help="number of chains")
+    p.add_argument("--n", type=_int_in(10), default=10_000, help="chain length")
+    p.add_argument("--chains", type=_int_in(10), default=500, help="number of chains")
     p.add_argument(
         "--source",
         required=True,
         choices=["closed-form", "exact", "mc"],
         help="where (lambda, sigma^2) come from",
     )
-    p.add_argument("--samples", type=int, default=100_000, help="MC source samples")
+    p.add_argument("--samples", type=_int_in(2), default=100_000, help="MC source samples")
     p.add_argument("--hist-out", help="write the histogram CSV here")
     p.set_defaults(fn=cmd_clt)
 

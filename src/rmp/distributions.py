@@ -180,8 +180,8 @@ class DistributionSpec:
 
     @property
     def is_rank_one(self) -> bool:
-        """The family is rank-one [[x, x], [y, y]]: it draws sums s = x + y."""
-        return FAMILIES[self.family].sums is not None
+        """The family is rank-one [[x, x], [y, y]]: it draws unit sums t."""
+        return FAMILIES[self.family].units is not None
 
     @property
     def atom_law(self) -> "AtomLaw":
@@ -319,28 +319,30 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     return (a, b, c)
 
 
-def sample_sums(spec: DistributionSpec, n: int, gen: np.random.Generator, out=None):
-    """Draw n i.i.d. sums s = x + y of the entries of a rank-one law.
+def sample_units(spec: DistributionSpec, n: int, gen: np.random.Generator, out=None):
+    """Draw n i.i.d. unit sums t of a rank-one law, by its family's ``units``.
 
     The head ratio x/x of a rank-one step is exactly 1, so its cross term
-    is log |x + y|, a function of s alone, and the family's ``sums`` draws
-    s from its own law.  Where x + y of two draws cannot vanish, because
-    both draws have one sign and x is never 0 (Exponential, and Uniform
-    on [0, b] or [-a, 0]), an exact s = 0 is redrawn.  Elsewhere s = 0 is
-    kept: it is the exact cancellation that x + y = 0 is for two draws.
-    ValueError for a law that is not rank-one.
+    is log |x + y| = log |t| + log |kappa| of the step's sum
+    s = x + y = kappa t, with kappa = ``scale(spec)`` a constant of the
+    law.  The draw divides, negates and scales nothing.  Where x + y of
+    two draws cannot vanish, because both draws have one sign and x is
+    never 0 (Exponential, and Uniform on [0, b] or [-a, 0]), t is never
+    0 (an exact 0 is redrawn).  Elsewhere t = 0 is kept: it is the exact
+    cancellation that x + y = 0 is for two draws.  ValueError for a law
+    that is not rank-one.
 
     ``out`` is an optional pair of float64 buffers, each at least n long:
-    the sums land in the first (the returned array is a view of its
+    the unit sums land in the first (the returned array is a view of its
     prefix), and the second is scratch for the second uniforms.  Without
     ``out`` fresh buffers are allocated; the draws are the same either way.
     """
-    sums = FAMILIES[spec.family].sums
-    if sums is None:
+    units = FAMILIES[spec.family].units
+    if units is None:
         raise ValueError(f"{spec.family} is not a rank-one family")
     if out is None:
         out = (np.empty(n), np.empty(n))
-    return sums(spec, gen, out[0][:n], out[1])
+    return units(spec, gen, out[0][:n], out[1])
 
 
 # -- finite-support laws -------------------------------------------------

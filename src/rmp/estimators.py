@@ -172,8 +172,9 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     m + 1 cross terms and m lag rows; _segment cuts them into batches of
     batch_length(n_samples) rows.  A finite-support law draws atom
     indices and gathers its cross terms from AtomLaw's table, the same
-    values bit for bit; a rank-one law draws the m + 1 sums s_j whose
-    log |s_j| are the terms, and a last pair that no term reads.
+    values bit for bit; a rank-one law draws the m + 1 unit sums t_j whose
+    log |t_j| + log |kappa| are the terms, one each (map_streams' per-term
+    block step), and a last pair that no term reads.
     Returns (events, table): the counts of -inf terms and of +inf or NaN
     terms, and the batch rows of every chunk in chunk order (see
     _summary), or None if any term was not finite.  Memory is
@@ -240,6 +241,15 @@ def estimate_sigma2_mc(
     of a batch value over sqrt(number of batches).  Below 4 rows a batch
     is one row, whose centered sums are 0, so the standard errors of
     sigma2, c0 and c1 are NaN there.
+
+    With K chunks, each its own chain segment, Var(lam) is
+    (n sigma2 - 2 K c1) / n^2, while L Var(batch mean) = sigma2 - 2 c1 / L
+    for batches of L rows; so where sigma2 << |c1| the SE of lam is far
+    too wide (11x at sigma2 = 1.6e-10, c1 = -1.3e-5).  Three measured
+    fixes fail there: s_b^2 / B + 2 c1 (B - K) / n^2 (B batch means of
+    variance s_b^2) and the plug-in (n sigma2 - 2 K c1) / n^2 are <= 0 for
+    43 % and 55 % of seeds, as the noise of s_b^2 / B and of sigma2 is
+    above the target; the first floored at -2 K c1 / n^2 is ~30 % wide.
     Returns (EstimateResult, CovarianceLadder); the ladder carries lam
     and its standard error (estimate_lambda_mc reads them).  If any
     cross term cancelled exactly, lam is -inf, the variance and every

@@ -96,9 +96,14 @@ class Family:
       length with i.i.d. draws from ``gen`` and returns the triple (a
       rank-one law returns (x, x, y) and leaves b untouched); a
       finite-support law is sampled from its atoms instead;
-    * ``sums(spec, gen, s, scratch)`` fills s with i.i.d. sums s = x + y
-      of a rank-one law and returns it; the first uniforms of a draw fill
-      s, any second ones the scratch, which is as long as s;
+    * ``units(spec, gen, t, scratch)`` fills t with i.i.d. unit sums of a
+      rank-one law, s = x + y = kappa t with kappa = ``scale(spec)``, and
+      returns it; the first uniforms of a draw fill t, any second ones
+      the scratch, which is as long as t;
+    * ``unit_bound`` = (lo, hi) bounds every nonzero |t| for any
+      parameters; ``group``, the unit sums the chain kernel multiplies
+      before one log, is the largest power of two G <= 16 whose G-fold
+      products of such |t| stay in [DBL_MIN, DBL_MAX] (tests check both);
     * ``atoms(spec)`` is the finite support as [(EntryTriple, probability)];
     * ``closed_form(spec)`` is (lambda, sigma2), or NoClosedFormError for
       parameters without one.
@@ -108,7 +113,10 @@ class Family:
     fields: tuple[str, ...]
     validate: Callable | None = None
     triples: Callable | None = None
-    sums: Callable | None = None
+    units: Callable | None = None
+    scale: Callable | None = None
+    unit_bound: tuple[float, float] | None = None
+    group: int = 1
     atoms: Callable | None = None
     closed_form: Callable | None = None
 
@@ -150,11 +158,12 @@ def _validate_binary(spec):
 # A rank-one cross term is log |x + y| of two draws; if neither exceeds
 # DBL_MAX/2 = 2^1023 - 2^970 in magnitude, |x + y| <= DBL_MAX is finite.
 _HALF_MAX = sys.float_info.max / 2
-# S / DBL_MAX, with S = 73.4736011393542 the largest Exp(1) sum draw: -log p
-# at p = (1 - u_1)(1 - u_2) = 2^-106 as numpy evaluates it (106 log 2).  S is
+# S / DBL_MAX, with S = 73.4736011393542 the largest Exp(1) unit sum |t|:
+# -log w at w = u_1 u_2 = 2^-106 as numpy evaluates it (106 log 2).  S is
 # also 2 m, m = -log1p(-u) at u = 1 - 2^-53 the largest single Exp(1) draw,
 # so the bound covers x + y of a drawn pair too; the tests pin both
-_EXP_MIN_THETA = 2.0 * 36.7368005696771 / sys.float_info.max
+_EXP_SUM_MAX = 2.0 * 36.7368005696771
+_EXP_MIN_THETA = _EXP_SUM_MAX / sys.float_info.max
 
 
 def _validate_uniform(spec):
@@ -192,7 +201,7 @@ def _validate_exponential(spec):
     theta = _need(spec, "theta")
     if theta <= 0.0:
         raise SpecError(f"theta must be > 0, got {theta}")
-    # A sum draw is fl(log p / -theta) <= fl(S / theta), and a single draw
+    # A sum is fl(kappa t) <= fl(S / theta), and a single draw
     # fl(-log1p(-u) / theta) <= fl(m / theta) with S = 2 m.  S / DBL_MAX
     # (about 4.0871e-307) rounds up, so theta >= _EXP_MIN_THETA gives
     # S / theta <= DBL_MAX and m / theta <= DBL_MAX/2.  Tight: one double
@@ -325,39 +334,35 @@ def _hill_triples(spec, gen, a, b, c):
     return (a, b, c)
 
 
-def _exponential_sums(spec, gen, s, scratch):
-    """Gamma(2, theta) as log((1 - u_1)(1 - u_2)) / -theta, s = 0 redrawn.
+def _exponential_units(spec, gen, t, scratch):
+    """log w, w = u_1 u_2 with w = 0 redrawn; kappa = -1/theta.
 
-    The sum of two Exp(theta) draws up to the rounding of the product,
-    whose absolute error in s is at most about 2^-53 / theta: 1 - u is
-    exact, and the product is at least 2^-106, a normal double.
+    s = log w / -theta is Gamma(2, theta), the sum of two Exp(theta)
+    draws -log u / theta, up to the rounding of w: an absolute error of
+    about 2^-53 in t.  A nonzero u lies in [2^-53, 1 - 2^-53], so
+    2^-52 <= |t| <= S for every theta.
     """
-    divisor = -spec.theta
 
     def draw(x):
         v = scratch[: x.size]
         gen.random(out=x)
         gen.random(out=v)
-        np.subtract(1.0, x, out=x)
-        np.subtract(1.0, v, out=v)
-        np.multiply(x, v, out=x)
-        np.log(x, out=x)
-        np.divide(x, divisor, out=x)
-        return x
+        return np.multiply(x, v, out=x)
 
-    return fill_nonzero(draw, s)
+    return np.log(fill_nonzero(draw, t), out=t)
 
 
-def _cauchy_sums(spec, gen, s, scratch):
-    """Cauchy(0, 2) as 2 tan(pi * (u - 0.5)), from one uniform."""
-    return np.multiply(_cauchy(gen)(s), 2.0, out=s)
+def _cauchy_units(spec, gen, t, scratch):
+    """tan(pi * (u - 0.5)); kappa = 2.  A nonzero |t| lies in
+    [fl(pi) 2^-53, tan(fl(pi) / 2)], as |u - 0.5| >= 2^-53 or is 0."""
+    return _cauchy(gen)(t)
 
 
-def _uniform_sums(spec, gen, s, scratch):
-    """Triangular on [-2a, 2b] as 2 (-a + (a + b) * (0.5 * (u_1 + u_2))).
+def _uniform_units(spec, gen, t, scratch):
+    """-a + (a + b) * (0.5 * (u_1 + u_2)); kappa = 2 (triangular on [-2a, 2b]).
 
-    -a + (a + b) h is a uniform draw at h <= 1 - 2^-53, so it lies in
-    [-a, b] (see _validate_uniform) and nothing overflows.  s = 0 is
+    t is a uniform draw at h = (u_1 + u_2) / 2 <= 1 - 2^-53, so it lies
+    in [-a, b] (see _validate_uniform) and nothing overflows.  t = 0 is
     redrawn on [0, b] and [-a, 0].
     """
     lo, width = -spec.a, spec.a + spec.b
@@ -370,10 +375,9 @@ def _uniform_sums(spec, gen, s, scratch):
         x *= 0.5
         x *= width
         x += lo
-        x *= 2.0
         return x
 
-    return fill_nonzero(draw, s) if spec.a == 0.0 or spec.b == 0.0 else draw(s)
+    return fill_nonzero(draw, t) if spec.a == 0.0 or spec.b == 0.0 else draw(t)
 
 
 # -- finite supports -----------------------------------------------------
@@ -435,14 +439,18 @@ FAMILIES = {f.name: f for f in (
            atoms=_binary_atoms, closed_form=_binary_closed_form),
     Family(UNIFORM_RANK_ONE, ("a", "b"), _validate_uniform,
            triples=_rank_one(lambda spec, gen: _uniform(gen, -spec.a, spec.b)),
-           sums=_uniform_sums, closed_form=_uniform_closed_form),
+           units=_uniform_units, scale=lambda spec: 2.0,
+           closed_form=_uniform_closed_form),
     Family(EXPONENTIAL_RANK_ONE, ("theta",), _validate_exponential,
            triples=_rank_one(lambda spec, gen: _exponential(gen, spec.theta)),
-           sums=_exponential_sums,
+           units=_exponential_units, scale=lambda spec: -1.0 / spec.theta,
+           unit_bound=(2.0**-53, _EXP_SUM_MAX), group=16,
            closed_form=lambda spec: (1.0 - EULER_GAMMA - math.log(spec.theta),
                                      math.pi**2 / 6.0 - 1.0)),
     Family(CAUCHY_RANK_ONE, (),
-           triples=_rank_one(lambda spec, gen: _cauchy(gen)), sums=_cauchy_sums,
+           triples=_rank_one(lambda spec, gen: _cauchy(gen)), units=_cauchy_units,
+           scale=lambda spec: 2.0, unit_bound=(math.pi * 2.0**-53, 1.633123935319537e16),
+           group=16,
            closed_form=lambda spec: (math.log(2.0), math.pi**2 / 4.0)),
     Family(HILL_RANDOM, ("a", "b"), _validate_hill, triples=_hill_triples),
     Family(DISCRETE_ATOMS, ("atoms",), _validate_atoms,

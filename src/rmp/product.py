@@ -35,24 +35,18 @@ sized so that its workspace stays in cache: STEP_BLOCK * CHAIN_CHUNK =
 fit in a 2 MiB L2, where every elementwise pass of the block step then
 reads and writes.  The Monte Carlo route sizes its own block (a segment
 of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
-STEP_BLOCK.  Only the block step depends on the law.  A rank-one law,
-whose cross term log |x_j + y_j| depends on step j alone, draws one sum
-s_j = x_j + y_j per step (distributions.sample_sums) and takes log |s_j|,
-with no divide or multiply; only the last step of a block is drawn as a
-pair (x, y), the carry into the next block and a chain's tail.  Another
-continuous law samples the block's triples into the workspace and forms
-the cross terms in place.  A finite-support law draws atom indices and
-gathers the cross term of each consecutive index pair (AtomLaw.cross),
-with no divide or log per step, the values of sampled triples bit for
-bit.  The Monte Carlo estimators draw their chain segments through the
-same block step (block_step) at width 1.
+STEP_BLOCK.  Only the block step depends on the law: a rank-one law
+draws one unit sum per step (_rank_one_block), another continuous law
+samples the block's triples and forms the cross terms in place, and a
+finite-support law gathers them from its AtomLaw's table, with no divide
+or log per step.  The Monte Carlo estimators draw their chain segments
+through the same block step (block_step) at width 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -61,11 +55,13 @@ from .distributions import (
     EntryTriple,
     cross_terms,
     make_stream,
-    sample_sums,
     sample_triples,
+    sample_units,
 )
+from .families import FAMILIES
 
 NEG_INF = float("-inf")
+LOG2 = math.log(2.0)
 
 # chains per stream chunk / steps per sampling block for the vectorized
 # kernel: three buffers of STEP_BLOCK * CHAIN_CHUNK doubles are 1.5 MiB
@@ -82,10 +78,11 @@ def build_matrix(xi: EntryTriple) -> np.ndarray:
 def direct_log_norm(matrices) -> float:
     """log Hilbert-Schmidt norm of Y_n ... Y_1 by naive multiplication.
 
-    Every step rescales by a power of two at least the max-abs entry
-    (keeping entries in [-1, 1]) and accumulates the log scale, so the
-    running product never overflows for any n.  Power-of-two scaling
-    and explicit scalar 2x2 multiplication keep the arithmetic free of
+    Every step rescales by a power of two 2^e at least the max-abs entry
+    (keeping entries in [-1, 1]) and accumulates e log 2, so the running
+    product never overflows for any n, nor does a step (one with an entry
+    above 2^1022 is scaled by 1/4 first).  Power-of-two scaling and
+    explicit scalar 2x2 multiplication keep the arithmetic free of
     rescaling rounding and FMA contraction, so an exactly cancelling
     product really reaches the zero matrix.  Returns -inf in that case.
     This is the oracle chain_log_norms is validated against; it shares
@@ -102,8 +99,10 @@ def direct_log_norm(matrices) -> float:
         top = max(abs(v) for row in s for v in row)
         if top == 0.0:
             return None, total
-        scale = _pow2_at_least(top)
-        return [[v / scale for v in row] for row in s], total + math.log(scale)
+        frac, e = math.frexp(top)  # top = frac * 2**e, frac in [0.5, 1)
+        if frac == 0.5:
+            e -= 1
+        return [[math.ldexp(v, -e) for v in row] for row in s], total + e * LOG2
 
     s, total = rescale(s, total)
     if s is None:
@@ -111,6 +110,8 @@ def direct_log_norm(matrices) -> float:
     for m in matrices[1:]:
         m = np.asarray(m, dtype=float)
         y = [[float(m[0, 0]), float(m[0, 1])], [float(m[1, 0]), float(m[1, 1])]]
+        if max(abs(v) for row in y for v in row) > 2.0**1022:
+            y, total = [[v * 0.25 for v in row] for row in y], total + 2.0 * LOG2
         s = [
             [
                 y[0][0] * s[0][0] + y[0][1] * s[1][0],
@@ -126,12 +127,6 @@ def direct_log_norm(matrices) -> float:
             return NEG_INF
     sq = sum(v * v for row in s for v in row)
     return total + 0.5 * math.log(sq)
-
-
-def _pow2_at_least(x: float) -> float:
-    """Smallest power of two >= x, for finite x > 0."""
-    frac, exp = math.frexp(x)  # x = frac * 2**exp, frac in [0.5, 1)
-    return math.ldexp(1.0, exp - 1) if frac == 0.5 else math.ldexp(1.0, exp)
 
 
 # -- vectorized many-chain kernel -----------------------------------------
@@ -159,20 +154,23 @@ def chain_log_norms(
         raise ValueError("need at least one chain")
     body = functools.partial(_chain_chunk, n)
     length = min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains)
-    parts = map_streams(spec, seed, n_chains, CHAIN_CHUNK, length, threads, body)
+    parts = map_streams(
+        spec, seed, n_chains, CHAIN_CHUNK, length, threads, body, grouped=True
+    )
     return np.concatenate(parts)
 
 
-def map_streams(spec, seed, total, chunk, length, threads, body):
+def map_streams(spec, seed, total, chunk, length, threads, body, grouped=False):
     """[body(draw, size_k, make_stream(seed, k), workspace) for each chunk k].
 
     ``total`` items are cut into chunks of ``chunk``; the results come in
-    chunk order whatever ``threads`` is.  draw is the law's block_step.
-    workspace is three float64 buffers of ``length`` from a free list of
-    the call, made on first need: one per chunk running at once.
+    chunk order whatever ``threads`` is.  draw is the law's
+    block_step(spec, grouped).  workspace is three float64 buffers of
+    ``length`` from a free list of the call, made on first need: one per
+    chunk running at once.
     """
     sizes = chunk_sizes(total, chunk)
-    draw = block_step(spec)
+    draw = block_step(spec, grouped)
     free = []
 
     def run(k: int):
@@ -197,24 +195,36 @@ def chunk_sizes(total: int, chunk: int):
 
 
 def map_chunks(fn, n_chunks: int, threads: int = 1):
-    """Apply fn(0..n_chunks-1), returning results in chunk order."""
+    """Apply fn(0..n_chunks-1), returning results in chunk order.
+
+    The thread pool is imported only by a run that uses one: with it,
+    concurrent.futures loads logging, which a one-thread run never needs.
+    """
     if threads <= 1 or n_chunks <= 1:
         return [fn(i) for i in range(n_chunks)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as ex:
         return list(ex.map(fn, range(n_chunks)))
 
 
-def block_step(spec: DistributionSpec):
+def block_step(spec: DistributionSpec, grouped: bool = False):
     """The law's draw(block, width, gen, workspace), as map_streams passes it.
 
     _atom_block on the spec's AtomLaw for a finite-support law,
-    _sampled_block otherwise.  At width 1 a block is one chain segment
-    of ``block`` consecutive steps and its block - 1 cross terms.  Both
-    write the cross terms into the third workspace buffer, so a caller
-    that reads neither returned row may reuse the first two.
+    _rank_one_block for a rank-one law (``grouped``: in its family's
+    groups), _sampled_block otherwise.  At width 1 a block is one chain
+    segment of ``block`` consecutive steps and its block - 1 cross
+    terms.  All write the terms into the third workspace buffer, so a
+    caller that reads neither returned row may reuse the first two.
     """
     if spec.is_discrete:
         return functools.partial(_atom_block, spec.atom_law)
+    if spec.is_rank_one:
+        record = FAMILIES[spec.family]
+        group = record.group if grouped else None
+        log_scale = math.log(abs(record.scale(spec)))
+        return functools.partial(_rank_one_block, spec, group, log_scale)
     return functools.partial(_sampled_block, spec)
 
 
@@ -222,17 +232,12 @@ def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
     """One chunk of ``width`` chains, in step blocks.
 
     draw(block, width, gen, workspace) fills ``workspace``, three float64
-    buffers of at least min(STEP_BLOCK, n) * width entries, with the next
-    ``block`` steps, each entry drawn over the whole block in turn (a
-    rank-one law draws the sums of its first block - 1 steps, then the
-    x's and y's of the last).  At width
-    CHAIN_CHUNK the buffers take 1.5 MiB and stay in a 2 MiB L2 through
-    all passes of the block step.  It returns the (a, b, c) rows of the
-    first and the last step, and the (block - 1) x width cross terms
-    within the block.  Only a and b of the first row are read; the last
-    row is a copy, the carry into the next block.  A rank-one chain of n
-    steps is thus the sum of log |s_j| over j < n (at a block's end s_j is
-    x + y of the drawn pair), plus log hypot(x_n, y_n) + log hypot(1, 1).
+    buffers of at least min(STEP_BLOCK, n) * width entries (1.5 MiB at
+    width CHAIN_CHUNK, which stay in a 2 MiB L2), with the next ``block``
+    steps.  It returns the (a, b, c) rows of the first and the last step,
+    and rows whose column sums are those of the block's (block - 1) x
+    width cross terms.  Only a and b of the first row are read; the last
+    row is a copy, the carry into the next block.
     """
     sumlog = np.zeros(width)
     head_ratio = None
@@ -253,29 +258,45 @@ def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 
 
-def _sampled_block(spec, block, width, gen, workspace):
-    """Sampled steps; the cross terms land in the third buffer.
+def _rank_one_block(spec, group, log_scale, block, width, gen, workspace):
+    """Unit sums of the first block - 1 steps, then the carry pair.
 
-    A rank-one law's head ratio x/x is exactly 1, so the cross term of
-    step j is log |x_j + y_j|, a function of that step's sum alone.  Its
-    block draws the sums of its first block - 1 steps (sample_sums) into
-    the third buffer, the first holding the second uniforms, and takes
-    log |s| in place; then the (x, x, y) rows of its last step, fresh
-    from sample_triples.  That row is the carry, whose x + y is the term
-    into the next block and, at a chain's end, whose (x, y) give the
-    tail; it also serves as the first row, of which only the head ratio
-    1 is read.  Other laws sample the block's triples; their cross terms
-    overwrite all but the last row of c, and their head ratios b's rows
-    after the first.
+    The head ratio x/x is exactly 1, so step j's cross term is
+    log |x_j + y_j| = log |t_j| + log_scale, log_scale = log |kappa|.
+    The unit sums land in the third buffer (the first holds the second
+    uniforms).  The last step's (x, x, y) is the carry: the term into the
+    next block, a chain's tail, and the first row (head ratio 1).
+
+    With ``group`` None every row is a term, as the Monte Carlo segment
+    needs.  A chain needs only column sums: log2(group) halvings multiply
+    rows [0, r - h) by rows [h, r) in place (h = ceil(r / 2); contiguous,
+    so one pass each), leaving products of at most ``group`` unit sums,
+    normal by the family's unit_bound (or 0 after a cancelling step);
+    one log each, and (block - 1) log_scale on the first row.
     """
-    if spec.is_rank_one:
-        m = (block - 1) * width
-        s = sample_sums(spec, m, gen, out=(workspace[2], workspace[0]))
-        last = sample_triples(spec, width, gen)
-        np.abs(s, out=s)
-        with np.errstate(divide="ignore"):
-            np.log(s, out=s)
-        return last, last, s.reshape(block - 1, width)
+    t = sample_units(spec, (block - 1) * width, gen, out=(workspace[2], workspace[0]))
+    last = sample_triples(spec, width, gen)
+    rows = t.reshape(block - 1, width)
+    g = group or 1
+    while g > 1 and len(rows) > 1:
+        r, h = len(rows), (len(rows) + 1) // 2
+        np.multiply(rows[: r - h], rows[h:], out=rows[: r - h])
+        rows, g = rows[:h], g // 2
+    np.abs(rows, out=rows)
+    with np.errstate(divide="ignore"):
+        np.log(rows, out=rows)
+    if group is None:
+        rows += log_scale
+    elif block > 1:
+        rows[0] += (block - 1) * log_scale
+    return last, last, rows
+
+
+def _sampled_block(spec, block, width, gen, workspace):
+    """Sampled triples of a continuous law that is not rank-one; their
+    cross terms overwrite all but the last row of c (in the third
+    buffer), and their head ratios b's rows after the first.
+    """
     a, b, c = sample_triples(spec, block * width, gen, out=workspace)
     A, B, C = (x.reshape(block, width) for x in (a, b, c))
     last = (A[-1].copy(), B[-1].copy(), C[-1].copy())

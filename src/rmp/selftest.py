@@ -24,8 +24,8 @@ from .distributions import (
     DistributionSpec,
     EntryTriple,
     make_stream,
-    sample_sums,
     sample_triples,
+    sample_units,
 )
 from .estimators import (
     NoClosedFormError,
@@ -37,7 +37,7 @@ from .estimators import (
     trajectory_lambda,
 )
 from . import product
-from .families import CONSTANT_TRIPLE, EULER_GAMMA
+from .families import CONSTANT_TRIPLE, EULER_GAMMA, FAMILIES
 from .product import NEG_INF, build_matrix, chain_log_norms, direct_log_norm
 
 LOG2 = math.log(2.0)
@@ -227,16 +227,16 @@ def _block_triples(spec, block, width, gen):
     """Triples (a, b, c), block * width each, that replay one block step.
 
     Other laws draw sample_triples of the whole block.  A rank-one block
-    draws the sums s of its first block - 1 steps (sample_sums), then the
-    (x, x, y) of its last (sample_triples).  A sum step becomes the
-    triple (s, s, 0), whose cross term into any rank-one step is exactly
-    s + 0 * 1, and an exact s = 0 the triple (1, 1, -1), whose term is
-    1 - 1 = 0; the head ratio of both is 1, as it is for every rank-one
-    step.
+    draws the unit sums t of its first block - 1 steps (sample_units),
+    then the (x, x, y) of its last (sample_triples).  A unit sum step
+    becomes the triple (s, s, 0) of its sum s = kappa t, whose cross term
+    into any rank-one step is exactly s + 0 * 1, and an exact s = 0 the
+    triple (1, 1, -1), whose term is 1 - 1 = 0; the head ratio of both is
+    1, as it is for every rank-one step.
     """
     if not spec.is_rank_one:
         return sample_triples(spec, block * width, gen)
-    s = sample_sums(spec, (block - 1) * width, gen)
+    s = sample_units(spec, (block - 1) * width, gen) * FAMILIES[spec.family].scale(spec)
     x, _, y = sample_triples(spec, width, gen)
     zero = s == 0.0
     a = np.concatenate([np.where(zero, 1.0, s), x])

@@ -251,11 +251,18 @@ class TestClt:
             ("estimate", "--dist", "atoms", "--threads", "0"),
             ("clt", "--dist", "atoms", "--source", "exact", "--threads", "-4"),
             ("selftest", "--quick", "--threads", "0"),
+            # counts are checked where they go unused too: --exact and
+            # --source exact draw no samples
+            ("estimate", "--dist", "atoms", "--exact", "--samples", "-3"),
+            ("clt", "--dist", "atoms", "--source", "exact", "--samples", "-3"),
+            ("clt", "--dist", "atoms", "--source", "exact", "--n", "9"),
+            ("clt", "--dist", "atoms", "--source", "exact", "--chains", "9"),
         ],
         ids=[
             "bad_int", "missing_dist", "no_subcommand", "bad_choice", "option_value",
             "seed_negative", "seed_2_64", "threads_0", "threads_negative",
-            "selftest_threads_0",
+            "selftest_threads_0", "exact_samples_negative", "clt_samples_negative",
+            "clt_n_9", "clt_chains_9",
         ],
     )
     def test_usage_error_exit_1(self, dists, args):

@@ -18,8 +18,8 @@ from rmp.distributions import (
     cross_terms,
     make_stream,
     parse_spec,
-    sample_sums,
     sample_triples,
+    sample_units,
 )
 from rmp.families import (
     CAUCHY_RANK_ONE,
@@ -625,6 +625,11 @@ SUM_LAWS = [
 ]
 
 
+def sample_sums(spec, n, gen):
+    """n sums s = kappa t of a rank-one law, from its unit sums t."""
+    return sample_units(spec, n, gen) * FAMILIES[spec.family].scale(spec)
+
+
 class TestSampleSums:
     @pytest.mark.parametrize("spec, cdf", SUM_LAWS)
     def test_law_of_s_below_ks_line(self, spec, cdf):
@@ -642,9 +647,9 @@ class TestSampleSums:
     @pytest.mark.parametrize("n", [1, 7, 4096])
     def test_out_is_bitwise_equal_and_aliases_buffers(self, spec, n):
         gen_ref, gen_out = make_stream(13, 2), make_stream(13, 2)
-        ref = sample_sums(spec, n, gen_ref)
+        ref = sample_units(spec, n, gen_ref)
         bufs = (np.full(n + 5, np.nan), np.empty(n + 5))
-        got = sample_sums(spec, n, gen_out, out=bufs)
+        got = sample_units(spec, n, gen_out, out=bufs)
         assert got.shape == (n,) and np.array_equal(ref, got)
         assert np.shares_memory(got, bufs[0]) and np.isnan(bufs[0][n:]).all()
         assert gen_ref.random() == gen_out.random()
@@ -653,10 +658,11 @@ class TestSampleSums:
         for spec in ONE_PER_FAMILY:
             if not spec.is_rank_one:
                 with pytest.raises(ValueError, match="not a rank-one family"):
-                    sample_sums(spec, 4, make_stream(0))
+                    sample_units(spec, 4, make_stream(0))
 
-    # (law, uniforms (u_1, u_2) that draw s = 0 exactly, uniforms that give
-    # two draws with x + y = 0, or None where no two draws can cancel)
+    # (law, uniforms (u_1, u_2) that draw t = 0 exactly, or the product
+    # w = 0 of an Exponential unit sum log w; uniforms that give two draws
+    # with x + y = 0, or None where no two draws can cancel)
     ZERO_SUMS = [
         pytest.param(DistributionSpec.exponential_rank_one(2.0), (0.0, 0.0), None,
                      id="exponential"),
@@ -671,9 +677,9 @@ class TestSampleSums:
     @pytest.mark.parametrize("spec, zero, cancel", ZERO_SUMS)
     def test_exact_zero_redrawn_only_where_two_draws_cannot_cancel(self, spec, zero, cancel):
         # x is never 0, so x + y = 0 needs y = -x: impossible where both
-        # draws have one sign, and there s = 0 is redrawn; elsewhere the
+        # draws have one sign, and there t = 0 is redrawn; elsewhere the
         # cancellation is kept, as for two draws
-        s = sample_sums(spec, 1, QueueStream(zero))
+        s = sample_units(spec, 1, QueueStream(zero))
         if cancel is None:
             assert s[0] != 0.0
             x, _, y = sample_triples(spec, 10**5, make_stream(3))
@@ -732,14 +738,15 @@ class TestFamilyRecords:
 
     def test_rank_one_exactly_with_sums(self, record):
         spec = parse_spec(_doc(record))
-        assert spec.is_rank_one == (record.sums is not None)
+        assert spec.is_rank_one == (record.units is not None)
+        assert (record.scale is None) == (record.units is None)
         if spec.is_rank_one:
-            assert sample_sums(spec, 4, make_stream(0)).shape == (4,)
+            assert sample_units(spec, 4, make_stream(0)).shape == (4,)
             a, b, _ = sample_triples(spec, 4, make_stream(0))
             assert a is b  # the triple (x, x, y) of [[x, x], [y, y]]
         else:
             with pytest.raises(ValueError, match="not a rank-one family"):
-                sample_sums(spec, 4, make_stream(0))
+                sample_units(spec, 4, make_stream(0))
 
     def test_closed_form_raises_exactly_without_one(self, record):
         spec = parse_spec(_doc(record))

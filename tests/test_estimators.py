@@ -17,8 +17,8 @@ from rmp.distributions import (
     EntryTriple,
     SpecError,
     make_stream,
-    sample_sums,
     sample_triples,
+    sample_units,
 )
 from rmp.estimators import (
     SAMPLE_CHUNK,
@@ -33,9 +33,17 @@ from rmp.estimators import (
     lambda_view,
     trajectory_lambda,
 )
-from rmp.families import _EXP_MIN_THETA, _HALF_MAX, EULER_GAMMA, FAMILIES, MAX_ATOMS
-from rmp.product import chain_log_norms, chunk_sizes
+from rmp.families import (
+    _EXP_MIN_THETA,
+    _EXP_SUM_MAX,
+    _HALF_MAX,
+    EULER_GAMMA,
+    FAMILIES,
+    MAX_ATOMS,
+)
+from rmp.product import block_step, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples, _spec_zoo
+from test_distributions import QueueStream
 
 LOG2 = math.log(2.0)
 PI2 = math.pi**2
@@ -171,6 +179,11 @@ def _ln(x) -> decimal.Decimal:
         return decimal.Decimal(x).ln()
 
 
+def _sums(spec, t):
+    """The sums s = kappa t of a rank-one law's unit sums t."""
+    return t * FAMILIES[spec.family].scale(spec)
+
+
 class TestOverflowingRankOneLaws:
     # x + y is finite, but x * y overflows; closed forms in 50 digits:
     # log(2b) - 3/2 on [-b, b], and 1 - gamma - log(theta)
@@ -193,9 +206,9 @@ class TestOverflowingRankOneLaws:
 
 class TestRankOneOverflowBounds:
     # a rank-one law is valid only while x + y of two draws, and the sum
-    # draw s, stay finite: max(a, b) <= DBL_MAX/2 for Uniform,
-    # theta >= 2 m / DBL_MAX for Exponential, with m its largest Exp(1)
-    # draw and 2 m its largest sum draw
+    # s = kappa t of a unit sum, stay finite: max(a, b) <= DBL_MAX/2 for
+    # Uniform, theta >= 2 m / DBL_MAX for Exponential, with m its largest
+    # Exp(1) draw and 2 m its largest unit sum |t|
     DBL_MAX = sys.float_info.max
 
     def test_overflowing_laws_rejected(self):
@@ -242,10 +255,10 @@ class TestRankOneOverflowBounds:
         assert m / _EXP_MIN_THETA <= _HALF_MAX and m / below == 2.0**1023
         with pytest.raises(SpecError, match="overflow"):
             DistributionSpec.exponential_rank_one(below)
-        # the largest sum draw, -log p at the smallest product
-        # p = (1 - u)^2 = 2^-106, u = 1 - 2^-53: 106 log 2, which is 2 m
+        # the largest unit sum |t|, -log w at the smallest product
+        # w = u_1 u_2 = 2^-106, u = 2^-53: 106 log 2, which is 2 m
         S = float(-np.log(2.0**-106))
-        assert (1.0 - (1.0 - 2.0**-53)) ** 2 == 2.0**-106 and S == 2.0 * m
+        assert (2.0**-53) ** 2 == 2.0**-106 and S == 2.0 * m == _EXP_SUM_MAX
         with decimal.localcontext() as ctx:
             ctx.prec, ctx.traps[decimal.Inexact] = 2000, True
             # S / theta <= DBL_MAX at the bound
@@ -254,47 +267,47 @@ class TestRankOneOverflowBounds:
             # and 2^1024, and rounds to inf
             assert D(S) >= D(below) * (D(2) ** 1024 - D(2) ** 970)
         spec = DistributionSpec.exponential_rank_one(_EXP_MIN_THETA)
-        got = sample_sums(spec, 2, _ExtremeStream([1.0 - 2.0**-53]))
-        assert (got == S / _EXP_MIN_THETA).all() and S / _EXP_MIN_THETA <= self.DBL_MAX
+        t = sample_units(spec, 2, _ExtremeStream([2.0**-53]))
+        assert (t == -S).all() and (_sums(spec, t) == S / _EXP_MIN_THETA).all()
+        assert S / _EXP_MIN_THETA <= self.DBL_MAX
         with np.errstate(over="ignore"):
             assert np.float64(S) / below == math.inf
 
-    @pytest.mark.parametrize("theta", [1.0, 3.0, 1e-300, 1e300])
-    def test_exponential_sum_error_near_zero_in_decimal(self, theta):
-        """|s - s*| <= 10 u s* + (1 + 10 u) (u / (1 - u)) / theta + 2^-1074.
+    def test_exponential_unit_error_near_zero_in_decimal(self):
+        """|t - t*| <= 10 u |t*| + (1 + 10 u) (u / (1 - u)).
 
-        s* = -(log(1 - u_1) + log(1 - u_2)) / theta is the exact sum of the
-        two draws, u = 2^-53.  1 - u_i is exact, fl(p) = p (1 + d) with
-        |d| <= u, and |log(1 + d)| <= u / (1 - u): an absolute error in s
-        that the 4 ulp (8u) of np.log and the rounding of the divide do
-        not scale down as s* -> 0.  2^-1074 covers a subnormal result.
-        Near s* = 0 the relative error of s is therefore not O(u), while
-        -log1p(-u) / theta of a single draw is.
+        t* = log u_1 + log u_2 is the exact unit sum of the two uniforms,
+        u = 2^-53.  fl(w) = u_1 u_2 (1 + d) with |d| <= u, and
+        |log(1 + d)| <= u / (1 - u): an absolute error in t that the 4 ulp
+        (8u) of np.log do not scale down as t* -> 0 (both uniforms near
+        1).  Near t* = 0 the relative error of t is therefore not O(u),
+        while -log1p(-u) of a single draw is.  No bound depends on theta,
+        which only the constant kappa = -1/theta carries.
         """
         rng = make_stream(17)
-        k = np.concatenate([np.arange(64.0), rng.integers(1, 2**40, 2000).astype(float)])
-        u1 = np.concatenate([k * 2.0**-53, rng.random(500), [1.0 - 2.0**-53]])
-        u2 = np.concatenate([k[::-1] * 2.0**-53, rng.random(500), [1.0 - 2.0**-53]])
-        keep = (u1 > 0.0) | (u2 > 0.0)  # both 0 is the redrawn s = 0
+        k = np.concatenate([np.arange(1.0, 65.0), rng.integers(1, 2**40, 2000).astype(float)])
+        u1 = np.concatenate([1.0 - k * 2.0**-53, rng.random(500), [2.0**-53]])
+        u2 = np.concatenate([1.0 - k[::-1] * 2.0**-53, rng.random(500), [2.0**-53]])
+        keep = (u1 > 0.0) & (u2 > 0.0)  # w = 0 is redrawn
         u1, u2 = u1[keep], u2[keep]
-        spec = DistributionSpec.exponential_rank_one(theta)
-        got = sample_sums(spec, u1.size, _ExtremeStream([u1, u2]))
+        spec = DistributionSpec.exponential_rank_one(1.0)
+        got = sample_units(spec, u1.size, _ExtremeStream([u1, u2]))
         D = decimal.Decimal
         beyond_relative = 0
         with decimal.localcontext() as ctx:
             ctx.prec = 50
-            u, t = D(2) ** -53, D(theta)
-            floor = (1 + 10 * u) * (u / (1 - u)) / t + D(2) ** -1074
+            u = D(2) ** -53
+            floor = (1 + 10 * u) * (u / (1 - u))
             for g, a, b in zip(got.tolist(), u1.tolist(), u2.tolist()):
-                exact = -((1 - D(a)).ln() + (1 - D(b)).ln()) / t
+                exact = D(a).ln() + D(b).ln()
                 err = abs(D(g) - exact)
-                assert err <= 10 * u * exact + floor, (a, b)
-                beyond_relative += err > 10 * u * exact
+                assert err <= 10 * u * abs(exact) + floor, (a, b)
+                beyond_relative += err > 10 * u * abs(exact)
         assert beyond_relative  # the absolute term is needed
 
     # (law at the bound, its closed-form lambda in 50 digits, the uniforms
-    # that give its extreme draws; u = 0 would draw an Exp(1) zero, or a
-    # Uniform [0, b] one, forever)
+    # that give its extreme draws; u = 0 would draw an Exp(1) zero, a zero
+    # product w, or a Uniform [0, b] zero, forever)
     @pytest.mark.parametrize(
         "spec, lam, extremes",
         [
@@ -310,17 +323,18 @@ class TestRankOneOverflowBounds:
             (DistributionSpec.exponential_rank_one(_EXP_MIN_THETA),
              float(1 - decimal.Decimal("0.57721566490153286060651209")
                    - _ln(_EXP_MIN_THETA)),
-             (1.0 - 2.0**-53,)),
+             (2.0**-53, 1.0 - 2.0**-53)),
         ],
         ids=["uniform", "uniform-0-b", "uniform-a-0", "exponential"],
     )
     def test_law_at_bound_gives_finite_lambda(self, spec, lam, extremes):
         # every pair of extreme uniforms, as the two draws x, y and as the
-        # two uniforms of a sum draw
+        # two uniforms of a unit sum, whose sum s = kappa t is finite too
         for pair in itertools.product(extremes, repeat=2):
             x, _, y = sample_triples(spec, 2, _ExtremeStream(pair))
             assert np.isfinite(x + y).all(), pair
-            assert np.isfinite(sample_sums(spec, 2, _ExtremeStream(pair))).all(), pair
+            t = sample_units(spec, 2, _ExtremeStream(pair))
+            assert np.isfinite(_sums(spec, t)).all(), pair
         r = estimate_lambda_mc(spec, 10**5, seed=0)
         assert math.isfinite(r.value) and r.minus_inf_events == 0
         assert abs(r.value - lam) <= 4.0 * r.std_error
@@ -360,6 +374,145 @@ class _ExtremeStream:
     def random(self, out):
         out[...] = next(self.us)
         return out
+
+
+# the chain kernel multiplies at most this many unit sums before one log
+GROUP_MAX = 16
+
+
+def _fits(bound, g):
+    """Every g-fold product of numbers in bound = (lo, hi), lo < 1 < hi,
+    its g - 1 multiplies each rounded by at most 2^-53 relative, lies in
+    [DBL_MIN, DBL_MAX]; in exact decimal.  Partial products lie between
+    lo^g and hi^g too, so they are normal as well."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.traps[decimal.Inexact] = 8000, True
+        lo, hi, u = D(bound[0]), D(bound[1]), D(2) ** -53
+        return (lo ** g * (1 - u) ** (g - 1) >= D(sys.float_info.min)
+                and hi ** g * (1 + u) ** (g - 1) <= D(sys.float_info.max))
+
+
+# uniforms (u_1, u_2) of each grouped family's unit sums at the two ends of
+# its |t|, and the law; -log w at w = 2^-106 and at the largest w < 1, and
+# tan at the ends of pi (u - 1/2)
+UNIT_ENDS = {
+    "ExponentialRankOne": (DistributionSpec.exponential_rank_one(1.0),
+                           (2.0**-53, 2.0**-53), (1.0 - 2.0**-53, 1.0 - 2.0**-53)),
+    "CauchyRankOne": (DistributionSpec.cauchy_rank_one(), (0.0,), (0.5 + 2.0**-53,)),
+}
+
+
+def _unit_sums(spec, us):
+    """The unit sums of spec drawn from uniform arrays us, one per uniform
+    a draw takes (none of them gives a zero product w)."""
+    return sample_units(spec, us[0].size, QueueStream(us))
+
+
+class TestUnitSumGroups:
+    """The chain kernel multiplies up to `group` unit sums before one log;
+    a family's unit_bound on nonzero |t| must keep those products normal."""
+
+    @pytest.mark.parametrize("name", sorted(UNIT_ENDS))
+    def test_bound_pinned_in_decimal(self, name):
+        spec, at_max, at_min = UNIT_ENDS[name]
+        lo, hi = FAMILIES[name].unit_bound
+        t_max, t_min = (_unit_sums(spec, [np.array([u]) for u in us])[0]
+                        for us in (at_max, at_min))
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 200
+            if name == "ExponentialRankOne":
+                # a nonzero u is at least 2^-53 and at most 1 - 2^-53, so
+                # 2^-106 <= w <= fl((1 - 2^-53)^2) = 1 - 2^-52
+                assert (1.0 - 2.0**-53) ** 2 == 1.0 - 2.0**-52
+                assert abs(D(t_max) + 106 * D(2).ln()) <= D(math.ulp(t_max))
+                exact_min = -(1 - D(2) ** -52).ln()
+            else:
+                # |u - 1/2| is 1/2 at most, and 2^-53 at least when not 0
+                # (u is a multiple of 2^-53); tan is odd and increasing, and
+                # tan(fl(pi)/2) = cot(e), e = (pi - fl(pi)) / 2
+                pi = D("3.14159265358979323846264338327950288419716939937510582")
+                e = (pi - D(math.pi)) / 2
+                assert abs(D(-t_max) - (1 / e - e / 3)) <= D(math.ulp(t_max))
+                exact_min = D(math.pi) * D(2) ** -53  # <= tan of it
+                assert D(t_min) == exact_min
+            assert -t_max == hi and D(lo) <= exact_min
+            assert abs(D(abs(t_min)) - exact_min) <= 4 * D(math.ulp(t_min))
+        # a sweep of uniforms near both ends stays in the bound
+        edge = np.array([2.0**-53, 2.0**-52, 3 * 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5,
+                         0.5 + 2.0**-52, 0.75, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
+        u1, u2 = (x.ravel() for x in np.meshgrid(edge, edge))
+        t = np.abs(_unit_sums(spec, [u1, u2]))
+        t = t[t != 0.0]
+        assert ((lo <= t) & (t <= hi)).all()
+
+    @pytest.mark.parametrize("record", FAMILIES.values(), ids=lambda r: r.name)
+    def test_group_is_the_largest_its_bound_allows(self, record):
+        # fails if a family is given a group that its bound does not allow
+        g = record.group
+        assert g & (g - 1) == 0 and 1 <= g <= GROUP_MAX
+        if record.unit_bound is None:
+            assert g == 1
+        else:
+            assert g == 1 or _fits(record.unit_bound, g)
+            assert g == GROUP_MAX or not _fits(record.unit_bound, 2 * g)
+        assert (g > 1) == (record.name in UNIT_ENDS)
+
+    @pytest.mark.parametrize(
+        "bound, largest",
+        [((2.0**-53, 2.0**7), 16), ((2.0**-70, 2.0**7), 8), ((2.0**-53, 2.0**300), 2),
+         ((2.0**-63.875, 2.0), 8), ((2.0**-600, 2.0), 1), ((0.5, 2.0**1000), 1)],
+    )
+    def test_fits_rejects_one_group_too_many(self, bound, largest):
+        # the check above, on bounds whose largest group is known; 16-fold
+        # products of 2^-63.875 are DBL_MIN up to rounding, which the
+        # allowance for 15 roundings puts out of range
+        assert largest == 1 or _fits(bound, largest)
+        assert not _fits(bound, 2 * largest)
+
+    @pytest.mark.parametrize("name", sorted(UNIT_ENDS))
+    def test_folds_of_the_ends_and_their_mixes_stay_normal(self, name):
+        # 17 columns of 16 steps: column k has the |t| minimum at k steps
+        # and the maximum at the others, placed by a seeded shuffle
+        spec, at_max, at_min = UNIT_ENDS[name]
+        record = FAMILIES[name]
+        g, width = record.group, record.group + 1
+        rng = make_stream(23)
+        low = np.array([rng.permutation(g) < k for k in range(width)]).T
+        us = [np.where(low, a, b).ravel() for a, b in zip(at_min, at_max)]
+        t = _unit_sums(spec, us)
+        assert np.isin(np.abs(t), [abs(t.min()), abs(t.max())]).all()
+        workspace = tuple(np.empty(g * width) for _ in range(3))
+        stream = QueueStream([*us, 0.3, 0.7])
+        _, _, rows = block_step(spec, grouped=True)(g + 1, width, stream, workspace)
+        assert rows.shape == (1, width) and np.isfinite(rows).all()
+        kappa = record.scale(spec)
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for j in range(width):
+                want = sum(D(abs(v)).ln() for v in t.reshape(g, width)[:, j].tolist())
+                want += g * D(abs(kappa)).ln()
+                assert abs(D(rows[0, j]) - want) <= D(1e-13) * max(1, abs(want))
+
+    def test_zero_unit_sum_is_minus_inf_for_cauchy_and_redrawn_for_exponential(self):
+        # u = 1/2 draws the Cauchy unit sum 0, a cancelling step; a zero
+        # uniform draws the Exponential product w = 0, which is redrawn
+        block, width = 33, 4
+        u = np.full((block - 1) * width, 0.3)
+        u[5 * width + 2] = 0.5
+        workspace = tuple(np.empty(block * width) for _ in range(3))
+        draw = block_step(DistributionSpec.cauchy_rank_one(), grouped=True)
+        _, _, rows = draw(block, width, QueueStream([u, 0.3, 0.7]), workspace)
+        total = rows.sum(axis=0)
+        assert np.isneginf(total[2]) and np.isfinite(np.delete(total, 2)).all()
+        u[5 * width + 2] = 0.0
+        spec = DistributionSpec.exponential_rank_one(1.0)
+        for grouped in (False, True):
+            stream = QueueStream([u.copy(), np.full(u.size, 0.6)])
+            _, _, rows = block_step(spec, grouped)(block, width, stream, workspace)
+            assert np.isfinite(rows).all() and stream.gen.random() != make_stream(99).random()
 
 
 # c = 1/x overflows in sample_triples on these supports, so cross terms
@@ -506,7 +659,7 @@ class TestOnePass:
 
         monkeypatch.setattr(product, "make_stream", stream)
         counted("sample_triples")
-        counted("sample_sums")
+        counted("sample_units")
         estimate_sigma2_mc(spec, n, seed=seed)
         sizes = chunk_sizes(n, SAMPLE_CHUNK)
         assert sorted(streams) == list(range(len(sizes)))
@@ -517,8 +670,8 @@ class TestOnePass:
             assert streams[k].random() == ref.random(), k
         if not spec.is_discrete:  # a finite-support law draws atom indices
             assert sum(m for _, m in counts) == n + 2 * len(sizes)
-            # a rank-one chunk draws its m + 1 sums, then one pair
-            want = [[("sample_sums", m + 1), ("sample_triples", 1)] for m in sizes]
+            # a rank-one chunk draws its m + 1 unit sums, then one pair
+            want = [[("sample_units", m + 1), ("sample_triples", 1)] for m in sizes]
             assert counts == [c for pair in want for c in pair]
 
     def test_pooled_workspaces_under_thread_stress(self):

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,8 +17,11 @@ from rmp.distributions import (
     EntryTriple,
     cross_terms,
     make_stream,
+    sample_triples,
+    sample_units,
 )
 from rmp.estimators import exact_discrete
+from rmp.families import _EXP_MIN_THETA, _HALF_MAX, FAMILIES
 from rmp.product import (
     CHAIN_CHUNK,
     STEP_BLOCK,
@@ -129,6 +135,15 @@ class TestDirectLogNorm:
         out = direct_log_norm([m] * 500)
         assert math.isfinite(out)
 
+    def test_entries_up_to_dbl_max(self):
+        # rank-one steps [[s, s], [0, 0]] with s near DBL_MAX, the sums of
+        # Uniform [-DBL_MAX/2, DBL_MAX/2]: a power of two above 2^1023 and
+        # a product entry s (1 + 1) would overflow
+        s = 1.5e308
+        m = np.array([[s, s], [0.0, 0.0]])
+        want = 2 * math.log(s) + 0.5 * math.log(8.0)  # [[2 s^2, 2 s^2], [0, 0]]
+        assert direct_log_norm([m, np.ones((2, 2)), m]) == pytest.approx(want, rel=1e-15)
+
 
 @st.composite
 def triples(draw):
@@ -188,16 +203,26 @@ class TestHeadRatioOrder:
         ids=["exponential", "cauchy", "uniform", "uniform-1e300"],
     )
     def test_rank_one_block_step_is_general_cross_terms(self, spec):
-        # the rank-one step draws sums and forms log|s| with no divide or
-        # multiply: the cross terms of the triples it replays, bit for bit
+        # the rank-one step draws unit sums t and forms log|t| + log|kappa|
+        # per term, or one log per product of `group` of them: the cross
+        # terms of the triples it replays, log|kappa t|, up to rounding
         block, width = STEP_BLOCK, 64
         workspace = tuple(np.empty(block * width) for _ in range(3))
         _, _, got = product.block_step(spec)(block, width, make_stream(6), workspace)
         steps = _block_triples(spec, block, width, make_stream(6))
         A, B, C = (x.reshape(block, width) for x in steps)
         want = cross_terms((A[:-1], None, C[:-1]), (A[1:], B[1:], None))
-        assert np.isfinite(want).all()
-        assert np.array_equal(got, want)
+        assert np.isfinite(want).all() and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        t = sample_units(spec, (block - 1) * width, make_stream(6))
+        log_kappa = math.log(abs(FAMILIES[spec.family].scale(spec)))
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(got.ravel(), np.log(np.abs(t)) + log_kappa)
+        draw = product.block_step(spec, grouped=True)
+        _, _, rows = draw(block, width, make_stream(6), workspace)
+        group = FAMILIES[spec.family].group
+        assert rows.shape == (-(-(block - 1) // group), width)
+        np.testing.assert_allclose(rows.sum(axis=0), want.sum(axis=0), rtol=1e-13)
 
 
 class TestChainKernel:
@@ -207,8 +232,16 @@ class TestChainKernel:
             (DistributionSpec.binary_hill(2.0, 3.0, 0.3), 200, 8, 21),
             # force a block boundary: the carry between blocks is replayed
             (DistributionSpec.exponential_rank_one(1.0), STEP_BLOCK + 37, 4, 3),
+            # the extreme rank-one laws, whose unit sums the kernel
+            # multiplies in groups, across a block boundary
+            (DistributionSpec.exponential_rank_one(_EXP_MIN_THETA), STEP_BLOCK + 37, 4, 3),
+            (DistributionSpec.exponential_rank_one(1e300), STEP_BLOCK + 37, 4, 3),
+            (DistributionSpec.cauchy_rank_one(), STEP_BLOCK + 37, 4, 3),
+            (DistributionSpec.uniform_rank_one(0.0, sys.float_info.min), STEP_BLOCK + 37, 4, 3),
+            (DistributionSpec.uniform_rank_one(_HALF_MAX, _HALF_MAX), STEP_BLOCK + 37, 4, 3),
         ],
-        ids=["single_block", "across_blocks"],
+        ids=["single_block", "across_blocks", "exp-min-theta", "exp-1e300", "cauchy",
+             "uniform-0-dbl-min", "uniform-half-max"],
     )
     def test_matches_direct(self, spec, n, width, seed):
         got = chain_log_norms(spec, n, width, seed)
@@ -245,29 +278,54 @@ ONE_PER_FAMILY = (
 )
 
 
+def allocating_rank_one_block(spec, block, width, gen):
+    """A rank-one block step with fresh arrays: the unit sums of block - 1
+    steps folded by contiguous halving into products of up to `group` of
+    them, one log each and (block - 1) log|kappa| on the first row; then
+    the carry pair."""
+    record = FAMILIES[spec.family]
+    rows = sample_units(spec, (block - 1) * width, gen).reshape(block - 1, width)
+    last = sample_triples(spec, width, gen)
+    g = record.group
+    while g > 1 and len(rows) > 1:
+        r, h = len(rows), (len(rows) + 1) // 2
+        rows = np.concatenate([rows[: r - h] * rows[h:], rows[r - h : h]])
+        g //= 2
+    with np.errstate(divide="ignore"):
+        cross = np.log(np.abs(rows))
+    if block > 1:
+        cross[0] += (block - 1) * math.log(abs(record.scale(spec)))
+    return last, last, cross
+
+
 def allocating_chain_chunk(spec, n, width, gen):
-    """The chain kernel with fresh arrays for every block, on replayed triples."""
+    """The chain kernel with fresh arrays for every block: a rank-one law
+    by allocating_rank_one_block, other laws on replayed triples."""
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None
     done = 0
     while done < n:
         block = min(STEP_BLOCK, n - done)
-        a, b, c = _block_triples(spec, block, width, gen)
-        A = a.reshape(block, width)
-        B = b.reshape(block, width)
-        C = c.reshape(block, width)
+        if spec.is_rank_one:
+            first, last, cross = allocating_rank_one_block(spec, block, width, gen)
+        else:
+            a, b, c = _block_triples(spec, block, width, gen)
+            A = a.reshape(block, width)
+            B = b.reshape(block, width)
+            C = c.reshape(block, width)
+            first, last = (A[0], B[0], C[0]), (A[-1], B[-1], C[-1])
+            with np.errstate(divide="ignore"):
+                cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
         if prev is None:
-            head_ratio = B[0] / A[0]
+            head_ratio = first[1] / first[0]
         else:
             pa, _, pc = prev
             with np.errstate(divide="ignore"):
-                sumlog += np.log(np.abs(pa + pc * (B[0] / A[0])))
+                sumlog += np.log(np.abs(pa + pc * (first[1] / first[0])))
         if block > 1:
-            with np.errstate(divide="ignore"):
-                cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
             sumlog += cross.sum(axis=0)
-        prev = (A[-1], B[-1], C[-1])
+        prev = last
         done += block
     pa, _, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
@@ -290,6 +348,21 @@ class TestMapStreams:
         assert all(len(w) == 3 and all(b.shape == (length,) for b in w) for w in workspaces)
         if threads == 1:
             assert all(w is workspaces[0] for w in workspaces)
+
+
+    def test_one_thread_run_imports_no_thread_pool(self):
+        # concurrent.futures loads logging; a one-thread run needs neither
+        code = (
+            "import sys, rmp.cli\n"
+            "from rmp.distributions import DistributionSpec\n"
+            "from rmp.product import chain_log_norms\n"
+            "chain_log_norms(DistributionSpec.cauchy_rank_one(), 600, 300, 1, threads=1)\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        )
+        src = str(Path(product.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestChainWorkspace:
