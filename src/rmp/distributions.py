@@ -13,6 +13,7 @@ substreams.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -359,7 +360,9 @@ class AtomLaw:
     a power-of-two length for index_search.
     The cross term of atom i followed by atom j is one of k^2 numbers,
     kept in a table built here; ``cross`` gathers from it, so callers
-    never see its layout.
+    never see its layout.  ``indices`` draws one atom per step, as the
+    Monte Carlo route and a chain's last block do; a chain's other blocks
+    draw words of consecutive atoms from the tables of ``words``.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -385,6 +388,14 @@ class AtomLaw:
         table, k^2 doubles: 8 MiB at k = 1024.
         """
         return self._table
+
+    @functools.cached_property
+    def words(self):
+        """The law's words.WordTable, built on first use: a chain's block
+        step draws words of consecutive atoms through it."""
+        from .words import WordTable
+
+        return WordTable(self)
 
     def cross(self, i, j, out=None, pairs=None) -> np.ndarray:
         """log_cross()[i, j] for atom index arrays i, j.

@@ -214,12 +214,28 @@ def _validate_exponential(spec):
 
 
 def _validate_hill(spec):
+    """A Hill cross term is 1 + (1/x_1) x_2.  On a one-signed support its
+    magnitude is largest at |x_1| = min(|a|, |b|), |x_2| = max(|a|, |b|),
+    and rounding is monotone, so every term is finite when
+    fl(fl(1/a) b) (0 < a < b), or fl(fl(1/b) a) (a < b < 0), is; the
+    bound is tight up to the last double a draw reaches.  A support that
+    straddles 0, or ends at it, has no such bound: draws near 0 can
+    overflow 1/x, and their +inf or NaN terms are counted in
+    inf_nan_events.
+    """
     a = _need(spec, "a")
     b = _need(spec, "b")
     if not a < b:
         raise SpecError(f"need a < b for the multiplier support [a, b], got [{a}, {b}]")
     if not math.isfinite(b - a):
         raise SpecError(f"support [a, b] is too wide: b - a = {b!r} - {a!r} overflows")
+    if a > 0.0 or b < 0.0:
+        near, far = (a, b) if a > 0.0 else (b, a)
+        if not math.isfinite(1.0 / near * far):
+            raise SpecError(
+                f"support [a, b] = [{a!r}, {b!r}] is too close to 0 for its width: "
+                f"the cross term 1 + (1/x_1) x_2 overflows at (1/{near!r}) * {far!r}"
+            )
 
 
 def _validate_constant(spec):

@@ -38,9 +38,15 @@ of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
 STEP_BLOCK.  Only the block step depends on the law: a rank-one law
 draws one unit sum per step (_rank_one_block), another continuous law
 samples the block's triples and forms the cross terms in place, and a
-finite-support law gathers them from its AtomLaw's table, with no divide
-or log per step.  The Monte Carlo estimators draw their chain segments
-through the same block step (block_step) at width 1.
+finite-support law gathers them from tables built once per law, with no
+divide or log per step.  A chain on a law of k atoms draws words of g
+consecutive atoms (g = 8 for k <= 2, 4 for k <= 4, 2 for k <= 16, else
+1): one uniform through an alias table and one gather per word, which
+sums the word's g - 1 terms and the term into it (rmp.words, imported by
+the first such chain).  A block that is no whole number of words, which
+only a chain's last block can be, draws one atom per step, as the Monte
+Carlo estimators do: they draw their chain segments through the same
+block step (block_step) at width 1 and need every term.
 """
 
 from __future__ import annotations
@@ -211,15 +217,21 @@ def map_chunks(fn, n_chunks: int, threads: int = 1):
 def block_step(spec: DistributionSpec, grouped: bool = False):
     """The law's draw(block, width, gen, workspace), as map_streams passes it.
 
-    _atom_block on the spec's AtomLaw for a finite-support law,
-    _rank_one_block for a rank-one law (``grouped``: in its family's
-    groups), _sampled_block otherwise.  At width 1 a block is one chain
-    segment of ``block`` consecutive steps and its block - 1 cross
-    terms.  All write the terms into the third workspace buffer, so a
-    caller that reads neither returned row may reuse the first two.
+    For a finite-support law _atom_block on the spec's AtomLaw, one atom
+    per step, or with ``grouped`` _word_block, in words of its
+    AtomLaw.words; _rank_one_block for a rank-one law (``grouped``: in
+    its family's groups); _sampled_block otherwise.  Ungrouped, every
+    step's term is a row, and at width 1 a block is one chain segment of
+    ``block`` consecutive steps and its block - 1 cross terms; grouped,
+    only the rows' column sums are the block's.  All write the terms into
+    the third workspace buffer, so a caller that reads neither returned
+    row may reuse the first two.
     """
     if spec.is_discrete:
-        return functools.partial(_atom_block, spec.atom_law)
+        law = spec.atom_law
+        if grouped:
+            return functools.partial(_word_block, law, law.words)
+        return functools.partial(_atom_block, law)
     if spec.is_rank_one:
         record = FAMILIES[spec.family]
         group = record.group if grouped else None
@@ -303,6 +315,16 @@ def _sampled_block(spec, block, width, gen, workspace):
     t1, t2 = (A[:-1], None, C[:-1]), (A[1:], B[1:], None)
     cross_terms(t1, t2, out=C[:-1], ratio=B[1:])
     return (A[0], B[0], C[0]), last, C[:-1]
+
+
+def _word_block(law, words, block, width, gen, workspace):
+    """words.block of a block of whole words; _atom_block of a block whose
+    length is not a multiple of the word length, which only a chain's
+    last block can be.
+    """
+    if block % words.g:
+        return _atom_block(law, block, width, gen, workspace)
+    return words.block(block // words.g, width, gen, workspace)
 
 
 def _atom_block(law, block, width, gen, workspace):

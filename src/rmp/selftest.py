@@ -226,14 +226,23 @@ def _chain_triples(spec, n, seed, width=1):
 def _block_triples(spec, block, width, gen):
     """Triples (a, b, c), block * width each, that replay one block step.
 
-    Other laws draw sample_triples of the whole block.  A rank-one block
-    draws the unit sums t of its first block - 1 steps (sample_units),
-    then the (x, x, y) of its last (sample_triples).  A unit sum step
-    becomes the triple (s, s, 0) of its sum s = kappa t, whose cross term
-    into any rank-one step is exactly s + 0 * 1, and an exact s = 0 the
-    triple (1, 1, -1), whose term is 1 - 1 = 0; the head ratio of both is
-    1, as it is for every rank-one step.
+    A finite-support block of whole words of g atoms draws them
+    (AtomLaw.words.draw) and decodes each into its g atoms; a shorter
+    block, and every other law that is not rank-one, draws sample_triples
+    of the whole block.  A rank-one block draws the unit sums t of its
+    first block - 1 steps (sample_units), then the (x, x, y) of its last
+    (sample_triples).  A unit sum step becomes the triple (s, s, 0) of
+    its sum s = kappa t, whose cross term into any rank-one step is
+    exactly s + 0 * 1, and an exact s = 0 the triple (1, 1, -1), whose
+    term is 1 - 1 = 0; the head ratio of both is 1, as it is for every
+    rank-one step.
     """
+    if spec.is_discrete and block % spec.atom_law.words.g == 0:
+        words = spec.atom_law.words
+        n = block // words.g * width
+        drawn = words.draw(n, gen, (np.empty(n), np.empty(n), np.empty(n)))
+        steps = words.atom_indices(drawn.reshape(-1, width))
+        return tuple(spec.atom_law.atoms[steps.ravel()].T)
     if not spec.is_rank_one:
         return sample_triples(spec, block * width, gen)
     s = sample_units(spec, (block - 1) * width, gen) * FAMILIES[spec.family].scale(spec)

@@ -4,7 +4,9 @@ The references below are the discrete code paths as they were before
 atom indices: the per-family sampler branches, the allocate-per-block
 chain kernel on sampled triples, and the reducer's one-pass chunk body
 on sampled triples.  The atom-index paths must reproduce them bit for
-bit.
+bit.  A chain's blocks of whole words replay the words it drew
+(selftest._block_triples) and sum their terms by word, as the word
+kernel gathers them.
 """
 
 import math
@@ -33,6 +35,7 @@ from rmp.estimators import (
 )
 from rmp.families import BINARY_HILL, CONSTANT_TRIPLE
 from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
+from rmp.selftest import _block_triples
 
 
 def _random_atoms(k, seed, cancelling=False):
@@ -77,15 +80,34 @@ def legacy_triples(spec, n, gen):
     return table[idx, 0], table[idx, 1], table[idx, 2]
 
 
+def word_rows(terms, g):
+    """A block's (block - 1) x width step terms summed as the word kernel
+    gathers them, block = R g: row 0 is S of the first word, row r >= 1
+    the term into word r plus S of word r, each S the left-to-right sum
+    of the word's own g - 1 terms."""
+    rows = []
+    for start in range(0, len(terms) + 1, g):
+        s = np.zeros(terms.shape[1])
+        for i in range(start, start + g - 1):
+            s = s + terms[i]
+        rows.append(s if start == 0 else terms[start - 1] + s)
+    return np.array(rows)
+
+
 def legacy_chain_chunk(spec, n, width, gen):
-    """The chain kernel on sampled triples, with fresh arrays for every block."""
+    """The chain kernel with fresh arrays for every block: on replayed words
+    for a block of whole words, on sampled triples otherwise."""
+    g = spec.atom_law.words.g
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None
     done = 0
     while done < n:
         block = min(STEP_BLOCK, n - done)
-        a, b, c = legacy_triples(spec, block * width, gen)
+        if block % g:
+            a, b, c = legacy_triples(spec, block * width, gen)
+        else:
+            a, b, c = _block_triples(spec, block, width, gen)
         A = a.reshape(block, width)
         B = b.reshape(block, width)
         C = c.reshape(block, width)
@@ -98,6 +120,8 @@ def legacy_chain_chunk(spec, n, width, gen):
         if block > 1:
             with np.errstate(divide="ignore"):
                 cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
+            if block % g == 0:
+                cross = word_rows(cross, g)
             sumlog += cross.sum(axis=0)
         prev = (A[-1], C[-1])
         done += block

@@ -148,6 +148,47 @@ class TestFiniteSupportOverflow:
         DistributionSpec.binary_hill(1.7e308, 1e-154, 1.0)
 
 
+# fl(x) of a real x is finite exactly when |x| < 2^1024 - 2^970, halfway
+# from DBL_MAX to 2^1024 (a tie rounds to the even 2^1024, inf)
+OVERFLOW_AT = Decimal(2) ** 1024 - Decimal(2) ** 970
+
+
+class TestHillSupportBound:
+    @pytest.mark.parametrize("near", [0.7, 1e-10, 3e-300, 2.0**-1000, 1e-307])
+    def test_one_signed_boundary_pinned_in_decimal(self, near):
+        # far is the largest double with fl(1/near) * far below the overflow
+        # threshold in exact arithmetic: [near, far] and its mirror are
+        # valid, and the next double is not
+        with localcontext() as ctx:
+            ctx.prec = 2000
+            r = Decimal(1.0 / near)
+            far = float(OVERFLOW_AT / r)
+            while Decimal(far) * r >= OVERFLOW_AT:
+                far = math.nextafter(far, 0.0)
+            while Decimal(math.nextafter(far, math.inf)) * r < OVERFLOW_AT:
+                far = math.nextafter(far, math.inf)
+        past = math.nextafter(far, math.inf)
+        DistributionSpec.hill_random(near, far)
+        DistributionSpec.hill_random(-far, -near)
+        for a, b in ((near, past), (-past, -near)):
+            with pytest.raises(SpecError, match="too close to 0"):
+                DistributionSpec.hill_random(a, b)
+        # the kernels' cross term 1 + c_1 (x_2 / 1) at the extremes x_1 = near,
+        # x_2 = far of the valid law is finite
+        one = np.ones(1)
+        term = cross_terms((one, None, np.array([1.0 / near])), (one, np.array([far]), None))
+        assert np.isfinite(term).all()
+
+    def test_reciprocal_overflow_rejected_straddling_kept(self):
+        # 1/x overflows on the whole of [1e-310, 2e-310]; a support that
+        # reaches or straddles 0 has no bound and keeps its counted events
+        for a, b in ((1e-310, 2e-310), (-2e-310, -1e-310)):
+            with pytest.raises(SpecError, match="too close to 0"):
+                DistributionSpec.hill_random(a, b)
+        DistributionSpec.hill_random(-1e-307, 1e-307)
+        DistributionSpec.hill_random(0.0, 1e-310)
+
+
 class TestAtomCap:
     @staticmethod
     def _validate(k):

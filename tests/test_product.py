@@ -31,6 +31,7 @@ from rmp.product import (
     direct_log_norm,
 )
 from rmp.selftest import _block_triples, _both_routes, _chain_triples
+from test_atom_law import word_rows
 
 LOG2 = math.log(2.0)
 
@@ -300,7 +301,8 @@ def allocating_rank_one_block(spec, block, width, gen):
 
 def allocating_chain_chunk(spec, n, width, gen):
     """The chain kernel with fresh arrays for every block: a rank-one law
-    by allocating_rank_one_block, other laws on replayed triples."""
+    by allocating_rank_one_block, other laws on replayed triples, whose
+    terms a finite-support block of whole words sums by word."""
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None
@@ -317,6 +319,8 @@ def allocating_chain_chunk(spec, n, width, gen):
             first, last = (A[0], B[0], C[0]), (A[-1], B[-1], C[-1])
             with np.errstate(divide="ignore"):
                 cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
+            if spec.is_discrete and block % spec.atom_law.words.g == 0:
+                cross = word_rows(cross, spec.atom_law.words.g)
         if prev is None:
             head_ratio = first[1] / first[0]
         else:
