@@ -216,20 +216,22 @@ def _chain_triples(spec, n, seed, width=1):
     chains = [[] for _ in range(width)]
     for done in range(0, n, product.STEP_BLOCK):
         block = min(product.STEP_BLOCK, n - done)
-        steps = _block_triples(spec, block, width, gen)
+        steps = _block_triples(spec, block, width, gen, grouped=True)
         a, b, c = (x.reshape(block, width).T.tolist() for x in steps)
         for chain, *entries in zip(chains, a, b, c):
             chain.extend(map(EntryTriple, *entries))
     return chains
 
 
-def _block_triples(spec, block, width, gen):
-    """Triples (a, b, c), block * width each, that replay one block step.
+def _block_triples(spec, block, width, gen, grouped=False):
+    """Triples (a, b, c), block * width each, that replay one block step,
+    block_step(spec, grouped).
 
-    A finite-support block of whole words of g atoms draws them
-    (AtomLaw.words.draw) and decodes each into its g atoms; a shorter
-    block, and every other law that is not rank-one, draws sample_triples
-    of the whole block.  A rank-one block draws the unit sums t of its
+    A finite-support chain block (``grouped``) of whole words of g atoms
+    draws them (AtomLaw.words.draw) and decodes each into its g atoms; a
+    shorter block, an ungrouped one (the Monte Carlo segment), and every
+    other law that is not rank-one, draws sample_triples of the whole
+    block.  A rank-one block draws the unit sums t of its
     first block - 1 steps (sample_units), then the (x, x, y) of its last
     (sample_triples).  A unit sum step becomes the triple (s, s, 0) of
     its sum s = kappa t, whose cross term into any rank-one step is
@@ -237,7 +239,7 @@ def _block_triples(spec, block, width, gen):
     term is 1 - 1 = 0; the head ratio of both is 1, as it is for every
     rank-one step.
     """
-    if spec.is_discrete and block % spec.atom_law.words.g == 0:
+    if grouped and spec.is_discrete and block % spec.atom_law.words.g == 0:
         words = spec.atom_law.words
         n = block // words.g * width
         drawn = words.draw(n, gen, (np.empty(n), np.empty(n), np.empty(n)))

@@ -107,7 +107,7 @@ def legacy_chain_chunk(spec, n, width, gen):
         if block % g:
             a, b, c = legacy_triples(spec, block * width, gen)
         else:
-            a, b, c = _block_triples(spec, block, width, gen)
+            a, b, c = _block_triples(spec, block, width, gen, grouped=True)
         A = a.reshape(block, width)
         B = b.reshape(block, width)
         C = c.reshape(block, width)

@@ -312,7 +312,7 @@ def allocating_chain_chunk(spec, n, width, gen):
         if spec.is_rank_one:
             first, last, cross = allocating_rank_one_block(spec, block, width, gen)
         else:
-            a, b, c = _block_triples(spec, block, width, gen)
+            a, b, c = _block_triples(spec, block, width, gen, grouped=True)
             A = a.reshape(block, width)
             B = b.reshape(block, width)
             C = c.reshape(block, width)

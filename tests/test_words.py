@@ -18,10 +18,12 @@ import pytest
 
 from rmp import product
 from rmp.distributions import DistributionSpec, make_stream
-from rmp.selftest import _chain_triples
+from rmp.estimators import cross_terms
+from rmp.selftest import _block_triples, _chain_triples
 from rmp.words import UNITS, word_length
 
 from test_atom_law import LAWS, IDS, _random_atoms
+from test_distributions import QueueStream
 
 CANCEL = ((2.0, 5.0, 1.0), (1.0, -2.0, 3.0))  # 2 + 1 * (-2 / 1) = 0
 
@@ -91,6 +93,37 @@ class TestWordTable:
         n = 4096
         drawn = words.draw(n, make_stream(3), (np.empty(n), np.empty(n), np.empty(n)))
         assert all(alias_mass(words)[w] > 0 for w in set(drawn.tolist()))
+
+    def test_each_uniform_draws_its_slots_word(self, spec):
+        # u = m 2^-53 in slot j = floor(u N) draws word[j] for the first
+        # threshold[j] 2^53 - j M of the slot's M values of m and word[j + N]
+        # for the rest, as alias_mass counts them: the first and last value
+        # of each part, for every slot
+        words = spec.atom_law.words
+        N = words.size
+        M = UNITS // N
+        u, want = [], []
+        for j, t in enumerate(words.threshold):
+            own = int(Fraction(t) * UNITS) - j * M
+            parts = ((j * M, own, words.word[j]), (j * M + own, M - own, words.word[j + N]))
+            for start, count, word in parts:
+                if count:
+                    u += [start / UNITS, (start + count - 1) / UNITS]
+                    want += [word, word]
+        n = len(u)
+        gen = QueueStream([np.array(u)])
+        drawn = words.draw(n, gen, (np.empty(n), np.empty(n), np.empty(n)))
+        assert drawn.tolist() == want
+
+    def test_ungrouped_replay_draws_single_atoms(self, spec):
+        # the Monte Carlo segment's block step draws one atom per step, even
+        # when its length is a whole number of words
+        block = 4 * spec.atom_law.words.g
+        workspace = tuple(np.empty(block) for _ in range(3))
+        _, _, got = product.block_step(spec)(block, 1, make_stream(3), workspace)
+        a, b, c = _block_triples(spec, block, 1, make_stream(3))
+        want = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
+        assert np.array_equal(got.ravel(), want)
 
     def test_sums_follow_the_word(self, spec):
         law = spec.atom_law
