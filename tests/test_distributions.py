@@ -360,6 +360,38 @@ class TestMakeStream:
     def test_chunk_defaults_to_zero(self):
         assert make_stream(9).random(4).tolist() == make_stream(9, 0).random(4).tolist()
 
+    def test_state_copy_keeps_every_stream(self):
+        # some states are copied out of a line-straddling bit generator;
+        # every stream must be the plain SeedSequence one
+        for seed in range(40):
+            for chunk in (0, 1, 2, 63, 2**40 + 1):
+                words = [seed, 0, chunk & 0xFFFFFFFF, chunk >> 32]
+                seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+                want = np.random.Generator(np.random.SFC64(seq))
+                got = make_stream(seed, chunk)
+                assert np.array_equal(got.random(64), want.random(64)), (seed, chunk)
+                assert np.array_equal(got.integers(2**63, size=8), want.integers(2**63, size=8))
+
+    def test_state_does_not_straddle_a_cache_line(self, monkeypatch):
+        # streams made one after another, each dropped when the next is
+        # made, as one worker makes them, or two alive at once, as two do.
+        # The park starts empty, as in a fresh process (the old one stays
+        # referenced, so its slots are not freed), and the state's address
+        # is read as make_stream reads it, since the ctypes view would
+        # allocate objects that change the heap's layout
+        monkeypatch.setattr(distributions, "_PARKED", [])
+        bits = make_stream(0).bit_generator
+        offset = distributions._SFC64_STATE_OFFSET
+        assert bits.ctypes.state_address == id(bits) + offset
+        for alive in (1, 2):
+            held = None
+            for chunk in range(64):
+                gen = make_stream(3, chunk)
+                assert (id(gen.bit_generator) + offset) % 64 <= 32, (alive, chunk)
+                held = gen if alive == 2 else None
+                del gen
+        assert len(distributions._PARKED) < distributions._PARK_LIMIT
+
 
 class TestSampling:
     def test_constant_point_mass(self):
