@@ -18,11 +18,12 @@ lambda.  The sequence is stationary, so lambda is its mean and sigma^2
 its long-run variance (Hoeffding & Robbins, Duke Math. J. 1948): one
 segment gives all three.  The Monte Carlo route cuts the lag rows
 (x_j, x_{j+1}) of every segment into batches of consecutive rows, each
-summarised by its count, mean and sums centered at that mean, so memory
-is O(SAMPLE_CHUNK).  The batch table is the only summary: one combine
-recenters it at lambda for the estimates, and its full batches give the
-standard errors.  The rows overlap, so those are non-overlapping batch
-means (Flegal & Jones, Ann. Statist. 2010) rather than i.i.d. formulas.
+summarised by its count and sums centered at its segment's first term
+(shifted data: Chan, Golub & LeVeque, Amer. Statist. 1983), so memory
+is O(SAMPLE_CHUNK).  One combine recenters the batch table at lambda,
+and its full batches give the standard errors.  The rows overlap, so
+those are non-overlapping batch means (Flegal & Jones, Ann. Statist.
+2010) rather than i.i.d. formulas.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .distributions import (
     sample_triples,
 )
 from .families import FAMILIES, NoClosedFormError
-from .product import NEG_INF, chain_log_norms, map_chunks, map_streams
+from .product import NEG_INF, chain_log_norms, log_kappa, map_chunks, map_streams
 
 SAMPLE_CHUNK = 1 << 16
 
@@ -97,40 +98,6 @@ class CovarianceLadder:
 
 # -- batch-means reducer -----------------------------------------------------
 
-def _mean(xs: np.ndarray):
-    """Mean along the last axis; exact (not just to rounding) for a constant row."""
-    lo, hi = xs.min(axis=-1), xs.max(axis=-1)
-    return np.where(lo == hi, lo, xs.mean(axis=-1))
-
-
-def _summary(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """Batch sums of the rows (x, y): one (n, m, Sxx, Sxy, Sx, Sy) per batch.
-
-    The last axis holds a batch's n rows and leading axes index batches.
-    m = _mean(x), and with dx = x - m, dy = y - m the sums are
-    Sxx = sum dx^2, Sxy = sum dx dy, Sx = sum dx and Sy = sum dy.  x and
-    y are not written, so they may overlap.  ``out`` is an optional pair
-    of float64 buffers, each at least x.size long and apart from x and
-    y, that receive dx and dy instead of fresh arrays.  The sums run in
-    einsum's own loops (never BLAS), so a row does not depend on the
-    thread that computed it.
-    """
-    m = _mean(x)
-
-    def centered(v, buf):
-        dest = None if buf is None else buf[: v.size].reshape(v.shape)
-        return np.subtract(v, m[..., None], out=dest)
-
-    dx, dy = map(centered, (x, y), (None, None) if out is None else out)
-    sums = (
-        np.einsum("...k,...k->...", dx, dx),
-        np.einsum("...k,...k->...", dx, dy),
-        np.einsum("...k->...", dx),
-        np.einsum("...k->...", dy),
-    )
-    return np.stack([np.full(m.shape, float(x.shape[-1])), m, *sums], axis=-1)
-
-
 def batch_length(n_rows: int) -> int:
     """Rows per batch: 2^floor(log2 sqrt(n_rows)), at most SAMPLE_CHUNK.
 
@@ -140,27 +107,39 @@ def batch_length(n_rows: int) -> int:
     return min(1 << (math.isqrt(n_rows).bit_length() - 1), SAMPLE_CHUNK)
 
 
-def _segment(c: np.ndarray, L: int, out=None):
+def _batches(d: np.ndarray, n: int, p: float) -> np.ndarray:
+    """Table rows (n, p, Sxx, Sxy, Sx, Sy) of the len(d) - 1 rows of the
+    centred terms d, in batches of n; see _segment."""
+    dx, dy = d[:-1].reshape(-1, n), d[1:].reshape(-1, n)
+    Sx = np.einsum("ij->i", dx)
+    sums = np.einsum("ij,ij->i", dx, dx), np.einsum("ij,ij->i", dx, dy), Sx
+    return np.column_stack([np.full((Sx.size, 2), (n, p)), *sums, Sx - dx[:, 0] + dy[:, -1]])
+
+
+def _segment(c: np.ndarray, L: int, buf: np.ndarray):
     """(events, batch table) of one segment's cross terms c.
 
     The rows are the len(c) - 1 lag pairs (c[j], c[j + 1]).  Consecutive
     runs of L rows are batches, and the last len(c) - 1 mod L rows (only
-    the last chunk has any) are one shorter tail batch; the table holds
-    their _summary rows in order.  A term that is not finite is an
-    event, counted in events = (-inf terms, +inf or NaN terms), and then
-    only the counts are returned (the table is None), since the variance
-    is undefined.  ``out`` is _summary's optional pair of scratch buffers.
+    the last chunk has any) are one shorter tail batch.  The terms are
+    centred once at the pivot p = c[0], d = c - p into ``buf`` (a spent
+    buffer of at least len(c)); a batch's row holds its count n, p and
+    the sums of dx^2, dx dy, dx and dy over its rows (dx, dy) of d, in
+    einsum's own loops (never BLAS, so no row depends on the thread).  A
+    term that is not finite makes its batch's sums so: it is an event,
+    counted in events = (-inf terms, +inf or NaN terms), and the table is
+    None, since the variance is undefined.
     """
-    finite = np.isfinite(c)
-    if not finite.all():
-        minus_inf = int(np.count_nonzero(c == NEG_INF))
-        return (minus_inf, c.size - minus_inf - int(np.count_nonzero(finite))), None
-    x, y = c[:-1], c[1:]
-    rows = x.size // L * L
-    table = _summary(x[:rows].reshape(-1, L), y[:rows].reshape(-1, L), out)
-    if rows < x.size:
-        table = np.concatenate([table, _summary(x[None, rows:], y[None, rows:], out)])
-    return (0, 0), table
+    full = (c.size - 1) // L * L
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) in a failing segment
+        d = np.subtract(c, c[0], out=buf[: c.size])
+        table = _batches(d[: full + 1], L, c[0])
+        if full < c.size - 1:
+            table = np.concatenate([table, _batches(d[full:], c.size - 1 - full, c[0])])
+    if np.isfinite(table).all():
+        return (0, 0), table
+    minus_inf = int(np.count_nonzero(c == NEG_INF))
+    return (minus_inf, c.size - minus_inf - int(np.count_nonzero(np.isfinite(c)))), None
 
 
 def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
@@ -172,12 +151,12 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     m + 1 cross terms and m lag rows; _segment cuts them into batches of
     batch_length(n_samples) rows.  A finite-support law draws atom
     indices and gathers its cross terms from AtomLaw's table, the same
-    values bit for bit; a rank-one law draws the m + 1 unit sums t_j whose
-    log |t_j| + log |kappa| are the terms, one each (map_streams' per-term
-    block step), and a last pair that no term reads.
+    values bit for bit; a rank-one law draws the m + 1 unit sums t_j and
+    a last pair that no term reads, and its terms log |t_j| + log |kappa|
+    come without the constant, which is added once, to the pivots.
     Returns (events, table): the counts of -inf terms and of +inf or NaN
     terms, and the batch rows of every chunk in chunk order (see
-    _summary), or None if any term was not finite.  Memory is
+    _segment), or None if any term was not finite.  Memory is
     O(SAMPLE_CHUNK) per worker whatever n_samples is.
     """
     if n_samples < 2:
@@ -185,30 +164,31 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     L = batch_length(n_samples)
 
     def segment(draw, m, gen, workspace):
-        # the cross terms land in the last buffer; the other two are
-        # spent draws, reused as the reducer's scratch
+        # the terms land in the last buffer; the first, spent, takes d
         _, _, cross = draw(m + 2, 1, gen, workspace)
-        return _segment(cross.ravel(), L, workspace[:2])
+        return _segment(cross.ravel(), L, workspace[0])
 
     length = min(n_samples, SAMPLE_CHUNK) + 2
     parts = map_streams(spec, seed, n_samples, SAMPLE_CHUNK, length, threads, segment)
     events = tuple(sum(counts) for counts in zip(*(p[0] for p in parts)))
     if any(events):
         return events, None
-    return events, np.concatenate([p[1] for p in parts])
+    table = np.concatenate([p[1] for p in parts])
+    table[:, 1] += log_kappa(spec)
+    return events, table
 
 
 def _batch_se(v: np.ndarray) -> float:
     """Sample std of the batch values v over sqrt(len(v)).
 
-    NaN below two batches: batch_length leaves at least two full ones,
-    but estimate_sigma2_mc passes no variance batches at all when a
-    batch is one row long.  Exactly 0 when every batch agrees, since
-    _mean is exact there.
+    NaN below two batches (estimate_sigma2_mc passes no variance batches
+    when a batch is one row).  Exactly 0 when every batch agrees: v is
+    centred at its first value, then at the mean of what is left.
     """
     if v.size < 2:
         return float("nan")
-    d = v - _mean(v)
+    d = v - v[0]
+    d -= d.mean()
     return math.sqrt(float((d * d).sum()) / (v.size - 1) / v.size)
 
 
@@ -227,20 +207,21 @@ def estimate_sigma2_mc(
 
     both centered, so a law whose sigma2 is tiny next to lam^2 keeps its
     digits.  They come from the batch table of _reduce in one combine:
-    batch b has n_b rows, mean m_b and sums centered there, and with
-    d = m_b - lam
+    batch b has n_b rows, pivot p_b and sums centered there, and with
+    d = p_b - lam
 
-        lam = m_0 + sum n_b (m_b - m_0) / n,
+        lam = p_0 + sum [n_b (p_b - p_0) + Sx] / n,
         c0 = sum [Sxx + 2 d Sx + n_b d^2] / n,
         c1 = sum [Sxy + d (Sx + Sy) + n_b d^2] / n,
 
-    so a constant law gives lam exactly and c0 = c1 = 0.  Standard errors
-    of lam, sigma2, c0 and c1 are batch means: each full batch (n_b =
-    batch_length(n_samples); the tail is left out) gives its own
-    (m_b, Sxx / n_b, Sxy / n_b), and a standard error is the sample std
-    of a batch value over sqrt(number of batches).  Below 4 rows a batch
-    is one row, whose centered sums are 0, so the standard errors of
-    sigma2, c0 and c1 are NaN there.
+    so a constant law (all sums 0) gives lam exactly and c0 = c1 = 0.
+    Standard errors are batch means: each full batch (n_b = L; the tail
+    is left out) gives its own mean less p_0 (a shift that keeps its
+    digits), lam_b = p_b - p_0 + e, e = Sx / L, c0_b = Sxx / L - e^2 and
+    c1_b = Sxy / L - e (Sx + Sy) / L + e^2, and a standard error is the
+    sample std of a batch value over sqrt(batch count).
+    Below 4 rows a batch is one row, with no spread of its own, so the
+    standard errors of sigma2, c0 and c1 are NaN there.
 
     With K chunks, each its own chain segment, Var(lam) is
     (n sigma2 - 2 K c1) / n^2, while L Var(batch mean) = sigma2 - 2 c1 / L
@@ -267,16 +248,18 @@ def estimate_sigma2_mc(
         return result, CovarianceLadder(nan, nan, lam, nan, nan, nan, minus_inf)
 
     n, L = n_samples, batch_length(n_samples)
-    n_b, m, Sxx, Sxy, Sx, Sy = table.T
-    lam = float(m[0] + np.sum(n_b * (m - m[0])) / n)
-    d = m - lam
+    n_b, p, Sxx, Sxy, Sx, Sy = table.T
+    lam = float(p[0] + np.sum(n_b * (p - p[0]) + Sx) / n)
+    d = p - lam
     c0 = float(np.sum(Sxx + 2.0 * d * Sx + n_b * d * d)) / n
     c1 = float(np.sum(Sxy + d * (Sx + Sy) + n_b * d * d)) / n
     sigma2 = c0 + 2.0 * c1
-    full = table[n_b == L]
-    lam_b, c0_b, c1_b = full[:, 1], full[:, 2] / L, full[:, 3] / L
+    _, p, Sxx, Sxy, Sx, Sy = table[n_b == L].T
+    e = Sx / L
+    lam_b, c0_b = p - p[0] + e, Sxx / L - e * e
+    c1_b = Sxy / L - e * (Sx + Sy) / L + e * e
     if L < 2:
-        # a one-row batch centered at its own mean has Sxx = Sxy = 0
+        # a one-row batch has no spread of its own
         c0_b = c1_b = c0_b[:0]
     se = _batch_se(c0_b + 2.0 * c1_b)
     result = EstimateResult(sigma2, se, n, seed, wall_time_s=time.perf_counter() - t0)

@@ -89,8 +89,9 @@ def direct_log_norm(matrices) -> float:
     product never overflows for any n, nor does a step (one with an entry
     above 2^1022 is scaled by 1/4 first).  Power-of-two scaling and
     explicit scalar 2x2 multiplication keep the arithmetic free of
-    rescaling rounding and FMA contraction, so an exactly cancelling
-    product really reaches the zero matrix.  Returns -inf in that case.
+    rescaling rounding and FMA contraction, but a product entry still
+    rounds, so an exactly cancelling product may leave a residue of up to
+    ~2 n eps prod ||Y_j|| instead of the zero matrix, whose log is -inf.
     This is the oracle chain_log_norms is validated against; it shares
     no code with the kernel.
     """
@@ -221,11 +222,10 @@ def block_step(spec: DistributionSpec, grouped: bool = False):
     per step, or with ``grouped`` _word_block, in words of its
     AtomLaw.words; _rank_one_block for a rank-one law (``grouped``: in
     its family's groups); _sampled_block otherwise.  Ungrouped, every
-    step's term is a row, and at width 1 a block is one chain segment of
-    ``block`` consecutive steps and its block - 1 cross terms; grouped,
-    only the rows' column sums are the block's.  All write the terms into
-    the third workspace buffer, so a caller that reads neither returned
-    row may reuse the first two.
+    step's term (less log_kappa) is a row, and at width 1 a block is one
+    chain segment of ``block`` steps and its block - 1 cross terms;
+    grouped, only the rows' column sums are the block's.  All write the
+    terms into the third buffer, so a caller may reuse the first two.
     """
     if spec.is_discrete:
         law = spec.atom_law
@@ -233,11 +233,14 @@ def block_step(spec: DistributionSpec, grouped: bool = False):
             return functools.partial(_word_block, law, law.words)
         return functools.partial(_atom_block, law)
     if spec.is_rank_one:
-        record = FAMILIES[spec.family]
-        group = record.group if grouped else None
-        log_scale = math.log(abs(record.scale(spec)))
-        return functools.partial(_rank_one_block, spec, group, log_scale)
+        group = FAMILIES[spec.family].group if grouped else None
+        return functools.partial(_rank_one_block, spec, group, log_kappa(spec))
     return functools.partial(_sampled_block, spec)
+
+
+def log_kappa(spec: DistributionSpec) -> float:
+    """log |kappa| of a rank-one law (terms log |t| + log |kappa|), else 0."""
+    return math.log(abs(FAMILIES[spec.family].scale(spec))) if spec.is_rank_one else 0.0
 
 
 def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
@@ -279,12 +282,13 @@ def _rank_one_block(spec, group, log_scale, block, width, gen, workspace):
     uniforms).  The last step's (x, x, y) is the carry: the term into the
     next block, a chain's tail, and the first row (head ratio 1).
 
-    With ``group`` None every row is a term, as the Monte Carlo segment
-    needs.  A chain needs only column sums: log2(group) halvings multiply
-    rows [0, r - h) by rows [h, r) in place (h = ceil(r / 2); contiguous,
-    so one pass each), leaving products of at most ``group`` unit sums,
-    normal by the family's unit_bound (or 0 after a cancelling step);
-    one log each, and (block - 1) log_scale on the first row.
+    With ``group`` None every row is a term less log_scale, which the
+    Monte Carlo segment adds once.  A chain needs only column sums:
+    log2(group) halvings multiply rows [0, r - h) by rows [h, r) in place
+    (h = ceil(r / 2); contiguous, so one pass each), leaving products of
+    at most ``group`` unit sums, normal by the family's unit_bound (or 0
+    after a cancelling step); one log each, and (block - 1) log_scale on
+    the first row.
     """
     t = sample_units(spec, (block - 1) * width, gen, out=(workspace[2], workspace[0]))
     last = sample_triples(spec, width, gen)
@@ -297,9 +301,7 @@ def _rank_one_block(spec, group, log_scale, block, width, gen, workspace):
     np.abs(rows, out=rows)
     with np.errstate(divide="ignore"):
         np.log(rows, out=rows)
-    if group is None:
-        rows += log_scale
-    elif block > 1:
+    if group is not None and block > 1:
         rows[0] += (block - 1) * log_scale
     return last, last, rows
 

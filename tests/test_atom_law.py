@@ -28,7 +28,6 @@ from rmp.distributions import (
 from rmp.estimators import (
     SAMPLE_CHUNK,
     _reduce,
-    _summary,
     cross_terms,
     estimate_sigma2_mc,
     exact_discrete,
@@ -132,10 +131,13 @@ def legacy_chain_chunk(spec, n, width, gen):
 def one_pass_reduce(spec, n_samples, seed):
     """_reduce with its chunk body on sampled triples and cross_terms.
 
-    Chunk k draws m + 2 triples and forms their m + 1 cross terms.  Every
-    L-row batch, and the shorter tail of the last chunk, is summarised on
-    its own, one 1-D _summary each; any -inf term leaves no table.  The
-    events are (-inf terms, +inf or NaN terms); a finite law that passed
+    Chunk k draws m + 2 triples and forms their m + 1 cross terms,
+    centred at the first, d = terms - terms[0].  Every L-row batch, and
+    the shorter tail of the last chunk, is summed on its own: the row
+    (n, terms[0], sum dx^2, sum dx dy, sum dx, sum dy) of its dx and the
+    dy one step on; sum dy is sum dx less its first dx plus its last dy,
+    as the reducer forms it.  Any -inf term leaves no table.  The events
+    are (-inf terms, +inf or NaN terms); a finite law that passed
     validation has none of the second kind.
     """
     L = 1 << int(math.log2(math.isqrt(n_samples)))
@@ -144,9 +146,17 @@ def one_pass_reduce(spec, n_samples, seed):
         a, b, c = legacy_triples(spec, m + 2, make_stream(seed, k))
         terms = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
         events += int(np.isneginf(terms).sum())
-        if not events:
-            x, y = terms[:-1], terms[1:]
-            table += [_summary(x[j:j + L], y[j:j + L]) for j in range(0, m, L)]
+        if events:
+            continue
+        d = terms - terms[0]
+        for j in range(0, m, L):
+            hi = min(j + L, m)
+            dx, dy = d[j:hi], d[j + 1 : hi + 1]
+            Sx = np.einsum("i->", dx)
+            Sy = Sx - dx[0] + dy[-1]
+            assert abs(Sy - dy.sum()) <= 1e-9 * max(1.0, np.abs(dy).sum())
+            sums = np.einsum("i,i->", dx, dx), np.einsum("i,i->", dx, dy), Sx, Sy
+            table.append([float(dx.size), terms[0], *sums])
     return ((events, 0), None) if events else ((0, 0), np.array(table))
 
 

@@ -3,13 +3,14 @@ import itertools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rmp import product
+from rmp import estimators, product
 from rmp.clt import degeneracy_check, simulate_normalized
 from rmp.distributions import (
     AtomLaw,
@@ -24,6 +25,7 @@ from rmp.estimators import (
     SAMPLE_CHUNK,
     NoClosedFormError,
     _reduce,
+    _segment,
     batch_length,
     closed_form,
     cross_terms,
@@ -938,6 +940,82 @@ class TestReducer:
         _, ladder = estimate_sigma2_mc(spec, n, seed=3)
         got = (ladder.lam, ladder.c0, ladder.c1)
         assert got == pytest.approx((lam, c0, c1), rel=1e-12, abs=0)
+
+
+def pivot_ladder(segments):
+    """estimate_sigma2_mc's ladder on the given terms: each segment one
+    chunk through _segment, then the combine."""
+    n = sum(c.size - 1 for c in segments)
+    L = batch_length(n)
+    table = np.concatenate([_segment(c, L, np.empty(c.size))[1] for c in segments])
+    with mock.patch.object(estimators, "_reduce", return_value=((0, 0), table)):
+        return estimate_sigma2_mc(TWO_ATOM, n)[1]
+
+
+def decimal_two_pass(segments, digits=60):
+    """(lambda, c0, c1) of the segments' lag rows in `digits`-digit decimal,
+    mean first, then the centred sums."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        rows = [(D(x), D(y)) for c in segments for x, y in zip(c[:-1].tolist(), c[1:].tolist())]
+        n = len(rows)
+        lam = sum(x for x, _ in rows) / n
+        c0 = sum((x - lam) ** 2 for x, _ in rows) / n
+        c1 = sum((x - lam) * (y - lam) for x, y in rows) / n
+        return lam, c0, c1
+
+
+def _cauchy(n, seed):
+    return np.random.default_rng(seed).standard_cauchy(n)
+
+
+def _pivot_far_in_the_tail():
+    # log |Cauchy| (the terms of a Cauchy rank-one law), first term the
+    # lowest of the chunk, ~7 standard deviations below the mean; a second
+    # chunk of the same law puts a second pivot in the combine
+    first = np.log(np.abs(_cauchy(SAMPLE_CHUNK + 1, 1)))
+    j = int(np.argmin(first))
+    first[[0, j]] = first[[j, 0]]
+    return [first, np.log(np.abs(_cauchy(5000, 2)))]
+
+
+def _near_degenerate():
+    # TWO_ATOM's own segments: sigma2 = 2.5e-15 next to lambda^2 = 339
+    return [np.append(x, y[-1]) for x, y in segment_rows(TWO_ATOM, SAMPLE_CHUNK + 4999, 4)]
+
+
+def _heavy_tailed():
+    # Cauchy terms, first term the largest: one value that far out is most
+    # of the spread, so |c[0] - mean| is many standard deviations
+    c = _cauchy(4097, 3)
+    j = int(np.argmax(np.abs(c)))
+    c[[0, j]] = c[[j, 0]]
+    assert abs(c[0] - c[:-1].mean()) >= 10 * c[:-1].std()
+    return [c]
+
+
+class TestPivotConditioning:
+    @pytest.mark.parametrize(
+        "segments",
+        [_pivot_far_in_the_tail(), _near_degenerate(), _heavy_tailed()],
+        ids=["pivot-in-the-tail", "near-degenerate", "heavy-tailed"],
+    )
+    def test_pivot_sums_match_decimal_two_pass(self, segments):
+        # the pivot is a term, not a mean: centring at c[0] multiplies the
+        # condition of c0 and c1 by up to 1 + (c[0] - mean)^2 / c0 (~50
+        # and ~4100 in the tail cases), so their bounds are relative to
+        # the spread c0, and lambda's to the larger of |lambda| and
+        # sqrt(c0).  c1 also centres y at the float lambda, up to
+        # eps |lambda| off, which moves it by that times mean(y) - mean(x):
+        # 1.3e-12 c0 near degeneracy, in a float two-pass as well.
+        # Measured: lambda <= 5.4e-15, c0 <= 4.2e-14, c1 <= 1.4e-12
+        ladder = pivot_ladder(segments)
+        lam, c0, c1 = decimal_two_pass(segments)
+        D = decimal.Decimal
+        assert abs(D(ladder.lam) - lam) <= D(1e-13) * max(abs(lam), c0.sqrt())
+        assert abs(D(ladder.c0) - c0) <= D(1e-12) * c0
+        assert abs(D(ladder.c1) - c1) <= D(1e-11) * c0
 
 
 def _extreme(draw):

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmp import product
@@ -171,18 +172,57 @@ def atom_laws(draw):
     return DistributionSpec.discrete_atoms([(t, 1.0 / len(atoms)) for t in atoms])
 
 
+def exact_log_norm(matrices) -> float:
+    """log Hilbert-Schmidt norm of the exact rational product of the float
+    matrices Y_n ... Y_1; -inf for the zero matrix."""
+    P = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for m in matrices:
+        Y = [[Fraction(float(v)) for v in row] for row in m]
+        P = [[Y[i][0] * P[0][j] + Y[i][1] * P[1][j] for j in range(2)] for i in range(2)]
+    sq = sum(v * v for row in P for v in row)
+    if sq == 0:
+        return -math.inf
+    return 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
+
+
+# the atoms of two chains whose exact product is the zero matrix: (-1.5,
+# -x, 0) after (x, 0, -1.5) gives the direct product a rounding residue,
+# and the kernel's cross term 1 + c (-1 / c) of (c, -1, 0) after (1, 0, c)
+# one of its own
+_X = 303.6892280842416
+DIRECT_RESIDUE = [((-1.5, -_X, 0.0), 0.25), ((_X, 0.0, -1.5), 0.25),
+                  ((1.5, 0.0, 0.0), 0.25), ((1.0, 0.0, 0.0), 0.25)]
+KERNEL_RESIDUE = [((1.0, 0.0, 0.0), 1 / 3), ((1.0, 0.0, 3.16015625), 1 / 3),
+                  ((3.16015625, -1.0, 0.0), 1 / 3)]
+
+
 class TestProductFormulaProperty:
     @given(atom_laws(), st.integers(0, (1 << 64) - 1), st.integers(1, 40), st.integers(1, 8))
+    @example(DistributionSpec.discrete_atoms(DIRECT_RESIDUE), 0, 4, 1)
+    @example(DistributionSpec.discrete_atoms(KERNEL_RESIDUE), 0, 4, 4)
     @settings(max_examples=200, deadline=None)
     def test_kernel_agrees_with_direct(self, spec, seed, n, block):
         # step blocks of 1 to 8 put most steps of a chain on a block
         # boundary, where the kernel carries the last step into the next block
         with mock.patch.object(product, "STEP_BLOCK", block):
             via_kernel, via_direct = _both_routes(spec, n, seed)
-        if math.isinf(via_kernel) or math.isinf(via_direct):
-            assert via_kernel == via_direct == -math.inf
-        else:
+            [triples] = _chain_triples(spec, n, seed)
+        if not (math.isinf(via_kernel) or math.isinf(via_direct)):
             assert abs(via_kernel - via_direct) <= 1e-9 * max(1.0, abs(via_kernel))
+            return
+        # a -inf is decided by the exact product of the replayed matrices.
+        # Both routes round, so where it is 0 (or below their rounding) a
+        # route may leave a residue: at most 2 n eps prod ||Y_j|| for the
+        # direct product (2 roundings per entry and step) and ~4 eps
+        # prod ||Y_j|| for the kernel's cancelling cross term; 8 n eps
+        # covers both
+        matrices = [build_matrix(t) for t in triples]
+        want = exact_log_norm(matrices)
+        floor = sum(math.log(np.linalg.norm(m)) for m in matrices)
+        floor += math.log(8 * n * sys.float_info.epsilon)
+        for got in (via_kernel, via_direct):
+            if max(got, want) > floor:
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (got, want)
 
 
 class TestHeadRatioOrder:
@@ -204,9 +244,11 @@ class TestHeadRatioOrder:
         ids=["exponential", "cauchy", "uniform", "uniform-1e300"],
     )
     def test_rank_one_block_step_is_general_cross_terms(self, spec):
-        # the rank-one step draws unit sums t and forms log|t| + log|kappa|
-        # per term, or one log per product of `group` of them: the cross
-        # terms of the triples it replays, log|kappa t|, up to rounding
+        # the rank-one step draws unit sums t and forms log|t| per term,
+        # leaving out the constant log|kappa| (product.log_kappa), or one
+        # log per product of `group` of them with (block - 1) log|kappa|:
+        # the cross terms of the triples it replays, log|kappa t|, up to
+        # rounding
         block, width = STEP_BLOCK, 64
         workspace = tuple(np.empty(block * width) for _ in range(3))
         _, _, got = product.block_step(spec)(block, width, make_stream(6), workspace)
@@ -214,11 +256,12 @@ class TestHeadRatioOrder:
         A, B, C = (x.reshape(block, width) for x in steps)
         want = cross_terms((A[:-1], None, C[:-1]), (A[1:], B[1:], None))
         assert np.isfinite(want).all() and got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
-        t = sample_units(spec, (block - 1) * width, make_stream(6))
         log_kappa = math.log(abs(FAMILIES[spec.family].scale(spec)))
+        assert product.log_kappa(spec) == log_kappa
+        np.testing.assert_allclose(got + log_kappa, want, rtol=1e-15, atol=1e-15)
+        t = sample_units(spec, (block - 1) * width, make_stream(6))
         with np.errstate(divide="ignore"):
-            assert np.array_equal(got.ravel(), np.log(np.abs(t)) + log_kappa)
+            assert np.array_equal(got.ravel(), np.log(np.abs(t)))
         draw = product.block_step(spec, grouped=True)
         _, _, rows = draw(block, width, make_stream(6), workspace)
         group = FAMILIES[spec.family].group
