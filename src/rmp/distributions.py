@@ -36,11 +36,7 @@ from .families import (
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-# the state's offset in an SFC64 object (at id()), and the parked ones
-# whose state straddles a cache line, ~320 bytes each (see make_stream)
-_SFC64_STATE_OFFSET = (lambda b: b.ctypes.state_address - id(b))(np.random.SFC64(0))
-_PARKED = []
-_PARK_LIMIT = 256
+_PARKED, _PARK_LIMIT = [], 256  # straddling SFC64s, ~320 bytes each (make_stream)
 
 
 def _record(name) -> Family:
@@ -81,6 +77,13 @@ def log_abs_sum(x, y, out=None) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _state_offset() -> int:
+    """Where an SFC64 object (at id()) holds its state, read once."""
+    bits = np.random.SFC64(0)
+    return bits.ctypes.state_address - id(bits)
+
+
 def make_stream(seed: int, chunk: int = 0) -> np.random.Generator:
     """SFC64 random stream for (seed, chunk).
 
@@ -94,10 +97,9 @@ def make_stream(seed: int, chunk: int = 0) -> np.random.Generator:
     statistically independent, and chunked runs are deterministic for a
     given seed and chunk layout regardless of how chunks are scheduled.
 
-    The 32-byte state lies in the object, at 8 or 40 mod 64 by heap
-    layout; at 40 it straddles two cache lines, and a uniform costs ~13 %
-    more.  Such a bit generator is parked (up to _PARK_LIMIT), as a freed
-    slot is handed out first, and another is built from the same seeds.
+    A state at 40 mod 64 (by heap layout) straddles two cache lines, and a
+    uniform costs ~13 % more: such a bit generator is parked (up to
+    _PARK_LIMIT), as a freed slot is handed out first, and another built.
     """
     seed, chunk = seed & _MASK64, chunk & _MASK64
     words = np.array(
@@ -105,7 +107,7 @@ def make_stream(seed: int, chunk: int = 0) -> np.random.Generator:
     )
     seq = np.random.SeedSequence(words)
     bits = np.random.SFC64(seq)
-    while (id(bits) + _SFC64_STATE_OFFSET) % 64 > 32 and len(_PARKED) < _PARK_LIMIT:
+    while (id(bits) + _state_offset()) % 64 > 32 and len(_PARKED) < _PARK_LIMIT:
         _PARKED.append(bits)
         bits = np.random.SFC64(seq)
     return np.random.Generator(bits)

@@ -121,14 +121,13 @@ def _segment(c: np.ndarray, L: int, buf: np.ndarray):
 
     The rows are the len(c) - 1 lag pairs (c[j], c[j + 1]).  Consecutive
     runs of L rows are batches, and the last len(c) - 1 mod L rows (only
-    the last chunk has any) are one shorter tail batch.  The terms are
-    centred once at the pivot p = c[0], d = c - p into ``buf`` (a spent
-    buffer of at least len(c)); a batch's row holds its count n, p and
-    the sums of dx^2, dx dy, dx and dy over its rows (dx, dy) of d, in
-    einsum's own loops (never BLAS, so no row depends on the thread).  A
-    term that is not finite makes its batch's sums so: it is an event,
-    counted in events = (-inf terms, +inf or NaN terms), and the table is
-    None, since the variance is undefined.
+    the last chunk has any) are one shorter tail batch.  d = c - c[0]
+    (into ``buf``, a spent buffer of at least len(c)); a batch's row holds
+    its count n, the pivot c[0] and the sums of dx^2, dx dy, dx and dy
+    over its rows (dx, dy) of d, by einsum (never BLAS, so no row depends
+    on the thread).  A term that is not finite makes its batch's sums so:
+    it is an event, counted in events = (-inf terms, +inf or NaN terms),
+    and the table is None, since the variance is undefined.
     """
     full = (c.size - 1) // L * L
     with np.errstate(invalid="ignore"):  # -inf - (-inf) in a failing segment

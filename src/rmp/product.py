@@ -89,9 +89,8 @@ def direct_log_norm(matrices) -> float:
     product never overflows for any n, nor does a step (one with an entry
     above 2^1022 is scaled by 1/4 first).  Power-of-two scaling and
     explicit scalar 2x2 multiplication keep the arithmetic free of
-    rescaling rounding and FMA contraction, but a product entry still
-    rounds, so an exactly cancelling product may leave a residue of up to
-    ~2 n eps prod ||Y_j|| instead of the zero matrix, whose log is -inf.
+    rescaling rounding and FMA contraction; an entry still rounds, so an
+    exactly zero product may come out ~2 n eps prod ||Y_j||, not -inf.
     This is the oracle chain_log_norms is validated against; it shares
     no code with the kernel.
     """

@@ -381,7 +381,7 @@ class TestMakeStream:
         # allocate objects that change the heap's layout
         monkeypatch.setattr(distributions, "_PARKED", [])
         bits = make_stream(0).bit_generator
-        offset = distributions._SFC64_STATE_OFFSET
+        offset = distributions._state_offset()
         assert bits.ctypes.state_address == id(bits) + offset
         for alive in (1, 2):
             held = None
