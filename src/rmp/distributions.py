@@ -99,7 +99,7 @@ def make_stream(seed: int, chunk: int = 0) -> np.random.Generator:
 
     A state at 40 mod 64 (by heap layout) straddles two cache lines, and a
     uniform costs ~13 % more: such a bit generator is parked (up to
-    _PARK_LIMIT), as a freed slot is handed out first, and another built.
+    _PARK_LIMIT; a freed slot is handed out first) and built again.
     """
     seed, chunk = seed & _MASK64, chunk & _MASK64
     words = np.array(
