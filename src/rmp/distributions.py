@@ -309,12 +309,11 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     (spec, stream state) give identical arrays.  Components that must be
     nonzero are resampled on the measure-zero event of an exact 0.0.
 
-    A finite-support law draws atom indices with AtomLaw.indices and
-    gathers its atoms: n uniforms u, and atom #{j : cum[j] <= u} of the
-    cumulative probabilities cum, where the last atom absorbs the
-    rounding slack of cum (cum[-1] is raised to 1 if it fell below).  A
-    law with a single atom draws nothing.  Other laws draw by their
-    family's ``triples``.
+    A finite-support law draws ceil(n / g) words of g atoms from the
+    alias table of its AtomLaw.words, one uniform each, decodes them
+    into their atoms (WordTable.atom_indices) and cuts the last word to
+    n, as its Monte Carlo segment and chains draw.  Other laws draw by
+    their family's ``triples``.
 
     ``out`` is an optional triple of float64 buffers, each at least n
     long.  Their first n entries are overwritten and the returned arrays
@@ -329,7 +328,9 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     if not spec.is_discrete:
         return FAMILIES[spec.family].triples(spec, gen, a, b, c)
     law = spec.atom_law
-    idx = law.indices(n, gen, out=(c, np.empty(n, np.intp), b))
+    words = law.words
+    drawn = words.draw(-(-n // words.g), gen, out)
+    idx = words.atom_indices(drawn.reshape(-1, 1)).ravel()[:n]
     # idx < k; mode="clip" writes out directly, where the default
     # mode="raise" buffers a copy
     for j, buf in enumerate((a, b, c)):
@@ -372,14 +373,10 @@ class AtomLaw:
     so every route and thread shares one instance.  ``atoms`` is the
     k x 3 table of the triples of the family's ``atoms(spec)``, one row
     (a, b, c) per atom, and ``p`` their probabilities exactly as stated
-    (no renormalization).  ``cum`` holds the cumulative probabilities,
-    the last raised to 1 if rounding left it below, padded with +inf to
-    a power-of-two length for index_search.
-    The cross term of atom i followed by atom j is one of k^2 numbers,
-    kept in a table built here; ``cross`` gathers from it, so callers
-    never see its layout.  ``indices`` draws one atom per step, as the
-    Monte Carlo route and a chain's last block do; a chain's other blocks
-    draw words of consecutive atoms from the tables of ``words``.
+    (no renormalization).  The cross term of atom i followed by atom j
+    is one of k^2 numbers, kept in a table built here (log_cross).  Every
+    draw of the law, sampled triples, Monte Carlo segments and chains
+    alike, takes words of consecutive atoms from the tables of ``words``.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -387,13 +384,9 @@ class AtomLaw:
         self.k = len(support)
         self.atoms = np.array([(t.a, t.b, t.c) for t, _ in support])
         self.p = np.array([p for _, p in support])
-        cum = np.cumsum(self.p)
-        cum[-1] = max(cum[-1], 1.0)
-        size = 1 << (self.k - 1).bit_length()  # smallest power of two >= k
-        self.cum = np.concatenate([cum, np.full(size - self.k, np.inf)])
         a, b, c = self.atoms.T[:, :, None]
         self._table = cross_terms((a, b, c), (a.T, b.T, c.T))
-        for arr in (self.atoms, self.p, self.cum, self._table):
+        for arr in (self.atoms, self.p, self._table):
             arr.flags.writeable = False
 
     def log_cross(self) -> np.ndarray:
@@ -408,66 +401,8 @@ class AtomLaw:
 
     @functools.cached_property
     def words(self):
-        """The law's words.WordTable, built on first use: a chain's block
-        step draws words of consecutive atoms through it."""
+        """The law's words.WordTable, built on first use: every draw of
+        the law takes words of consecutive atoms through it."""
         from .words import WordTable
 
         return WordTable(self)
-
-    def cross(self, i, j, out=None, pairs=None) -> np.ndarray:
-        """log_cross()[i, j] for atom index arrays i, j.
-
-        ``out`` (float64, for the terms) and ``pairs`` (intp, for the table
-        positions) are optional buffers shaped like i and j.
-        """
-        pairs = np.multiply(i, self.k, out=pairs)
-        np.add(pairs, j, out=pairs)
-        # every position is in range; mode="clip" writes out directly
-        return np.take(self._table, pairs, out=out, mode="clip")
-
-    def indices(self, n: int, gen: np.random.Generator, out=None) -> np.ndarray:
-        """Atom indices of n draws: #{j : cum[j] <= u} for u = gen.random(n).
-
-        This is np.searchsorted(cum, u, side="right"), and index 0 is the
-        event u < cum[0], so a two-atom law consumes the stream exactly as
-        the test u < p.  A single atom draws nothing.  ``out`` is an
-        optional (float64, intp, float64) triple of buffers, each at least
-        n long, for the uniforms, the indices and index_search's scratch;
-        the returned indices are a view of the second.
-        """
-        if out is None:
-            out = (np.empty(n), np.empty(n, np.intp), np.empty(n))
-        u, idx, scratch = (buf[:n] for buf in out)
-        if self.k == 1:
-            idx.fill(0)
-            return idx
-        return index_search(self.cum, gen.random(out=u), idx, scratch)
-
-
-def index_search(cum: np.ndarray, u: np.ndarray, idx: np.ndarray, scratch: np.ndarray):
-    """idx = #{j : cum[j] <= u} elementwise, by a branch-free binary search.
-
-    cum is sorted, its length a power of two 2^m, and every u < cum[-1];
-    the result then equals np.searchsorted(cum, u, side="right").  Each
-    of the m passes halves the candidate range of every element at once:
-    with h the indices found so far, it compares u with the midpoints
-    cum[h * 2s + s - 1] (s the remaining half width) and appends the
-    outcome as the next bit of h.  idx (intp) receives the indices and
-    scratch (contiguous float64) holds the gathered midpoints and, in its
-    first len(u) bytes, the comparison; both are as long as u.
-    """
-    bit = len(cum) // 2
-    if not bit:
-        idx.fill(0)
-        return idx
-    np.less_equal(cum[bit - 1], u, out=idx)
-    below = scratch.view(np.bool_)[: len(u)]
-    bit //= 2
-    while bit:
-        # mode="clip" writes out directly; every index is in range
-        np.take(cum[bit - 1 :: 2 * bit], idx, out=scratch, mode="clip")
-        np.less_equal(scratch, u, out=below)
-        np.left_shift(idx, 1, out=idx)
-        np.add(idx, below, out=idx)
-        bit //= 2
-    return idx

@@ -44,7 +44,14 @@ from .distributions import (
     sample_triples,
 )
 from .families import FAMILIES, NoClosedFormError
-from .product import NEG_INF, chain_log_norms, log_kappa, map_chunks, map_streams
+from .product import (
+    NEG_INF,
+    chain_log_norms,
+    log_kappa,
+    map_chunks,
+    map_streams,
+    padded_steps,
+)
 
 SAMPLE_CHUNK = 1 << 16
 
@@ -148,11 +155,13 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     size m draws one chain segment of m + 2 consecutive steps from its
     (seed, k) stream with the chain kernel's block step, which gives
     m + 1 cross terms and m lag rows; _segment cuts them into batches of
-    batch_length(n_samples) rows.  A finite-support law draws atom
-    indices and gathers its cross terms from AtomLaw's table, the same
-    values bit for bit; a rank-one law draws the m + 1 unit sums t_j and
-    a last pair that no term reads, and its terms log |t_j| + log |kappa|
-    come without the constant, which is added once, to the pivots.
+    batch_length(n_samples) rows.  A finite-support law draws words of
+    g atoms, ceil((m + 2) / g) of them with the last cut to the segment,
+    and gathers each word's terms from its tables (words.step_terms), so
+    the workspace is rounded up to whole words (padded_steps); a
+    rank-one law draws the m + 1 unit sums t_j and a last pair that no
+    term reads, and its terms log |t_j| + log |kappa| come without the
+    constant, which is added once, to the pivots.
     Returns (events, table): the counts of -inf terms and of +inf or NaN
     terms, and the batch rows of every chunk in chunk order (see
     _segment), or None if any term was not finite.  Memory is
@@ -167,7 +176,7 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
         _, _, cross = draw(m + 2, 1, gen, workspace)
         return _segment(cross.ravel(), L, workspace[0])
 
-    length = min(n_samples, SAMPLE_CHUNK) + 2
+    length = padded_steps(spec, min(n_samples, SAMPLE_CHUNK) + 2)
     parts = map_streams(spec, seed, n_samples, SAMPLE_CHUNK, length, threads, segment)
     events = tuple(sum(counts) for counts in zip(*(p[0] for p in parts)))
     if any(events):

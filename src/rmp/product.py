@@ -39,14 +39,15 @@ STEP_BLOCK.  Only the block step depends on the law: a rank-one law
 draws one unit sum per step (_rank_one_block), another continuous law
 samples the block's triples and forms the cross terms in place, and a
 finite-support law gathers them from tables built once per law, with no
-divide or log per step.  A chain on a law of k atoms draws words of g
-consecutive atoms (g = 8 for k <= 2, 4 for k <= 4, 2 for k <= 16, else
-1): one uniform through an alias table and one gather per word, which
-sums the word's g - 1 terms and the term into it (rmp.words, imported by
-the first such chain).  A block that is no whole number of words, which
-only a chain's last block can be, draws one atom per step, as the Monte
-Carlo estimators do: they draw their chain segments through the same
-block step (block_step) at width 1 and need every term.
+divide or log per step.  A law of k atoms draws words of g consecutive
+atoms (g = 8 for k <= 2, 4 for k <= 4, 2 for k <= 16, else 1), one
+uniform through an alias table each (rmp.words, imported by the first
+finite-support draw).  A chain's block of whole words gathers one
+number per word, which sums the word's g - 1 terms and the term into
+it.  Every other block, the Monte Carlo segment (which needs every
+term) and a chain's last block when it is no whole number of words,
+gathers each word's g step terms and cuts its last word; its workspace
+is rounded up to whole words (padded_steps).
 """
 
 from __future__ import annotations
@@ -150,16 +151,16 @@ def chain_log_norms(
     through _chain_chunk on its (seed, k) stream, so the result is
     deterministic for a given (spec, n, n_chains, seed) regardless of
     the thread count.  Each running chunk's workspace is three buffers
-    of min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains) doubles, at most
-    1.5 MiB, which fit in a 2 MiB L2.  Chains whose product collapsed
-    carry -inf.
+    of min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains) doubles (the steps
+    rounded up to whole words, padded_steps), at most 1.5 MiB, which fit
+    in a 2 MiB L2.  Chains whose product collapsed carry -inf.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
     if n_chains < 1:
         raise ValueError("need at least one chain")
     body = functools.partial(_chain_chunk, n)
-    length = min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains)
+    length = padded_steps(spec, min(STEP_BLOCK, n)) * min(CHAIN_CHUNK, n_chains)
     parts = map_streams(
         spec, seed, n_chains, CHAIN_CHUNK, length, threads, body, grouped=True
     )
@@ -192,6 +193,14 @@ def map_streams(spec, seed, total, chunk, length, threads, body, grouped=False):
     return map_chunks(run, len(sizes), threads)
 
 
+def padded_steps(spec: DistributionSpec, steps: int) -> int:
+    """``steps`` rounded up to whole words of a finite-support law (g steps
+    each; AtomLaw.words), so that a block's cut last word fits its
+    workspace; ``steps`` itself for a continuous law."""
+    g = spec.atom_law.words.g if spec.is_discrete else 1
+    return -(-steps // g) * g
+
+
 def chunk_sizes(total: int, chunk: int):
     """Sizes of consecutive chunks covering ``total`` items."""
     sizes = [chunk] * (total // chunk)
@@ -217,20 +226,18 @@ def map_chunks(fn, n_chunks: int, threads: int = 1):
 def block_step(spec: DistributionSpec, grouped: bool = False):
     """The law's draw(block, width, gen, workspace), as map_streams passes it.
 
-    For a finite-support law _atom_block on the spec's AtomLaw, one atom
-    per step, or with ``grouped`` _word_block, in words of its
-    AtomLaw.words; _rank_one_block for a rank-one law (``grouped``: in
-    its family's groups); _sampled_block otherwise.  Ungrouped, every
-    step's term (less log_kappa) is a row, and at width 1 a block is one
-    chain segment of ``block`` steps and its block - 1 cross terms;
-    grouped, only the rows' column sums are the block's.  All write the
-    terms into the third buffer, so a caller may reuse the first two.
+    For a finite-support law, in words of its AtomLaw.words:
+    _word_steps, or with ``grouped`` _word_block; _rank_one_block for a
+    rank-one law (``grouped``: in its family's groups); _sampled_block
+    otherwise.  Ungrouped, every step's term (less log_kappa) is a row,
+    and at width 1 a block is one chain segment of ``block`` steps and
+    its block - 1 cross terms; grouped, only the rows' column sums are
+    the block's.  Ungrouped, the terms land in the third buffer and the
+    first is left spent, so a caller may reuse it.
     """
     if spec.is_discrete:
-        law = spec.atom_law
-        if grouped:
-            return functools.partial(_word_block, law, law.words)
-        return functools.partial(_atom_block, law)
+        words = spec.atom_law.words
+        return functools.partial(_word_block if grouped else _word_steps, words)
     if spec.is_rank_one:
         group = FAMILIES[spec.family].group if grouped else None
         return functools.partial(_rank_one_block, spec, group, log_kappa(spec))
@@ -246,11 +253,11 @@ def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
     """One chunk of ``width`` chains, in step blocks.
 
     draw(block, width, gen, workspace) fills ``workspace``, three float64
-    buffers of at least min(STEP_BLOCK, n) * width entries (1.5 MiB at
-    width CHAIN_CHUNK, which stay in a 2 MiB L2), with the next ``block``
-    steps.  It returns the (a, b, c) rows of the first and the last step,
-    and rows whose column sums are those of the block's (block - 1) x
-    width cross terms.  Only a and b of the first row are read; the last
+    buffers of at least min(STEP_BLOCK, n) * width entries, rounded up to
+    whole words (1.5 MiB at width CHAIN_CHUNK, which stay in a 2 MiB L2),
+    with the next ``block`` steps.  It returns the (a, b, c) rows of the
+    first and the last step, and rows whose column sums are those of the
+    block's (block - 1) x width cross terms.  Only a and b of the first row are read; the last
     row is a copy, the carry into the next block.
     """
     sumlog = np.zeros(width)
@@ -318,25 +325,20 @@ def _sampled_block(spec, block, width, gen, workspace):
     return (A[0], B[0], C[0]), last, C[:-1]
 
 
-def _word_block(law, words, block, width, gen, workspace):
-    """words.block of a block of whole words; _atom_block of a block whose
-    length is not a multiple of the word length, which only a chain's
-    last block can be.
-    """
-    if block % words.g:
-        return _atom_block(law, block, width, gen, workspace)
-    return words.block(block // words.g, width, gen, workspace)
+def _word_steps(words, block, width, gen, workspace):
+    """words.step_terms of a block, its terms as (block - 1) x width rows,
+    step-major: a view of the third buffer at width 1."""
+    first, last, terms = words.step_terms(block, width, gen, workspace)
+    return first, last, terms.transpose(0, 2, 1).reshape(-1, width)[1:block]
 
 
-def _atom_block(law, block, width, gen, workspace):
-    """Atom indices (uniforms in the first buffer, indices in the second),
-    then the cross terms of consecutive steps gathered into the third, with
-    their table positions over the spent uniforms.
+def _word_block(words, block, width, gen, workspace):
+    """words.block of a block of whole words.  A block that is not, which
+    only a chain's last block can be, takes words.step_terms, cut, and
+    sums each word's g terms into the spent first buffer, one row per word.
     """
-    u_buf, idx_buf, cross_buf = workspace
-    idx = law.indices(block * width, gen, out=(u_buf, idx_buf.view(np.intp), cross_buf))
-    steps = idx.reshape(block, width)
-    m, shape = (block - 1) * width, (block - 1, width)
-    pairs = u_buf[:m].view(np.intp).reshape(shape)
-    cross = law.cross(steps[:-1], steps[1:], cross_buf[:m].reshape(shape), pairs)
-    return law.atoms[steps[0]].T, law.atoms[steps[-1]].T, cross
+    if block % words.g == 0:
+        return words.block(block // words.g, width, gen, workspace)
+    first, last, terms = words.step_terms(block, width, gen, workspace)
+    rows = workspace[0][: terms.shape[0] * width].reshape(-1, width)
+    return first, last, np.sum(terms, axis=2, out=rows)

@@ -216,21 +216,21 @@ def _chain_triples(spec, n, seed, width=1):
     chains = [[] for _ in range(width)]
     for done in range(0, n, product.STEP_BLOCK):
         block = min(product.STEP_BLOCK, n - done)
-        steps = _block_triples(spec, block, width, gen, grouped=True)
+        steps = _block_triples(spec, block, width, gen)
         a, b, c = (x.reshape(block, width).T.tolist() for x in steps)
         for chain, *entries in zip(chains, a, b, c):
             chain.extend(map(EntryTriple, *entries))
     return chains
 
 
-def _block_triples(spec, block, width, gen, grouped=False):
+def _block_triples(spec, block, width, gen):
     """Triples (a, b, c), block * width each, that replay one block step,
-    block_step(spec, grouped).
+    block_step(spec) grouped or not.
 
-    A finite-support chain block (``grouped``) of whole words of g atoms
-    draws them (AtomLaw.words.draw) and decodes each into its g atoms; a
-    shorter block, an ungrouped one (the Monte Carlo segment), and every
-    other law that is not rank-one, draws sample_triples of the whole
+    A finite-support block draws ceil(block / g) words of g atoms per
+    chain (AtomLaw.words.draw), decodes each into its atoms and cuts the
+    last to the block, whether its steps are whole words or not.  Every
+    other law that is not rank-one draws sample_triples of the whole
     block.  A rank-one block draws the unit sums t of its
     first block - 1 steps (sample_units), then the (x, x, y) of its last
     (sample_triples).  A unit sum step becomes the triple (s, s, 0) of
@@ -239,11 +239,11 @@ def _block_triples(spec, block, width, gen, grouped=False):
     term is 1 - 1 = 0; the head ratio of both is 1, as it is for every
     rank-one step.
     """
-    if grouped and spec.is_discrete and block % spec.atom_law.words.g == 0:
+    if spec.is_discrete:
         words = spec.atom_law.words
-        n = block // words.g * width
+        n = -(-block // words.g) * width
         drawn = words.draw(n, gen, (np.empty(n), np.empty(n), np.empty(n)))
-        steps = words.atom_indices(drawn.reshape(-1, width))
+        steps = words.atom_indices(drawn.reshape(-1, width))[:block]
         return tuple(spec.atom_law.atoms[steps.ravel()].T)
     if not spec.is_rank_one:
         return sample_triples(spec, block * width, gen)

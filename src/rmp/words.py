@@ -1,18 +1,25 @@
-"""Words of g consecutive atoms: a finite-support chain draws g steps at once.
+"""Words of g consecutive atoms: every finite-support law draws g steps at once.
 
-A chain's block step on a law of k atoms (product.block_step, grouped)
-draws words w = (i_1, ..., i_g) of g consecutive atom indices, g the
-largest power of two <= 8 with k^g <= 256 (word_length).  A word takes
-one uniform through Walker's alias table over the k^g words, with
-P[w] = p_{i_1} ... p_{i_g}, and one gather from a table of
-B[l, w] = T[l, i_1] + S[w]: T is the law's k x k cross-term log table
-(AtomLaw.log_cross), S[w] = T[i_1, i_2] + ... + T[i_{g-1}, i_g] summed
-left to right, and l the last atom of the chain's previous word.  A
-block's first word gathers S[w] alone: its term from the previous block
-is the carry that product._chain_chunk forms from the triples.  A block
-of g R steps thus draws R uniforms and gathers R terms per chain, where
-the single-atom path (AtomLaw.indices) draws g R uniforms, searches for
-g R atoms and gathers g R terms.  At g = 1, S = 0 and B is T itself.
+A law of k atoms draws words w = (i_1, ..., i_g) of g consecutive atom
+indices, g the largest power of two <= 8 with k^g <= 256 (word_length).
+A word takes one uniform through Walker's alias table over the k^g
+words, with P[w] = p_{i_1} ... p_{i_g}.  T is the law's k x k
+cross-term log table (AtomLaw.log_cross) and l the last atom of the
+word before.  Two gathers read a word's terms:
+
+* a chain's block of whole words (WordTable.block, product.block_step
+  grouped) gathers one number per word, B[l, w] = T[l, i_1] + S[w],
+  with S[w] = T[i_1, i_2] + ... + T[i_{g-1}, i_g] summed left to right;
+  its first word gathers S[w] alone, as its term from the previous block
+  is the carry that product._chain_chunk forms from the triples.  A
+  block of g R steps thus draws R uniforms and gathers R terms per chain;
+* every other block (WordTable.step_terms): the Monte Carlo segment,
+  which needs each step's term, and a chain's last block when it is no
+  whole number of words.  It gathers the g terms of each word, the row
+  (T[l, i_1], T[i_1, i_2], ..., T[i_{g-1}, i_g]) of ``steps``, and cuts
+  the last word to the block's steps.
+
+At g = 1, S = 0 and both tables are T itself.
 
 The alias table is exact in integers.  gen.random() returns m 2^-53, m
 uniform on [0, 2^53), so each of the N slots (k^g padded to a power of
@@ -25,7 +32,8 @@ probability exactly c_w 2^-53.  Padded words, and words whose c_w
 rounds to 0, are never drawn.
 
 The tables are built once per law (AtomLaw.words), and this module is
-imported only by the first grouped finite-support chain of a run.
+imported only by the first finite-support draw of a run: a continuous
+law never loads it.
 """
 
 from __future__ import annotations
@@ -55,8 +63,10 @@ class WordTable:
     is the alias table, and ``word`` (2N) the word of key j (slot j's
     own) and of key j + N (its alias).  ``gather`` is B, k x k^g, which
     is T itself at g = 1 (S = 0), and ``offset[w]`` the start of row
-    last(w) in it.  Every array is read-only: the table is shared by
-    threads.
+    last(w) in it.  ``steps`` holds the step terms, k k^g x g: row
+    l k^g + w (the same position offset + w) is T[l, first(w)], then the
+    g - 1 terms inside w; a view of T at g = 1.  Every array is
+    read-only: the table is shared by threads.
     """
 
     def __init__(self, law):
@@ -68,11 +78,12 @@ class WordTable:
         w = np.arange(n_words)
         self.digits = np.stack([w // k ** (g - 1 - i) % k for i in range(g)], axis=1)
         T = law.log_cross()
+        inner = T[self.digits[:, :-1], self.digits[:, 1:]]
         self.p = law.p[self.digits[:, 0]]
         self.sums = np.zeros(n_words)
         for i in range(1, g):
             self.p = self.p * law.p[self.digits[:, i]]
-            self.sums += T[self.digits[:, i - 1], self.digits[:, i]]
+            self.sums += inner[:, i - 1]
         counts = [int(c) for c in np.rint(self.p * UNITS)] + [0] * (size - n_words)
         counts[counts.index(max(counts))] += UNITS - sum(counts)
         accept, alias = _vose(counts, UNITS // size)
@@ -83,6 +94,11 @@ class WordTable:
         self.first, last = self.digits[:, 0], self.digits[:, -1]
         self.offset = last * n_words
         self.gather = T if g == 1 else T[:, self.first] + self.sums
+        steps = T  # at g = 1 the rows are T itself
+        if g > 1:
+            inner = np.broadcast_to(inner, (k, n_words, g - 1))
+            steps = np.concatenate([T[:, self.first, None], inner], axis=2)
+        self.steps = steps.reshape(k * n_words, g)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
@@ -126,6 +142,35 @@ class WordTable:
         np.take(self.gather, pos, out=terms[1:], mode="clip")
         np.take(self.sums, words[0], out=terms[0], mode="clip")
         first, last = self.first[words[0]], self.digits[words[-1], -1]
+        return self.atoms[first].T, self.atoms[last].T, terms
+
+    def step_terms(self, n: int, width: int, gen, workspace):
+        """The block step of n steps of ``width`` chains, one term per step.
+
+        Draws R = ceil(n / g) words per chain and gathers the g terms of
+        each (``steps``) in one take, word r after word r - 1 at the
+        positions that ``block`` uses, and the first at its row l = 0.
+        Returns the (a, b, c) rows of the first and the last step and the
+        R x width x g terms in the third buffer: slot i of word r holds
+        the term into step r g + i.  The first word's first slot and the
+        last word's slots past step n - 1 are no term and hold 0.  The
+        words land in the second buffer and the first holds the uniforms,
+        then the gather positions; each buffer needs R g width entries.
+        """
+        g = self.g
+        R = -(-n // g)
+        u_buf, word_buf, term_buf = workspace
+        words = self.draw(R * width, gen, (u_buf, term_buf, word_buf)).reshape(R, width)
+        pos = u_buf[: R * width].view(np.intp).reshape(R, width)
+        np.take(self.offset, words[:-1], out=pos[1:], mode="clip")
+        np.add(pos[1:], words[1:], out=pos[1:])
+        pos[0] = words[0]
+        terms = term_buf[: R * width * g].reshape(R, width, g)
+        np.take(self.steps, pos, axis=0, out=terms, mode="clip")
+        cut = n - (R - 1) * g  # steps of the last word
+        terms[0, :, 0] = 0.0
+        terms[-1, :, cut:] = 0.0
+        first, last = self.first[words[0]], self.digits[words[-1], cut - 1]
         return self.atoms[first].T, self.atoms[last].T, terms
 
     def atom_indices(self, words: np.ndarray) -> np.ndarray:

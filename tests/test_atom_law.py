@@ -1,12 +1,13 @@
-"""Finite-support laws by atom index: AtomLaw, index_search and the paths on them.
+"""Finite-support laws by words of atoms: AtomLaw and the paths on it.
 
-The references below are the discrete code paths as they were before
-atom indices: the per-family sampler branches, the allocate-per-block
-chain kernel on sampled triples, and the reducer's one-pass chunk body
-on sampled triples.  The atom-index paths must reproduce them bit for
-bit.  A chain's blocks of whole words replay the words it drew
-(selftest._block_triples) and sum their terms by word, as the word
-kernel gathers them.
+The references below replay the words that a path draws (their atoms
+through WordTable.digits, the last word cut to the steps drawn) and form
+the cross terms of the replayed triples: the allocate-per-block chain
+kernel, and the reducer's one-pass chunk body.  The word paths, which
+gather their terms from tables, must reproduce them bit for bit.  A
+chain's block sums its terms by word as the word kernel gathers them:
+a block of whole words as words.block does, a cut block over the g slots
+of each word.
 """
 
 import math
@@ -14,14 +15,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rmp.clt import degeneracy_check
 from rmp.distributions import (
     AtomLaw,
     DistributionSpec,
-    index_search,
     make_stream,
     sample_triples,
 )
@@ -32,7 +30,6 @@ from rmp.estimators import (
     estimate_sigma2_mc,
     exact_discrete,
 )
-from rmp.families import BINARY_HILL, CONSTANT_TRIPLE
 from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples
 
@@ -64,19 +61,14 @@ IDS = ("binary-p0", "binary-p0.3", "binary-p1", "atoms3", "constant",
        "atoms5", "atoms17", "atoms64")
 
 
-def legacy_triples(spec, n, gen):
-    """The discrete branches of sample_triples before atom indices."""
-    if spec.family == CONSTANT_TRIPLE:
-        v = spec.value
-        return np.full(n, v.a), np.full(n, v.b), np.full(n, v.c)
-    if spec.family == BINARY_HILL:
-        a = np.where(gen.random(n) < spec.p, spec.alpha, spec.beta)
-        return a, 1.0 / a, np.ones(n)
-    cum = np.cumsum([p for _, p in spec.atoms])
-    cum[-1] = max(cum[-1], 1.0)
-    idx = np.searchsorted(cum, gen.random(n), side="right")
-    table = np.array([(t.a, t.b, t.c) for t, _ in spec.atoms])
-    return table[idx, 0], table[idx, 1], table[idx, 2]
+def replayed_triples(spec, n, gen):
+    """n triples of one chain, replayed from drawn words: ceil(n / g) words
+    of the law's alias table, decoded through their digits, the last cut."""
+    words = spec.atom_law.words
+    r = -(-n // words.g)
+    drawn = words.draw(r, gen, (np.empty(r), np.empty(r), np.empty(r)))
+    idx = words.digits[drawn].ravel()[:n]
+    return tuple(spec.atom_law.atoms[idx].T)
 
 
 def word_rows(terms, g):
@@ -93,9 +85,21 @@ def word_rows(terms, g):
     return np.array(rows)
 
 
-def legacy_chain_chunk(spec, n, width, gen):
-    """The chain kernel with fresh arrays for every block: on replayed words
-    for a block of whole words, on sampled triples otherwise."""
+def cut_word_rows(terms, g):
+    """A cut block's (block - 1) x width step terms summed as the word kernel
+    sums them: in R = ceil(block / g) words of g slots per chain, laid out
+    R x width x g, the first word's first slot and the slots past the
+    block's last step 0, and each word's slots summed."""
+    block, width = len(terms) + 1, terms.shape[1]
+    R = -(-block // g)
+    slots = np.zeros((R * g, width))
+    slots[1:block] = terms
+    return np.ascontiguousarray(slots.reshape(R, g, width).transpose(0, 2, 1)).sum(axis=2)
+
+
+def replayed_chain_chunk(spec, n, width, gen):
+    """The chain kernel with fresh arrays for every block, on replayed words:
+    a block's terms summed by word, as a whole-word block or a cut one."""
     g = spec.atom_law.words.g
     sumlog = np.zeros(width)
     head_ratio = None
@@ -103,10 +107,7 @@ def legacy_chain_chunk(spec, n, width, gen):
     done = 0
     while done < n:
         block = min(STEP_BLOCK, n - done)
-        if block % g:
-            a, b, c = legacy_triples(spec, block * width, gen)
-        else:
-            a, b, c = _block_triples(spec, block, width, gen, grouped=True)
+        a, b, c = _block_triples(spec, block, width, gen)
         A = a.reshape(block, width)
         B = b.reshape(block, width)
         C = c.reshape(block, width)
@@ -119,9 +120,8 @@ def legacy_chain_chunk(spec, n, width, gen):
         if block > 1:
             with np.errstate(divide="ignore"):
                 cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
-            if block % g == 0:
-                cross = word_rows(cross, g)
-            sumlog += cross.sum(axis=0)
+            rows = word_rows if block % g == 0 else cut_word_rows
+            sumlog += rows(cross, g).sum(axis=0)
         prev = (A[-1], C[-1])
         done += block
     pa, pc = prev
@@ -129,21 +129,21 @@ def legacy_chain_chunk(spec, n, width, gen):
 
 
 def one_pass_reduce(spec, n_samples, seed):
-    """_reduce with its chunk body on sampled triples and cross_terms.
+    """_reduce with its chunk body on replayed triples and cross_terms.
 
-    Chunk k draws m + 2 triples and forms their m + 1 cross terms,
-    centred at the first, d = terms - terms[0].  Every L-row batch, and
-    the shorter tail of the last chunk, is summed on its own: the row
-    (n, terms[0], sum dx^2, sum dx dy, sum dx, sum dy) of its dx and the
-    dy one step on; sum dy is sum dx less its first dx plus its last dy,
-    as the reducer forms it.  Any -inf term leaves no table.  The events
+    Chunk k replays the words of m + 2 triples and forms their m + 1
+    cross terms, centred at the first, d = terms - terms[0].  Every L-row
+    batch, and the shorter tail of the last chunk, is summed on its own:
+    the row (n, terms[0], sum dx^2, sum dx dy, sum dx, sum dy) of its dx
+    and the dy one step on; sum dy is sum dx less its first dx plus its
+    last dy, as the reducer forms it.  Any -inf term leaves no table.  The events
     are (-inf terms, +inf or NaN terms); a finite law that passed
     validation has none of the second kind.
     """
     L = 1 << int(math.log2(math.isqrt(n_samples)))
     events, table = 0, []
     for k, m in enumerate(chunk_sizes(n_samples, SAMPLE_CHUNK)):
-        a, b, c = legacy_triples(spec, m + 2, make_stream(seed, k))
+        a, b, c = replayed_triples(spec, m + 2, make_stream(seed, k))
         terms = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
         events += int(np.isneginf(terms).sum())
         if events:
@@ -166,16 +166,13 @@ class TestPinnedToSampledTriples:
     def test_sampler(self, spec, out):
         for n in (1, 7, 4096):
             ref_gen, gen = make_stream(13, 2), make_stream(13, 2)
-            want = legacy_triples(spec, n, ref_gen)
+            want = replayed_triples(spec, n, ref_gen)
             bufs = tuple(np.empty(n) for _ in range(3)) if out else None
             got = sample_triples(spec, n, gen, out=bufs)
             for w, g in zip(want, got):
                 assert np.array_equal(w, g), n
-            if AtomLaw(spec).k == 1:
-                # draws nothing now; the legacy BinaryHill drew n uniforms
-                assert gen.random() == make_stream(13, 2).random()
-            else:
-                assert gen.random() == ref_gen.random()
+            # one uniform per word, a one-atom law's too
+            assert gen.random() == ref_gen.random()
 
     @pytest.mark.parametrize("spec", LAWS, ids=IDS)
     def test_chain_kernel(self, spec):
@@ -183,7 +180,7 @@ class TestPinnedToSampledTriples:
         for n in (1, 2, STEP_BLOCK, 2 * STEP_BLOCK + 37):
             want = np.concatenate(
                 [
-                    legacy_chain_chunk(spec, n, width, make_stream(8, k))
+                    replayed_chain_chunk(spec, n, width, make_stream(8, k))
                     for k, width in enumerate(chunk_sizes(m, CHAIN_CHUNK))
                 ]
             )
@@ -216,7 +213,6 @@ class TestAtomLaw:
         law = AtomLaw(spec)
         assert law.k == 3
         assert law.atoms.tolist() == [[1.0, 0.5, 1.0], [2.0, 1.0, -1.0], [-1.5, 2.0, 0.5]]
-        assert law.cum.tolist() == [0.25, 0.75, 1.0, math.inf]
         T = law.log_cross()
         for i, (a1, _, c1) in enumerate(law.atoms):
             for j, (a2, b2, _) in enumerate(law.atoms):
@@ -245,7 +241,7 @@ class TestAtomLaw:
         # shared across threads, so read-only; log_cross hands out the table
         T = law.log_cross()
         assert T is law.log_cross()
-        for arr in (law.atoms, law.p, law.cum, T):
+        for arr in (law.atoms, law.p, T):
             assert not arr.flags.writeable
         # not a field: equality, hash and repr are the fields' own
         twin = _random_atoms(5, seed=1)
@@ -253,67 +249,16 @@ class TestAtomLaw:
         assert "AtomLaw" not in repr(spec)
 
     def test_binary_atoms_in_stream_order(self):
-        # index 0 is the event u < p, which selected alpha before
+        # atom 0 is alpha, drawn with probability p, and atom 1 beta
         law = AtomLaw(DistributionSpec.binary_hill(2.0, 3.0, 0.25))
         assert law.atoms.tolist() == [[2.0, 0.5, 1.0], [3.0, 1.0 / 3.0, 1.0]]
-        assert law.cum.tolist() == [0.25, 1.0]
+        assert law.p.tolist() == [0.25, 0.75]
 
     def test_cancellation_is_minus_inf(self):
         spec = DistributionSpec.discrete_atoms(
             [((2.0, 5.0, 1.0), 0.5), ((1.0, -2.0, 3.0), 0.5)]
         )
         assert AtomLaw(spec).log_cross()[0, 1] == -math.inf
-
-    def test_last_atom_absorbs_rounding_slack(self):
-        # ten atoms of 0.1: the float cumulative sum ends at 1 - 2^-53
-        spec = DistributionSpec.discrete_atoms(
-            [((float(i + 1), 1.0, 1.0), 0.1) for i in range(10)]
-        )
-        assert np.cumsum([0.1] * 10)[-1] < 1.0
-        law = AtomLaw(spec)
-        assert law.cum[9] == 1.0 and np.isinf(law.cum[10:]).all()
-        u = np.array([np.nextafter(1.0, 0.0)])
-        assert index_search(law.cum, u, np.empty(1, np.intp), np.empty(1)).tolist() == [9]
-
-
-@st.composite
-def cum_and_uniforms(draw):
-    k = draw(st.integers(1, 64))
-    if draw(st.booleans()):
-        weights = [1.0] * k  # equal shares: cumulative sums that round
-    else:
-        weights = draw(st.lists(st.floats(1e-20, 1.0), min_size=k, max_size=k))
-    total = math.fsum(weights)
-    spec = DistributionSpec.discrete_atoms(
-        [((1.0, 1.0, 1.0), w / total) for w in weights]
-    )
-    raw = np.cumsum([p for _, p in spec.atoms])
-    probes = [0.0, np.nextafter(1.0, 0.0)]
-    for x in raw:
-        probes += [x, np.nextafter(x, 0.0), np.nextafter(x, 2.0)]
-    probes += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
-    u = np.array([x for x in probes if 0.0 <= x < 1.0])
-    return spec, raw, u
-
-
-class TestIndexSearch:
-    @given(cum_and_uniforms())
-    @settings(max_examples=300, deadline=None)
-    def test_equals_searchsorted(self, case):
-        spec, raw, u = case
-        law = AtomLaw(spec)
-        k = law.k
-        n = len(u)
-        idx = index_search(law.cum, u, np.empty(n, np.intp), np.empty(n))
-        assert np.array_equal(idx, np.searchsorted(law.cum[:k], u, side="right"))
-        # the last atom takes any u at or above a cumulative sum below 1
-        assert np.array_equal(idx, np.minimum(np.searchsorted(raw, u, side="right"), k - 1))
-
-    def test_power_of_two_padding(self):
-        for k, size in ((1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (17, 32), (64, 64)):
-            law = AtomLaw(_random_atoms(k, seed=k))
-            assert len(law.cum) == size
-            assert np.isinf(law.cum[k:]).all() and law.cum[k - 1] >= 1.0
 
 
 class TestAtomChainMemory:

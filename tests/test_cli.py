@@ -444,6 +444,21 @@ class TestDeterminism:
             assert all(o.returncode == 0 for o in outs)
             assert outs[0].stdout == outs[1].stdout == outs[2].stdout
 
+    def test_finite_support_byte_identical_across_1_2_8_threads(self, dists):
+        # BinaryHill draws words of 8 steps: 140 000 samples are 3 chunks,
+        # the full ones segments of 65 538 steps, and --n 1001 leaves a last
+        # block of 489 steps; each ends in a cut word
+        for cmd in (
+            ["estimate", "--dist", dists["binary"], "--samples", "140000", "--seed", "3"],
+            ["clt", "--dist", dists["binary"], "--n", "1001", "--chains", "300",
+             "--source", "exact", "--seed", "3"],
+            ["clt", "--dist", dists["binary"], "--n", "1001", "--chains", "300",
+             "--source", "mc", "--samples", "140000", "--seed", "3"],
+        ):
+            outs = [rmp(*cmd, "--threads", t) for t in ("1", "2", "8")]
+            assert all(o.returncode == 0 for o in outs)
+            assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+
     def test_clt_byte_identical_across_threads(self, dists):
         cmd = [
             "clt", "--dist", dists["uniform11"], "--n", "300", "--chains", "150",

@@ -255,21 +255,22 @@ def _atom_law(k, seed):
 class TestAtomLawCross:
     @pytest.mark.parametrize("k", [1, 3, 17])
     def test_gather_equals_table(self, k):
+        # the step rows of the law's words: row l k^g + w holds the term from
+        # atom l into word w, then the g - 1 terms inside w, each an entry of
+        # T; at g = 1 the rows are T itself, not a copy
         law = _atom_law(k, seed=k)
-        T = law.log_cross()
+        T, words = law.log_cross(), law.words
+        g, n_words = words.g, len(words.sums)
         rng = np.random.default_rng(k)
-        i, j = rng.integers(0, k, size=(2, 40, 7))
-        want = T[i, j]
-        assert np.array_equal(law.cross(i, j), want)
-        out, pairs = np.empty((40, 7)), np.empty((40, 7), np.intp)
-        got = law.cross(i, j, out=out, pairs=pairs)
-        assert got is out and np.array_equal(out, want)
-        assert np.array_equal(pairs, i * k + j)
-        assert np.array_equal(law.cross(i, j, out=np.empty((40, 7))), want)
-        assert np.array_equal(law.cross(i, j, pairs=np.empty((40, 7), np.intp)), want)
+        l, w = rng.integers(0, k, 40), rng.integers(0, n_words, 40)
+        d = words.digits[w]
+        want = np.column_stack([T[l, d[:, 0]], T[d[:, :-1], d[:, 1:]]])
+        assert np.array_equal(np.take(words.steps, l * n_words + w, axis=0), want)
+        assert words.steps.shape == (k * n_words, g) and not words.steps.flags.writeable
+        assert np.shares_memory(words.steps, T) == (g == 1)
 
     def test_table_is_built_once(self, monkeypatch):
-        # the law builds its table when it is made; gathers only read it
+        # the law builds its table when it is made; word draws only read it
         law = _atom_law(3, seed=0)
         calls = []
 
@@ -278,8 +279,10 @@ class TestAtomLawCross:
             return cross_terms(*args, **kwargs)
 
         monkeypatch.setattr(distributions, "cross_terms", counting)
-        first = law.cross(np.array([0, 1]), np.array([2, 2]))
-        second = law.cross(np.array([0, 1]), np.array([2, 2]))
+        workspace = tuple(np.empty(32) for _ in range(3))
+        _, _, first = law.words.step_terms(7, 2, make_stream(0), workspace)
+        first = first.copy()
+        _, _, second = law.words.step_terms(7, 2, make_stream(0), workspace)
         assert not calls and law.log_cross() is law.log_cross()
         assert np.array_equal(first, second)
 

@@ -579,15 +579,17 @@ class TestSigma2MC:
         assert ladder.lam == -math.inf
 
     def test_last_term_event_makes_lambda_minus_inf(self):
-        # the first seed whose chunk draws atoms 0, 0, 0, 1: the only -inf
-        # is the segment's last term, which is never an x; lambda is -inf
-        # all the same, since the law can cancel
-        law = CANCELLING.atom_law
-        seed = next(
-            (s for s in range(1000)
-             if law.indices(4, make_stream(s, 0)).tolist() == [0, 0, 0, 1]),
-            None,
-        )
+        # the first seed whose chunk draws a word that starts with atoms
+        # 0, 0, 0, 1: the segment's 4 steps are cut from it, and the only
+        # -inf is its last term, which is never an x; lambda is -inf all
+        # the same, since the law can cancel
+        words = CANCELLING.atom_law.words
+
+        def first_steps(seed):
+            drawn = words.draw(1, make_stream(seed, 0), [np.empty(1) for _ in range(3)])
+            return words.digits[drawn[0], :4].tolist()
+
+        seed = next((s for s in range(1000) if first_steps(s) == [0, 0, 0, 1]), None)
         assert seed is not None
         r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=seed)
         assert math.isnan(r.value) and r.minus_inf_events == 1
@@ -671,7 +673,7 @@ class TestOnePass:
             ref = make_stream(seed, k)
             _block_triples(spec, m + 2, 1, ref)
             assert streams[k].random() == ref.random(), k
-        if not spec.is_discrete:  # a finite-support law draws atom indices
+        if not spec.is_discrete:  # a finite-support law draws words
             assert sum(m for _, m in counts) == n + 2 * len(sizes)
             # a rank-one chunk draws its m + 1 unit sums, then one pair
             want = [[("sample_units", m + 1), ("sample_triples", 1)] for m in sizes]

@@ -32,7 +32,7 @@ from rmp.product import (
     direct_log_norm,
 )
 from rmp.selftest import _block_triples, _both_routes, _chain_triples
-from test_atom_law import word_rows
+from test_atom_law import cut_word_rows, word_rows
 
 LOG2 = math.log(2.0)
 
@@ -345,7 +345,7 @@ def allocating_rank_one_block(spec, block, width, gen):
 def allocating_chain_chunk(spec, n, width, gen):
     """The chain kernel with fresh arrays for every block: a rank-one law
     by allocating_rank_one_block, other laws on replayed triples, whose
-    terms a finite-support block of whole words sums by word."""
+    terms a finite-support block sums by word, whole or cut."""
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None
@@ -355,15 +355,16 @@ def allocating_chain_chunk(spec, n, width, gen):
         if spec.is_rank_one:
             first, last, cross = allocating_rank_one_block(spec, block, width, gen)
         else:
-            a, b, c = _block_triples(spec, block, width, gen, grouped=True)
+            a, b, c = _block_triples(spec, block, width, gen)
             A = a.reshape(block, width)
             B = b.reshape(block, width)
             C = c.reshape(block, width)
             first, last = (A[0], B[0], C[0]), (A[-1], B[-1], C[-1])
             with np.errstate(divide="ignore"):
                 cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
-            if spec.is_discrete and block % spec.atom_law.words.g == 0:
-                cross = word_rows(cross, spec.atom_law.words.g)
+            if spec.is_discrete:
+                g = spec.atom_law.words.g
+                cross = (word_rows if block % g == 0 else cut_word_rows)(cross, g)
         if prev is None:
             head_ratio = first[1] / first[0]
         else:

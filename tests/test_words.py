@@ -18,11 +18,12 @@ import pytest
 
 from rmp import product
 from rmp.distributions import DistributionSpec, make_stream
-from rmp.estimators import cross_terms
+from rmp.estimators import SAMPLE_CHUNK, _reduce, cross_terms, estimate_sigma2_mc
+from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples, _chain_triples
 from rmp.words import UNITS, word_length
 
-from test_atom_law import LAWS, IDS, _random_atoms
+from test_atom_law import LAWS, IDS, _random_atoms, replayed_chain_chunk, one_pass_reduce
 from test_distributions import QueueStream
 
 CANCEL = ((2.0, 5.0, 1.0), (1.0, -2.0, 3.0))  # 2 + 1 * (-2 / 1) = 0
@@ -116,14 +117,21 @@ class TestWordTable:
         assert drawn.tolist() == want
 
     def test_ungrouped_replay_draws_single_atoms(self, spec):
-        # the Monte Carlo segment's block step draws one atom per step, even
-        # when its length is a whole number of words
-        block = 4 * spec.atom_law.words.g
-        workspace = tuple(np.empty(block) for _ in range(3))
-        _, _, got = product.block_step(spec)(block, 1, make_stream(3), workspace)
-        a, b, c = _block_triples(spec, block, 1, make_stream(3))
-        want = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
-        assert np.array_equal(got.ravel(), want)
+        # the Monte Carlo segment's block step gives every single step its
+        # own term, in words cut to the block: ceil(block / g) uniforms,
+        # the terms of the replayed steps, a view of the third buffer
+        g = spec.atom_law.words.g
+        for block in range(3 * g + 1, 4 * g + 1):
+            workspace = tuple(np.empty(4 * g) for _ in range(3))
+            gen, ref = make_stream(3), make_stream(3)
+            first, last, got = product.block_step(spec)(block, 1, gen, workspace)
+            a, b, c = _block_triples(spec, block, 1, ref)
+            want = cross_terms((a[:-1], None, c[:-1]), (a[1:], b[1:], None))
+            assert got.shape == (block - 1, 1) and np.shares_memory(got, workspace[2])
+            assert np.array_equal(got.ravel(), want), block
+            assert np.array_equal(first, [a[:1], b[:1], c[:1]])
+            assert np.array_equal(last, [a[-1:], b[-1:], c[-1:]])
+            assert gen.random() == ref.random()
 
     def test_sums_follow_the_word(self, spec):
         law = spec.atom_law
@@ -140,6 +148,57 @@ class TestWordTable:
                 want = float(T[l, digits[0]]) + float(words.sums[w])
                 assert gather[l * n_words + w] == want
             assert words.offset[w] == digits[-1] * n_words
+
+
+# one law per word length: BinaryHill, 3, 5 and 17 atoms
+CUT_LAWS = {g: LAWS[IDS.index(name)] for g, name in
+            ((8, "binary-p0.3"), (4, "atoms3"), (2, "atoms5"), (1, "atoms17"))}
+
+
+def remainders(g):
+    """Step counts 1 ... g - 1 mod g, or 1 where every count is whole words."""
+    return range(1, g) if g > 1 else [1]
+
+
+@pytest.mark.parametrize("g", sorted(CUT_LAWS), ids=lambda g: f"g{g}")
+class TestCutWords:
+    def test_chains_of_every_remainder(self, g):
+        # n < g (one cut word), n < STEP_BLOCK (a workspace rounded up to
+        # whole words) and a last block of r steps, in two chunks
+        spec = CUT_LAWS[g]
+        assert spec.atom_law.words.g == g
+        m = CHAIN_CHUNK + 3
+        for r in remainders(g):
+            for n in (r, 3 * g + r, STEP_BLOCK + r):
+                want = np.concatenate([
+                    replayed_chain_chunk(spec, n, width, make_stream(4, k))
+                    for k, width in enumerate(chunk_sizes(m, CHAIN_CHUNK))
+                ])
+                for threads in (1, 2):
+                    got = chain_log_norms(spec, n, m, seed=4, threads=threads)
+                    assert np.array_equal(got, want), (n, threads)
+
+    def test_segments_of_every_remainder(self, g):
+        # segments of m + 2 = r mod g steps: one short chunk, and a full
+        # chunk (65 538 steps) followed by a short one
+        spec = CUT_LAWS[g]
+        for r in remainders(g):
+            for n in (3 * g + r - 2, SAMPLE_CHUNK + 2 * g + r - 2):
+                events, want = one_pass_reduce(spec, n, 6)
+                for threads in (1, 2):
+                    got = _reduce(spec, n, 6, threads)
+                    assert got[0] == events and np.array_equal(got[1], want), (n, threads)
+
+
+def test_one_atom_law_has_zero_variance_and_standard_errors():
+    # a constant law's terms are all one number, so each segment's, cut
+    # from words of 8 steps, centres at it exactly
+    spec = DistributionSpec.constant_triple(1e80, 1.0, 1.0)
+    for n in (3, 1001, SAMPLE_CHUNK + 5):
+        r, ladder = estimate_sigma2_mc(spec, n, seed=2, threads=2)
+        assert ladder.lam == spec.atom_law.log_cross()[0, 0]
+        assert r.value == 0.0 and ladder.lam_std_error == 0.0, n
+        assert r.std_error == 0.0 or (n == 3 and math.isnan(r.std_error)), n
 
 
 class TestCancellation:
@@ -175,18 +234,20 @@ class TestCancellation:
         assert 3 in where and where - {3}  # across a boundary, and inside
 
 
-def test_word_module_imported_only_by_a_grouped_finite_chain():
-    # the tables' module stays out of a run that has no finite-support chain
+def test_word_module_imported_only_by_a_finite_support_draw():
+    # the tables' module stays out of a run on a continuous law, Monte
+    # Carlo or chain; a finite-support estimate draws words
     code = (
         "import sys, rmp.cli\n"
         "from rmp.distributions import DistributionSpec\n"
         "from rmp.estimators import estimate_sigma2_mc\n"
         "from rmp.product import chain_log_norms\n"
-        "spec = DistributionSpec.binary_hill(2.0, 3.0, 0.3)\n"
-        "estimate_sigma2_mc(spec, 1000, seed=0)\n"
+        "estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 1000, seed=0)\n"
+        "estimate_sigma2_mc(DistributionSpec.hill_random(0.5, 2.0), 1000, seed=0)\n"
         "chain_log_norms(DistributionSpec.cauchy_rank_one(), 16, 4, 1)\n"
+        "chain_log_norms(DistributionSpec.hill_random(0.5, 2.0), 16, 4, 1)\n"
         "print('rmp.words' in sys.modules)\n"
-        "chain_log_norms(spec, 16, 4, 1)\n"
+        "estimate_sigma2_mc(DistributionSpec.binary_hill(2.0, 3.0, 0.3), 1000, seed=0)\n"
         "print('rmp.words' in sys.modules)\n"
     )
     src = str(Path(product.__file__).resolve().parents[1])
