@@ -1,5 +1,14 @@
 """Lyapunov exponents and CLT variances for products of singular 2x2 random matrices."""
 
+import os
+
+# Set before anything imports numpy, whose OpenBLAS otherwise starts one
+# pool thread per extra CPU on load; they spin for ~0.1 s and take a core
+# from the chain threads.  rmp's only BLAS calls are exact_moments'
+# matrix-vector products (k <= 1024), so one thread serves them.  A value
+# the user set wins, and a process that loaded numpy first keeps its pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .clt import (
     CltReport,
     DegeneracyVerdict,

@@ -224,6 +224,14 @@ def _int_in(lo: int, hi: float = math.inf):
     return parse
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one (a taskset or cpuset narrows it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rmp",
@@ -243,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--threads",
                 type=_int_in(1),
-                default=os.cpu_count() or 1,
-                help="worker cap (default: the CPU count); output does not depend on it",
+                default=_usable_cpus(),
+                help="worker cap (default: the usable CPUs); output does not depend on it",
             )
         p.add_argument("--out", help="write the JSON result here instead of stdout")
 

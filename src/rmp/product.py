@@ -29,11 +29,14 @@ workspaces of three float64 buffers, so memory is fixed whatever the
 chain length, chain count or sample count are.
 
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
-STEP_BLOCK steps at a time, in one kernel for every law.  A block is
-sized so that its workspace stays in cache: STEP_BLOCK * CHAIN_CHUNK =
-65 536 steps, so the three buffers of a running chunk take 1.5 MiB and
-fit in a 2 MiB L2, where every elementwise pass of the block step then
-reads and writes.  The Monte Carlo route sizes its own block (a segment
+one block at a time, in one kernel for every law.  A block is STEP_BLOCK
+steps of a continuous law and STEP_BLOCK words of g steps of a
+finite-support law (below), so a block step holds STEP_BLOCK *
+CHAIN_CHUNK = 65 536 entries per buffer either way.  The three buffers
+of a running chunk then take 1.5 MiB and fit in a 2 MiB L2, where every
+elementwise pass of the block step reads and writes, and each numpy
+call of the step works on 65 536 elements, enough for a second thread
+to pay.  The Monte Carlo route sizes its own block (a segment
 of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
 STEP_BLOCK.  Only the block step depends on the law: a rank-one law
 draws one unit sum per step (_rank_one_block), another continuous law
@@ -45,9 +48,9 @@ uniform through an alias table each (rmp.words, imported by the first
 finite-support draw).  A chain's block of whole words gathers one
 number per word, which sums the word's g - 1 terms and the term into
 it.  Every other block, the Monte Carlo segment (which needs every
-term) and a chain's last block when it is no whole number of words,
-gathers each word's g step terms and cuts its last word; its workspace
-is rounded up to whole words (padded_steps).
+term) and a chain's final n mod g steps, gathers each word's g step
+terms and cuts its last word; its workspace is rounded up to whole
+words (padded_steps).
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ from .families import FAMILIES
 NEG_INF = float("-inf")
 LOG2 = math.log(2.0)
 
-# chains per stream chunk / steps per sampling block for the vectorized
-# kernel: three buffers of STEP_BLOCK * CHAIN_CHUNK doubles are 1.5 MiB
+# chains per stream chunk / steps (a finite-support law's words) per
+# sampling block for the vectorized kernel: three buffers of
+# STEP_BLOCK * CHAIN_CHUNK doubles are 1.5 MiB
 CHAIN_CHUNK = 128
 STEP_BLOCK = 512
 
@@ -151,15 +155,18 @@ def chain_log_norms(
     through _chain_chunk on its (seed, k) stream, so the result is
     deterministic for a given (spec, n, n_chains, seed) regardless of
     the thread count.  Each running chunk's workspace is three buffers
-    of min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains) doubles (the steps
+    of min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains) doubles (n
     rounded up to whole words, padded_steps), at most 1.5 MiB, which fit
-    in a 2 MiB L2.  Chains whose product collapsed carry -inf.
+    in a 2 MiB L2.  A block of a finite-support law is up to STEP_BLOCK
+    words of g steps, and its step needs one entry per word, so the
+    same buffers serve g times the steps.  Chains whose product
+    collapsed carry -inf.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
     if n_chains < 1:
         raise ValueError("need at least one chain")
-    body = functools.partial(_chain_chunk, n)
+    body = functools.partial(_chain_chunk, n, steps_per_word(spec))
     length = padded_steps(spec, min(STEP_BLOCK, n)) * min(CHAIN_CHUNK, n_chains)
     parts = map_streams(
         spec, seed, n_chains, CHAIN_CHUNK, length, threads, body, grouped=True
@@ -193,11 +200,17 @@ def map_streams(spec, seed, total, chunk, length, threads, body, grouped=False):
     return map_chunks(run, len(sizes), threads)
 
 
+def steps_per_word(spec: DistributionSpec) -> int:
+    """g, the steps per word of a finite-support law (AtomLaw.words); 1 for
+    a continuous law, whose block step draws step by step."""
+    return spec.atom_law.words.g if spec.is_discrete else 1
+
+
 def padded_steps(spec: DistributionSpec, steps: int) -> int:
-    """``steps`` rounded up to whole words of a finite-support law (g steps
-    each; AtomLaw.words), so that a block's cut last word fits its
-    workspace; ``steps`` itself for a continuous law."""
-    g = spec.atom_law.words.g if spec.is_discrete else 1
+    """``steps`` rounded up to whole words of a finite-support law, so
+    that a block's cut last word fits its workspace; ``steps`` itself for
+    a continuous law."""
+    g = steps_per_word(spec)
     return -(-steps // g) * g
 
 
@@ -249,23 +262,29 @@ def log_kappa(spec: DistributionSpec) -> float:
     return math.log(abs(FAMILIES[spec.family].scale(spec))) if spec.is_rank_one else 0.0
 
 
-def _chain_chunk(n, draw, width, gen, workspace) -> np.ndarray:
-    """One chunk of ``width`` chains, in step blocks.
+def _chain_chunk(n, g, draw, width, gen, workspace) -> np.ndarray:
+    """One chunk of ``width`` chains, in blocks of up to STEP_BLOCK words
+    of ``g`` steps (steps_per_word; a continuous law's word is one step).
 
+    A block is min(STEP_BLOCK g, rest) steps rounded down to whole words;
+    only a chain's final run of fewer than g steps is no whole word.
     draw(block, width, gen, workspace) fills ``workspace``, three float64
     buffers of at least min(STEP_BLOCK, n) * width entries, rounded up to
     whole words (1.5 MiB at width CHAIN_CHUNK, which stay in a 2 MiB L2),
-    with the next ``block`` steps.  It returns the (a, b, c) rows of the
-    first and the last step, and rows whose column sums are those of the
-    block's (block - 1) x width cross terms.  Only a and b of the first row are read; the last
-    row is a copy, the carry into the next block.
+    with the next ``block`` steps: a whole-word block takes one entry per
+    word and chain, a final cut word g.  It returns the (a, b, c) rows
+    of the first and the last step, and rows whose column sums are those
+    of the block's (block - 1) x width cross terms.  Only a and b of the
+    first row are read; the last row is a copy, the carry into the next
+    block.
     """
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None  # (a, b, c) of the last absorbed step, each of shape (width,)
     done = 0
     while done < n:
-        block = min(STEP_BLOCK, n - done)
+        rest = n - done
+        block = rest if rest < g else min(STEP_BLOCK, rest // g) * g
         first, last, cross = draw(block, width, gen, workspace)
         if prev is None:
             head_ratio = first[1] / first[0]
@@ -334,8 +353,9 @@ def _word_steps(words, block, width, gen, workspace):
 
 def _word_block(words, block, width, gen, workspace):
     """words.block of a block of whole words.  A block that is not, which
-    only a chain's last block can be, takes words.step_terms, cut, and
-    sums each word's g terms into the spent first buffer, one row per word.
+    only a chain's final run of fewer than g steps is, takes
+    words.step_terms, cut, and sums the word's g terms into the spent
+    first buffer.
     """
     if block % words.g == 0:
         return words.block(block // words.g, width, gen, workspace)

@@ -207,15 +207,21 @@ def _chain_triples(spec, n, seed, width=1):
     """The triples that chain_log_norms(spec, n, width, seed) draws, per chain.
 
     For width <= CHAIN_CHUNK every chain is in chunk 0, which draws from
-    make_stream(seed, 0) block by block: _block_triples of
-    min(STEP_BLOCK, rest) steps, step-major, so step i of chain j is
-    entry i * width + j of its block.  STEP_BLOCK is read at call time,
-    so the replay follows a kernel run with another block.
+    make_stream(seed, 0) block by block: _block_triples of STEP_BLOCK
+    words of g steps (a continuous law's word is one step) while whole
+    words remain, the last such block shorter, then one block of the
+    n mod g steps left; step-major, so step i of chain j is entry
+    i * width + j of its block.  STEP_BLOCK is read at call time, so the
+    replay follows a kernel run with another block.
     """
+    g = product.steps_per_word(spec)
+    whole, span = n - n % g, product.STEP_BLOCK * g
+    blocks = [min(span, whole - done) for done in range(0, whole, span)]
+    if n % g:
+        blocks.append(n % g)
     gen = make_stream(seed, 0)
     chains = [[] for _ in range(width)]
-    for done in range(0, n, product.STEP_BLOCK):
-        block = min(product.STEP_BLOCK, n - done)
+    for block in blocks:
         steps = _block_triples(spec, block, width, gen)
         a, b, c = (x.reshape(block, width).T.tolist() for x in steps)
         for chain, *entries in zip(chains, a, b, c):

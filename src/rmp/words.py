@@ -12,10 +12,11 @@ word before.  Two gathers read a word's terms:
   with S[w] = T[i_1, i_2] + ... + T[i_{g-1}, i_g] summed left to right;
   its first word gathers S[w] alone, as its term from the previous block
   is the carry that product._chain_chunk forms from the triples.  A
-  block of g R steps thus draws R uniforms and gathers R terms per chain;
+  block of g R steps (R <= STEP_BLOCK) thus draws R uniforms and gathers
+  R terms per chain;
 * every other block (WordTable.step_terms): the Monte Carlo segment,
-  which needs each step's term, and a chain's last block when it is no
-  whole number of words.  It gathers the g terms of each word, the row
+  which needs each step's term, and a chain's final n mod g steps, a
+  block of one cut word.  It gathers the g terms of each word, the row
   (T[l, i_1], T[i_1, i_2], ..., T[i_{g-1}, i_g]) of ``steps``, and cuts
   the last word to the block's steps.
 

@@ -97,6 +97,15 @@ def cut_word_rows(terms, g):
     return np.ascontiguousarray(slots.reshape(R, g, width).transpose(0, 2, 1)).sum(axis=2)
 
 
+def block_lengths(n, g):
+    """The steps of a chain's blocks: STEP_BLOCK words of g steps while whole
+    words remain, the last such block shorter, then the n mod g steps of
+    its cut last word."""
+    whole, span = n - n % g, STEP_BLOCK * g
+    lengths = [min(span, whole - done) for done in range(0, whole, span)]
+    return lengths + [n % g] if n % g else lengths
+
+
 def replayed_chain_chunk(spec, n, width, gen):
     """The chain kernel with fresh arrays for every block, on replayed words:
     a block's terms summed by word, as a whole-word block or a cut one."""
@@ -104,9 +113,7 @@ def replayed_chain_chunk(spec, n, width, gen):
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None
-    done = 0
-    while done < n:
-        block = min(STEP_BLOCK, n - done)
+    for block in block_lengths(n, g):
         a, b, c = _block_triples(spec, block, width, gen)
         A = a.reshape(block, width)
         B = b.reshape(block, width)
@@ -123,7 +130,6 @@ def replayed_chain_chunk(spec, n, width, gen):
             rows = word_rows if block % g == 0 else cut_word_rows
             sumlog += rows(cross, g).sum(axis=0)
         prev = (A[-1], C[-1])
-        done += block
     pa, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -446,8 +447,8 @@ class TestDeterminism:
 
     def test_finite_support_byte_identical_across_1_2_8_threads(self, dists):
         # BinaryHill draws words of 8 steps: 140 000 samples are 3 chunks,
-        # the full ones segments of 65 538 steps, and --n 1001 leaves a last
-        # block of 489 steps; each ends in a cut word
+        # the full ones segments of 65 538 steps, and --n 1001 is a block of
+        # 125 words and a last block of one step; each ends in a cut word
         for cmd in (
             ["estimate", "--dist", dists["binary"], "--samples", "140000", "--seed", "3"],
             ["clt", "--dist", dists["binary"], "--n", "1001", "--chains", "300",
@@ -484,10 +485,22 @@ class TestDeterminism:
         "argv", [["estimate"], ["clt", "--source", "closed-form"]], ids=["estimate", "clt"]
     )
     @pytest.mark.parametrize("cpus, want", [(8, 8), (None, 1)])
-    def test_threads_default_to_cpu_count(self, argv, cpus, want):
+    def test_threads_default_to_cpu_count(self, argv, cpus, want, monkeypatch):
+        # where the OS has no affinity mask
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         with mock.patch("os.cpu_count", return_value=cpus):
             args = build_parser().parse_args([*argv, "--dist", "x.json"])
         assert args.threads == want
+
+    @pytest.mark.parametrize(
+        "argv", [["estimate"], ["clt", "--source", "closed-form"]], ids=["estimate", "clt"]
+    )
+    def test_threads_default_to_cpu_affinity(self, argv):
+        # a taskset or cpuset leaves 3 of the host's 64 CPUs to the process
+        with mock.patch("os.sched_getaffinity", return_value={0, 5, 7}, create=True), \
+                mock.patch("os.cpu_count", return_value=64):
+            args = build_parser().parse_args([*argv, "--dist", "x.json"])
+        assert args.threads == 3
 
 
 _NO_SCIPY = """

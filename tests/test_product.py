@@ -32,7 +32,7 @@ from rmp.product import (
     direct_log_norm,
 )
 from rmp.selftest import _block_triples, _both_routes, _chain_triples
-from test_atom_law import cut_word_rows, word_rows
+from test_atom_law import block_lengths, cut_word_rows, word_rows
 
 LOG2 = math.log(2.0)
 
@@ -345,13 +345,13 @@ def allocating_rank_one_block(spec, block, width, gen):
 def allocating_chain_chunk(spec, n, width, gen):
     """The chain kernel with fresh arrays for every block: a rank-one law
     by allocating_rank_one_block, other laws on replayed triples, whose
-    terms a finite-support block sums by word, whole or cut."""
+    terms a finite-support block sums by word, whole or cut, in blocks of
+    up to STEP_BLOCK words (block_lengths)."""
+    g = spec.atom_law.words.g if spec.is_discrete else 1
     sumlog = np.zeros(width)
     head_ratio = None
     prev = None
-    done = 0
-    while done < n:
-        block = min(STEP_BLOCK, n - done)
+    for block in block_lengths(n, g):
         if spec.is_rank_one:
             first, last, cross = allocating_rank_one_block(spec, block, width, gen)
         else:
@@ -363,7 +363,6 @@ def allocating_chain_chunk(spec, n, width, gen):
             with np.errstate(divide="ignore"):
                 cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
             if spec.is_discrete:
-                g = spec.atom_law.words.g
                 cross = (word_rows if block % g == 0 else cut_word_rows)(cross, g)
         if prev is None:
             head_ratio = first[1] / first[0]
@@ -374,7 +373,6 @@ def allocating_chain_chunk(spec, n, width, gen):
         if block > 1:
             sumlog += cross.sum(axis=0)
         prev = last
-        done += block
     pa, _, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 
@@ -411,6 +409,43 @@ class TestMapStreams:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.strip() == "[]"
+
+
+# counts this process's threads right after `import rmp`, before numpy
+# prints its build configuration
+_BLAS_PROBE = """
+import contextlib, io, os
+import rmp
+import numpy as np
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+config = io.StringIO()
+with contextlib.redirect_stdout(config):
+    np.show_config()
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "openblas" in config.getvalue().lower(), tasks)
+"""
+
+
+def blas_probe(**env):
+    """(OPENBLAS_NUM_THREADS, whether numpy names OpenBLAS, thread count or
+    None) of a fresh interpreter, OPENBLAS_NUM_THREADS unset unless given."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(product.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True,
+                         env={**base, **env, "PYTHONPATH": src}, check=True)
+    var, openblas, tasks = out.stdout.split()
+    return var, openblas == "True", None if tasks == "None" else int(tasks)
+
+
+class TestBlasThreads:
+    def test_import_pins_one_blas_thread(self):
+        # numpy's OpenBLAS would start one spinning pool thread per extra CPU
+        var, openblas, tasks = blas_probe()
+        assert var == "1"
+        if openblas and tasks is not None:
+            assert tasks == 1
+
+    def test_user_setting_wins(self):
+        assert blas_probe(OPENBLAS_NUM_THREADS="3")[0] == "3"
 
 
 class TestChainWorkspace:

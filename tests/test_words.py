@@ -164,12 +164,14 @@ def remainders(g):
 class TestCutWords:
     def test_chains_of_every_remainder(self, g):
         # n < g (one cut word), n < STEP_BLOCK (a workspace rounded up to
-        # whole words) and a last block of r steps, in two chunks
+        # whole words), and whole-word blocks, the last of them full
+        # (STEP_BLOCK words) at n = STEP_BLOCK g + r, then a cut word of
+        # r steps, in two chunks
         spec = CUT_LAWS[g]
         assert spec.atom_law.words.g == g
         m = CHAIN_CHUNK + 3
         for r in remainders(g):
-            for n in (r, 3 * g + r, STEP_BLOCK + r):
+            for n in sorted({r, 3 * g + r, STEP_BLOCK + r, STEP_BLOCK * g + r}):
                 want = np.concatenate([
                     replayed_chain_chunk(spec, n, width, make_stream(4, k))
                     for k, width in enumerate(chunk_sizes(m, CHAIN_CHUNK))
