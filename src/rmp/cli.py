@@ -126,6 +126,10 @@ def cmd_estimate(args) -> int:
     else:
         sig_r, ladder = estimate_sigma2_mc(spec, args.samples, args.seed, args.threads)
         print(f"estimate {sig_r.wall_time_s:.2f}s", file=sys.stderr)
+        if sig_r.value < 0.0:
+            # sigma2 >= 0 for every law: sampling noise, not a variance
+            print(f"warning: sigma2 estimate {sig_r.value:.6g} is negative "
+                  f"(std_error {sig_r.std_error:.6g})", file=sys.stderr)
         lam_doc, sig_doc = _result_doc(lambda_view(sig_r, ladder)), _result_doc(sig_r)
     ladder_doc = {"c0": ladder.c0, "c1": ladder.c1}
     _dump({"lambda": lam_doc, "sigma2": sig_doc, "ladder": ladder_doc}, args.out)

@@ -159,9 +159,9 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     g atoms, ceil((m + 2) / g) of them with the last cut to the segment,
     and gathers each word's terms from its tables (words.step_terms), so
     the workspace is rounded up to whole words (padded_steps); a
-    rank-one law draws the m + 1 unit sums t_j and a last pair that no
-    term reads, and its terms log |t_j| + log |kappa| come without the
-    constant, which is added once, to the pivots.
+    rank-one law draws only the m + 1 unit sums t_j, and its terms
+    log |t_j| + log |kappa| come without the constant, which is added
+    once, to the pivots.
     Returns (events, table): the counts of -inf terms and of +inf or NaN
     terms, and the batch rows of every chunk in chunk order (see
     _segment), or None if any term was not finite.  Memory is
@@ -172,8 +172,10 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     L = batch_length(n_samples)
 
     def segment(draw, m, gen, workspace):
-        # the terms land in the last buffer; the first, spent, takes d
-        _, _, cross = draw(m + 2, 1, gen, workspace)
+        # the terms land in the last buffer; the first, spent, takes d.
+        # A rank-one unit sum of exactly 0 is a -inf term
+        with np.errstate(divide="ignore"):
+            _, _, cross = draw(m + 2, 1, gen, workspace)
         return _segment(cross.ravel(), L, workspace[0])
 
     length = padded_steps(spec, min(n_samples, SAMPLE_CHUNK) + 2)

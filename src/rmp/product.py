@@ -24,12 +24,15 @@ Both sampled routes, chain_log_norms and the estimators' Monte Carlo
 reducer, run their chunks through one function, map_streams.  Chunks do
 not depend on the worker count, chunk k draws from the (seed, k) stream
 and results merge in chunk order, so any thread count gives
-bit-identical output.  A running chunk borrows one of the call's
+bit-identical output.  With more than one thread, map_chunks runs the
+chunks on plain threads, the caller among them, that take chunk indices
+from one counter.  A running chunk borrows one of the call's
 workspaces of three float64 buffers, so memory is fixed whatever the
 chain length, chain count or sample count are.
 
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
-one block at a time, in one kernel for every law.  A block is STEP_BLOCK
+one block at a time: _rank_one_chunk for a rank-one law, _chain_chunk
+for every other law.  A block is STEP_BLOCK
 steps of a continuous law and STEP_BLOCK words of g steps of a
 finite-support law (below), so a block step holds STEP_BLOCK *
 CHAIN_CHUNK = 65 536 entries per buffer either way.  The three buffers
@@ -39,7 +42,8 @@ call of the step works on 65 536 elements, enough for a second thread
 to pay.  The Monte Carlo route sizes its own block (a segment
 of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
 STEP_BLOCK.  Only the block step depends on the law: a rank-one law
-draws one unit sum per step (_rank_one_block), another continuous law
+draws one unit sum per term (_rank_one_block) and a chain the pair of
+its last step once, after its last block; another continuous law
 samples the block's triples and forms the cross terms in place, and a
 finite-support law gathers them from tables built once per law, with no
 divide or log per step.  A law of k atoms draws words of g consecutive
@@ -166,7 +170,10 @@ def chain_log_norms(
         raise ValueError("chain length must be >= 1")
     if n_chains < 1:
         raise ValueError("need at least one chain")
-    body = functools.partial(_chain_chunk, n, steps_per_word(spec))
+    if spec.is_rank_one:
+        body = functools.partial(_rank_one_chunk, spec, n)
+    else:
+        body = functools.partial(_chain_chunk, n, steps_per_word(spec))
     length = padded_steps(spec, min(STEP_BLOCK, n)) * min(CHAIN_CHUNK, n_chains)
     parts = map_streams(
         spec, seed, n_chains, CHAIN_CHUNK, length, threads, body, grouped=True
@@ -225,15 +232,48 @@ def chunk_sizes(total: int, chunk: int):
 def map_chunks(fn, n_chunks: int, threads: int = 1):
     """Apply fn(0..n_chunks-1), returning results in chunk order.
 
-    The thread pool is imported only by a run that uses one: with it,
-    concurrent.futures loads logging, which a one-thread run never needs.
+    With more than one thread and chunk, min(threads, n_chunks) - 1
+    worker threads and the calling thread take chunk indices in order
+    from one counter under a lock and store each result at its index.
+    A chunk that raises stops the others from taking new chunks; once
+    all are joined, the error of the lowest failing chunk is raised, the
+    one a run in chunk order would meet first.  threading is imported
+    only by a run that uses it.
     """
     if threads <= 1 or n_chunks <= 1:
         return [fn(i) for i in range(n_chunks)]
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
 
-    with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as ex:
-        return list(ex.map(fn, range(n_chunks)))
+    results = [None] * n_chunks
+    errors = []
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == n_chunks:
+                    return
+                k, taken = taken, taken + 1
+            try:
+                results[k] = fn(k)
+            except BaseException as e:  # also KeyboardInterrupt on the caller
+                with lock:
+                    errors.append((k, e))
+                return
+
+    workers = [
+        threading.Thread(target=work, daemon=True) for _ in range(min(threads, n_chunks) - 1)
+    ]
+    for w in workers:
+        w.start()
+    work()
+    for w in workers:
+        w.join()
+    if errors:
+        raise min(errors, key=lambda ke: ke[0])[1]
+    return results
 
 
 def block_step(spec: DistributionSpec, grouped: bool = False):
@@ -246,14 +286,16 @@ def block_step(spec: DistributionSpec, grouped: bool = False):
     and at width 1 a block is one chain segment of ``block`` steps and
     its block - 1 cross terms; grouped, only the rows' column sums are
     the block's.  Ungrouped, the terms land in the third buffer and the
-    first is left spent, so a caller may reuse it.
+    first is left spent, so a caller may reuse it.  A rank-one block
+    draws only the unit sums of its terms, and its caller holds
+    np.errstate(divide="ignore") for their logs.
     """
     if spec.is_discrete:
         words = spec.atom_law.words
         return functools.partial(_word_block if grouped else _word_steps, words)
     if spec.is_rank_one:
         group = FAMILIES[spec.family].group if grouped else None
-        return functools.partial(_rank_one_block, spec, group, log_kappa(spec))
+        return functools.partial(_rank_one_block, spec, group)
     return functools.partial(_sampled_block, spec)
 
 
@@ -263,8 +305,9 @@ def log_kappa(spec: DistributionSpec) -> float:
 
 
 def _chain_chunk(n, g, draw, width, gen, workspace) -> np.ndarray:
-    """One chunk of ``width`` chains, in blocks of up to STEP_BLOCK words
-    of ``g`` steps (steps_per_word; a continuous law's word is one step).
+    """One chunk of ``width`` chains of a law that is not rank-one (those
+    take _rank_one_chunk), in blocks of up to STEP_BLOCK words of ``g``
+    steps (steps_per_word; a continuous law's word is one step).
 
     A block is min(STEP_BLOCK g, rest) steps rounded down to whole words;
     only a chain's final run of fewer than g steps is no whole word.
@@ -298,25 +341,52 @@ def _chain_chunk(n, g, draw, width, gen, workspace) -> np.ndarray:
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 
 
-def _rank_one_block(spec, group, log_scale, block, width, gen, workspace):
-    """Unit sums of the first block - 1 steps, then the carry pair.
+def _rank_one_chunk(spec, n, draw, width, gen, workspace) -> np.ndarray:
+    """One chunk of ``width`` chains of a rank-one law.
+
+    Every head ratio x/x is exactly 1, so step j's cross term is
+    log |x_j + y_j| = log |t_j| + log |kappa| and
+
+        log ||S_n|| = sum_{j < n} log |t_j| + (n - 1) log |kappa|
+                      + log hypot(x_n, y_n) + log hypot(1, 1).
+
+    The chunk draws the n - 1 unit sums in blocks of up to STEP_BLOCK
+    steps per chain into ``workspace`` (draw, grouped: a block of b + 1
+    steps gives b terms) and adds each block's column sums.  Only then
+    does it draw the last step's pair (x_n, y_n), once, and add the
+    constants.  One errstate covers the chunk: an exact t = 0, a
+    cancelling step, sends its chain to -inf.
+    """
+    sumlog = np.zeros(width)
+    with np.errstate(divide="ignore"):
+        for done in range(0, n - 1, STEP_BLOCK):
+            terms = min(STEP_BLOCK, n - 1 - done)
+            _, _, rows = draw(terms + 1, width, gen, workspace)
+            sumlog += rows.sum(axis=0)
+        x, _, y = sample_triples(spec, width, gen)
+        sumlog += (n - 1) * log_kappa(spec) + 0.5 * LOG2  # log hypot(1, 1)
+        return sumlog + np.log(np.hypot(x, y))
+
+
+def _rank_one_block(spec, group, block, width, gen, workspace):
+    """Unit sums of a block's first block - 1 steps, and no triple.
 
     The head ratio x/x is exactly 1, so step j's cross term is
-    log |x_j + y_j| = log |t_j| + log_scale, log_scale = log |kappa|.
-    The unit sums land in the third buffer (the first holds the second
-    uniforms).  The last step's (x, x, y) is the carry: the term into the
-    next block, a chain's tail, and the first row (head ratio 1).
+    log |x_j + y_j| = log |t_j| + log |kappa|.  The unit sums land in the
+    third buffer (the first holds the second uniforms).  The block's
+    last step is drawn by no one: its pair is read by no term of the
+    block, and a chain draws only its own last pair (_rank_one_chunk).
+    So no first or last row is returned, only the term rows.
 
-    With ``group`` None every row is a term less log_scale, which the
+    With ``group`` None every row is a term less log |kappa|, which the
     Monte Carlo segment adds once.  A chain needs only column sums:
     log2(group) halvings multiply rows [0, r - h) by rows [h, r) in place
     (h = ceil(r / 2); contiguous, so one pass each), leaving products of
     at most ``group`` unit sums, normal by the family's unit_bound (or 0
-    after a cancelling step); one log each, and (block - 1) log_scale on
-    the first row.
+    after a cancelling step); one log each, without log |kappa|.  The
+    caller holds np.errstate(divide="ignore").
     """
     t = sample_units(spec, (block - 1) * width, gen, out=(workspace[2], workspace[0]))
-    last = sample_triples(spec, width, gen)
     rows = t.reshape(block - 1, width)
     g = group or 1
     while g > 1 and len(rows) > 1:
@@ -324,11 +394,8 @@ def _rank_one_block(spec, group, log_scale, block, width, gen, workspace):
         np.multiply(rows[: r - h], rows[h:], out=rows[: r - h])
         rows, g = rows[:h], g // 2
     np.abs(rows, out=rows)
-    with np.errstate(divide="ignore"):
-        np.log(rows, out=rows)
-    if group is not None and block > 1:
-        rows[0] += (block - 1) * log_scale
-    return last, last, rows
+    np.log(rows, out=rows)
+    return None, None, rows
 
 
 def _sampled_block(spec, block, width, gen, workspace):

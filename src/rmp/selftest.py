@@ -207,25 +207,38 @@ def _chain_triples(spec, n, seed, width=1):
     """The triples that chain_log_norms(spec, n, width, seed) draws, per chain.
 
     For width <= CHAIN_CHUNK every chain is in chunk 0, which draws from
-    make_stream(seed, 0) block by block: _block_triples of STEP_BLOCK
-    words of g steps (a continuous law's word is one step) while whole
-    words remain, the last such block shorter, then one block of the
-    n mod g steps left; step-major, so step i of chain j is entry
-    i * width + j of its block.  STEP_BLOCK is read at call time, so the
-    replay follows a kernel run with another block.
+    make_stream(seed, 0) block by block, step-major, so step i of chain
+    j is entry i * width + j of its block.  A rank-one chain draws the
+    unit sums of its first n - 1 steps in blocks of up to STEP_BLOCK,
+    each the _block_triples of one step more, which is left out, and
+    then its last step's pair (sample_triples).  Another law draws
+    _block_triples of STEP_BLOCK words of g steps (a continuous law's
+    word is one step) while whole words remain, the last such block
+    shorter, then one block of the n mod g steps left.  STEP_BLOCK is
+    read at call time, so the replay follows a kernel run with another
+    block.
     """
+    gen = make_stream(seed, 0)
+    chains = [[] for _ in range(width)]
+
+    def extend(steps, a, b, c):
+        rows = (x.reshape(-1, width)[:steps].T.tolist() for x in (a, b, c))
+        for chain, *entries in zip(chains, *rows):
+            chain.extend(map(EntryTriple, *entries))
+
+    if spec.is_rank_one:
+        for done in range(0, n - 1, product.STEP_BLOCK):
+            terms = min(product.STEP_BLOCK, n - 1 - done)
+            extend(terms, *_block_triples(spec, terms + 1, width, gen))
+        extend(1, *sample_triples(spec, width, gen))
+        return chains
     g = product.steps_per_word(spec)
     whole, span = n - n % g, product.STEP_BLOCK * g
     blocks = [min(span, whole - done) for done in range(0, whole, span)]
     if n % g:
         blocks.append(n % g)
-    gen = make_stream(seed, 0)
-    chains = [[] for _ in range(width)]
     for block in blocks:
-        steps = _block_triples(spec, block, width, gen)
-        a, b, c = (x.reshape(block, width).T.tolist() for x in steps)
-        for chain, *entries in zip(chains, a, b, c):
-            chain.extend(map(EntryTriple, *entries))
+        extend(block, *_block_triples(spec, block, width, gen))
     return chains
 
 
@@ -237,13 +250,13 @@ def _block_triples(spec, block, width, gen):
     chain (AtomLaw.words.draw), decodes each into its atoms and cuts the
     last to the block, whether its steps are whole words or not.  Every
     other law that is not rank-one draws sample_triples of the whole
-    block.  A rank-one block draws the unit sums t of its
-    first block - 1 steps (sample_units), then the (x, x, y) of its last
-    (sample_triples).  A unit sum step becomes the triple (s, s, 0) of
-    its sum s = kappa t, whose cross term into any rank-one step is
-    exactly s + 0 * 1, and an exact s = 0 the triple (1, 1, -1), whose
-    term is 1 - 1 = 0; the head ratio of both is 1, as it is for every
-    rank-one step.
+    block.  A rank-one block draws the unit sums t of its first
+    block - 1 steps (sample_units) and nothing for its last, whose
+    triple is (1, 1, 0): no term of the block reads more of it than its
+    head ratio, 1 as for every rank-one step.  A unit sum step becomes
+    the triple (s, s, 0) of its sum s = kappa t, whose cross term into
+    any rank-one step is exactly s + 0 * 1, and an exact s = 0 the
+    triple (1, 1, -1), whose term is 1 - 1 = 0.
     """
     if spec.is_discrete:
         words = spec.atom_law.words
@@ -254,10 +267,9 @@ def _block_triples(spec, block, width, gen):
     if not spec.is_rank_one:
         return sample_triples(spec, block * width, gen)
     s = sample_units(spec, (block - 1) * width, gen) * FAMILIES[spec.family].scale(spec)
-    x, _, y = sample_triples(spec, width, gen)
     zero = s == 0.0
-    a = np.concatenate([np.where(zero, 1.0, s), x])
-    c = np.concatenate([np.where(zero, -1.0, 0.0), y])
+    a = np.concatenate([np.where(zero, 1.0, s), np.ones(width)])
+    c = np.concatenate([np.where(zero, -1.0, 0.0), np.zeros(width)])
     return a, a, c
 
 

@@ -122,6 +122,21 @@ class TestEstimate:
         assert out.returncode == 0
         assert out.stderr.startswith("estimate ") and out.stderr.count("\n") == 1
 
+    def test_negative_sigma2_is_flagged_on_stderr(self, dists):
+        # HillRandom [0.5, 2] has sigma2 = 0.00256; 1000 samples at seed 5
+        # estimate -0.00264, within 1.6 SE of it.  stdout keeps the value
+        args = ("--samples", "1000", "--seed", "5")
+        out = rmp("estimate", "--dist", dists["hill"], *args)
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        value, se = doc["sigma2"]["value"], doc["sigma2"]["std_error"]
+        assert value < 0
+        warning = f"warning: sigma2 estimate {value:.6g} is negative (std_error {se:.6g})\n"
+        assert out.stderr.startswith("estimate ") and out.stderr.endswith(warning)
+        assert out.stderr.count("\n") == 2
+        out = rmp("estimate", "--dist", dists["cauchy"], "--samples", "200000")
+        assert out.returncode == 0 and "warning" not in out.stderr
+
     def test_variance_std_error_nan_at_3_samples(self, dists):
         # batches of one row have no spread, so the variance SE is undefined
         out = rmp("estimate", "--dist", dists["atoms"], "--samples", "3")

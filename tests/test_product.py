@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +35,7 @@ from rmp.product import (
 )
 from rmp.selftest import _block_triples, _both_routes, _chain_triples
 from test_atom_law import block_lengths, cut_word_rows, word_rows
+from test_distributions import QueueStream
 
 LOG2 = math.log(2.0)
 
@@ -245,10 +248,9 @@ class TestHeadRatioOrder:
     )
     def test_rank_one_block_step_is_general_cross_terms(self, spec):
         # the rank-one step draws unit sums t and forms log|t| per term,
-        # leaving out the constant log|kappa| (product.log_kappa), or one
-        # log per product of `group` of them with (block - 1) log|kappa|:
-        # the cross terms of the triples it replays, log|kappa t|, up to
-        # rounding
+        # or one log per product of `group` of them, leaving out the
+        # constant log|kappa| (product.log_kappa): the cross terms of the
+        # triples it replays, log|kappa t|, up to rounding
         block, width = STEP_BLOCK, 64
         workspace = tuple(np.empty(block * width) for _ in range(3))
         _, _, got = product.block_step(spec)(block, width, make_stream(6), workspace)
@@ -266,6 +268,12 @@ class TestHeadRatioOrder:
         _, _, rows = draw(block, width, make_stream(6), workspace)
         group = FAMILIES[spec.family].group
         assert rows.shape == (-(-(block - 1) // group), width)
+        # (block - 1) log|kappa|, which the chain adds once per chain, goes
+        # on the first row before the sum, the order this check has always
+        # used: a column that cancels to a few units (-5.6 of -360 + 354 on
+        # the uniform law) leaves rtol 1e-13 no room for the other order's
+        # rounding
+        rows[0] += (block - 1) * log_kappa
         np.testing.assert_allclose(rows.sum(axis=0), want.sum(axis=0), rtol=1e-13)
 
 
@@ -325,45 +333,45 @@ ONE_PER_FAMILY = (
 def allocating_rank_one_block(spec, block, width, gen):
     """A rank-one block step with fresh arrays: the unit sums of block - 1
     steps folded by contiguous halving into products of up to `group` of
-    them, one log each and (block - 1) log|kappa| on the first row; then
-    the carry pair."""
-    record = FAMILIES[spec.family]
+    them, one log each; no pair is drawn."""
     rows = sample_units(spec, (block - 1) * width, gen).reshape(block - 1, width)
-    last = sample_triples(spec, width, gen)
-    g = record.group
+    g = FAMILIES[spec.family].group
     while g > 1 and len(rows) > 1:
         r, h = len(rows), (len(rows) + 1) // 2
         rows = np.concatenate([rows[: r - h] * rows[h:], rows[r - h : h]])
         g //= 2
     with np.errstate(divide="ignore"):
-        cross = np.log(np.abs(rows))
-    if block > 1:
-        cross[0] += (block - 1) * math.log(abs(record.scale(spec)))
-    return last, last, cross
+        return np.log(np.abs(rows))
 
 
 def allocating_chain_chunk(spec, n, width, gen):
-    """The chain kernel with fresh arrays for every block: a rank-one law
-    by allocating_rank_one_block, other laws on replayed triples, whose
+    """The chain kernel with fresh arrays for every block.  A rank-one law
+    draws its n - 1 unit sums by allocating_rank_one_block, in blocks of
+    up to STEP_BLOCK, then its last pair, and adds (n - 1) log|kappa| and
+    log hypot(1, 1) once.  Other laws run on replayed triples, whose
     terms a finite-support block sums by word, whole or cut, in blocks of
     up to STEP_BLOCK words (block_lengths)."""
-    g = spec.atom_law.words.g if spec.is_discrete else 1
     sumlog = np.zeros(width)
+    if spec.is_rank_one:
+        for done in range(0, n - 1, STEP_BLOCK):
+            terms = min(STEP_BLOCK, n - 1 - done)
+            sumlog += allocating_rank_one_block(spec, terms + 1, width, gen).sum(axis=0)
+        x, _, y = sample_triples(spec, width, gen)
+        sumlog += (n - 1) * math.log(abs(FAMILIES[spec.family].scale(spec))) + 0.5 * LOG2
+        return sumlog + np.log(np.hypot(x, y))
+    g = spec.atom_law.words.g if spec.is_discrete else 1
     head_ratio = None
     prev = None
     for block in block_lengths(n, g):
-        if spec.is_rank_one:
-            first, last, cross = allocating_rank_one_block(spec, block, width, gen)
-        else:
-            a, b, c = _block_triples(spec, block, width, gen)
-            A = a.reshape(block, width)
-            B = b.reshape(block, width)
-            C = c.reshape(block, width)
-            first, last = (A[0], B[0], C[0]), (A[-1], B[-1], C[-1])
-            with np.errstate(divide="ignore"):
-                cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
-            if spec.is_discrete:
-                cross = (word_rows if block % g == 0 else cut_word_rows)(cross, g)
+        a, b, c = _block_triples(spec, block, width, gen)
+        A = a.reshape(block, width)
+        B = b.reshape(block, width)
+        C = c.reshape(block, width)
+        first, last = (A[0], B[0], C[0]), (A[-1], B[-1], C[-1])
+        with np.errstate(divide="ignore"):
+            cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
+        if spec.is_discrete:
+            cross = (word_rows if block % g == 0 else cut_word_rows)(cross, g)
         if prev is None:
             head_ratio = first[1] / first[0]
         else:
@@ -397,18 +405,55 @@ class TestMapStreams:
 
 
     def test_one_thread_run_imports_no_thread_pool(self):
-        # concurrent.futures loads logging; a one-thread run needs neither
+        # concurrent.futures loads logging; a run needs neither, at one
+        # thread or at two, whose chunks run on plain threads
         code = (
             "import sys, rmp.cli\n"
             "from rmp.distributions import DistributionSpec\n"
             "from rmp.product import chain_log_norms\n"
-            "chain_log_norms(DistributionSpec.cauchy_rank_one(), 600, 300, 1, threads=1)\n"
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+            "for threads in (1, 2):\n"
+            "    chain_log_norms(DistributionSpec.cauchy_rank_one(), 600, 300, 1, threads)\n"
+            "    print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
         )
         src = str(Path(product.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["[]", "[]"]
+
+
+class TestMapChunks:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("n_chunks", [0, 1, 3, 9])
+    def test_results_in_chunk_order(self, threads, n_chunks):
+        # chunks finish out of order; 3 chunks on 4 threads is more
+        # threads than chunks
+        def fn(k):
+            time.sleep(0.002 * ((5 * k) % 3))
+            return k * k
+
+        assert product.map_chunks(fn, n_chunks, threads) == [k * k for k in range(n_chunks)]
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_chunk_error_reraises_in_caller_and_joins(self, where):
+        # chunks 0 and 1 meet at a barrier, so each thread runs one of
+        # them; then any later chunk on the chosen thread raises
+        before, caller = threading.active_count(), threading.get_ident()
+        barrier = threading.Barrier(2, timeout=10)
+        failed = []
+
+        def fn(k):
+            if k < 2:
+                barrier.wait()
+            elif (threading.get_ident() == caller) == (where == "caller"):
+                failed.append(k)
+                raise ValueError(k)
+            time.sleep(0.002)
+            return k
+
+        with pytest.raises(ValueError) as err:
+            product.map_chunks(fn, 40, 2)
+        assert err.value.args == (min(failed),)
+        assert threading.active_count() == before
 
 
 # counts this process's threads right after `import rmp`, before numpy
@@ -446,6 +491,55 @@ class TestBlasThreads:
 
     def test_user_setting_wins(self):
         assert blas_probe(OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+
+RANK_ONE = (
+    DistributionSpec.exponential_rank_one(1.0),
+    DistributionSpec.cauchy_rank_one(),
+    DistributionSpec.uniform_rank_one(1.0, 2.0),  # [-1, 2]
+)
+
+
+class TestRankOneChain:
+    """A rank-one chain draws its n - 1 unit sums in blocks of up to
+    STEP_BLOCK, then its last pair."""
+
+    @pytest.mark.parametrize("n", [1, 2, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 1])
+    @pytest.mark.parametrize("spec", RANK_ONE, ids=lambda s: s.family)
+    def test_block_edges_match_direct(self, spec, n):
+        # n - 1 terms: none (the pair alone), one, one short of a block,
+        # exactly one block and exactly two; chunk 0 against the direct
+        # product of a few replayed chains, chunk 1 (on a worker at two
+        # threads) against the allocating kernel
+        seed, m = 31, CHAIN_CHUNK + 4
+        chains = _chain_triples(spec, n, seed, CHAIN_CHUNK)
+        assert all(len(ts) == n for ts in chains)
+        tail = allocating_chain_chunk(spec, n, m - CHAIN_CHUNK, make_stream(seed, 1))
+        for threads in (1, 2):
+            got = chain_log_norms(spec, n, m, seed, threads)
+            for j in (0, 61, CHAIN_CHUNK - 1):
+                want = direct_log_norm(map(build_matrix, chains[j]))
+                assert abs(got[j] - want) <= 1e-12 * max(1.0, abs(want)), (j, threads)
+            assert np.array_equal(got[CHAIN_CHUNK:], tail), threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cancelling_cauchy_step_ends_at_minus_inf(self, threads, monkeypatch):
+        # u = 1/2 draws the unit sum tan(0) = 0, so x + y = 0 and the
+        # product is the zero matrix whatever follows: here the first
+        # block's last term of chain 2 of each chunk, then a full block
+        widths = chunk_sizes(CHAIN_CHUNK + 4, CHAIN_CHUNK)
+
+        def stream(seed, k):
+            u = make_stream(seed, k).random(STEP_BLOCK * widths[k])
+            u[(STEP_BLOCK - 1) * widths[k] + 2] = 0.5
+            return QueueStream([u])
+
+        monkeypatch.setattr(product, "make_stream", stream)
+        spec = DistributionSpec.cauchy_rank_one()
+        got = chain_log_norms(spec, 2 * STEP_BLOCK + 1, sum(widths), 0, threads)
+        dead = [2, CHAIN_CHUNK + 2]
+        assert np.isneginf(got[dead]).all()
+        assert np.isfinite(np.delete(got, dead)).all()
 
 
 class TestChainWorkspace:
