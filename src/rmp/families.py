@@ -357,6 +357,12 @@ def _exponential_units(spec, gen, t, scratch):
     draws -log u / theta, up to the rounding of w: an absolute error of
     about 2^-53 in t.  A nonzero u lies in [2^-53, 1 - 2^-53], so
     2^-52 <= |t| <= S for every theta.
+
+    No scan looks for w = 0: log 0 = -inf is the one log of a draw that
+    raises numpy's divide-by-zero flag, since a nonzero w is at least
+    2^-106.  Only when it is raised are the -inf entries redrawn, in
+    fill_nonzero's order, and logged, so the stream is consumed and the
+    values come out as if the zeros had been redrawn before the log.
     """
 
     def draw(x):
@@ -365,7 +371,14 @@ def _exponential_units(spec, gen, t, scratch):
         gen.random(out=v)
         return np.multiply(x, v, out=x)
 
-    return np.log(fill_nonzero(draw, t), out=t)
+    draw(t)
+    try:
+        with np.errstate(divide="raise"):
+            return np.log(t, out=t)
+    except FloatingPointError:
+        zero = t == -np.inf
+        t[zero] = np.log(fill_nonzero(draw, np.empty(np.count_nonzero(zero))))
+        return t
 
 
 def _cauchy_units(spec, gen, t, scratch):

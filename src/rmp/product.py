@@ -28,7 +28,9 @@ bit-identical output.  With more than one thread, map_chunks runs the
 chunks on plain threads, the caller among them, that take chunk indices
 from one counter.  A running chunk borrows one of the call's
 workspaces of three float64 buffers, so memory is fixed whatever the
-chain length, chain count or sample count are.
+chain length, chain count or sample count are.  Each buffer starts on a
+64-byte cache line (workspace), so every elementwise pass of a block
+step streams whole lines.
 
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
 one block at a time: _rank_one_chunk for a rank-one law, _chain_chunk
@@ -187,8 +189,8 @@ def map_streams(spec, seed, total, chunk, length, threads, body, grouped=False):
     ``total`` items are cut into chunks of ``chunk``; the results come in
     chunk order whatever ``threads`` is.  draw is the law's
     block_step(spec, grouped).  workspace is three float64 buffers of
-    ``length`` from a free list of the call, made on first need: one per
-    chunk running at once.
+    ``length``, each on a cache line (workspace), from a free list of the
+    call, made on first need: one per chunk running at once.
     """
     sizes = chunk_sizes(total, chunk)
     draw = block_step(spec, grouped)
@@ -196,15 +198,30 @@ def map_streams(spec, seed, total, chunk, length, threads, body, grouped=False):
 
     def run(k: int):
         try:
-            workspace = free.pop()
+            buffers = free.pop()
         except IndexError:
-            workspace = (np.empty(length), np.empty(length), np.empty(length))
+            buffers = workspace(length)
         try:
-            return body(draw, sizes[k], make_stream(seed, k), workspace)
+            return body(draw, sizes[k], make_stream(seed, k), buffers)
         finally:
-            free.append(workspace)
+            free.append(buffers)
 
     return map_chunks(run, len(sizes), threads)
+
+
+def workspace(length: int):
+    """Three float64 buffers of ``length``, each starting on a 64-byte
+    cache line.
+
+    np.empty puts a large array 16 bytes past a page, and then every
+    64-byte vector load of a pass over it straddles two lines.  So the
+    buffers are slices of one array, over-allocated by 7 doubles and cut
+    at whole lines.  No value depends on where a buffer starts.
+    """
+    stride = -(-length // 8) * 8  # doubles per buffer, whole lines
+    raw = np.empty(3 * stride + 7)
+    start = (-raw.__array_interface__["data"][0] % 64) // 8
+    return tuple(raw[start + i * stride : start + i * stride + length] for i in range(3))
 
 
 def steps_per_word(spec: DistributionSpec) -> int:

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -632,6 +633,63 @@ class TestNonzeroResampling:
             assert np.array_equal(r, g)
         assert gen.calls == ref_gen.calls
         assert gen.calls[:3] == [n, 3, 1]
+        assert gen.gen.random() == ref_gen.gen.random()
+
+
+def scanned_exponential_units(n, gen):
+    """Exponential unit sums as drawn before the zero guard: every product
+    w = u_1 u_2 scanned for 0 and redrawn by fill_nonzero, then one log."""
+    t, scratch = np.empty(n), np.empty(n)
+
+    def draw(x):
+        v = scratch[: x.size]
+        gen.random(out=x)
+        gen.random(out=v)
+        return np.multiply(x, v, out=x)
+
+    return np.log(families.fill_nonzero(draw, t))
+
+
+class TestExponentialZeroGuard:
+    # the guard finds w = 0 by log's divide-by-zero flag instead of a scan
+    N = 1 << 16
+    ERRSTATES = [
+        pytest.param({"divide": "ignore"}, id="caller-ignores-divide"),
+        pytest.param({"all": "raise"}, id="caller-raises-all"),
+    ]
+
+    @pytest.mark.parametrize("errstate", ERRSTATES)
+    @pytest.mark.parametrize("out", [False, True])
+    def test_zeros_come_out_as_the_scan_drew_them(self, errstate, out):
+        # u_1 = 0 in lanes 0, 7, 8 and N - 1, and again in the redraw of lane 7
+        plant = {0: (0, 7, 8, self.N - 1), 2: (1,)}
+        spec = DistributionSpec.exponential_rank_one(1.0)
+        ref_gen, gen = PlantedStream(0.0, plant), PlantedStream(0.0, plant)
+        with np.errstate(divide="ignore"):
+            want = scanned_exponential_units(self.N, ref_gen)
+        bufs = (np.empty(self.N + 3), np.empty(self.N + 3)) if out else None
+        before = np.geterr()
+        with warnings.catch_warnings(), np.errstate(**errstate):
+            warnings.simplefilter("error")
+            inside = np.geterr()
+            got = sample_units(spec, self.N, gen, out=bufs)
+            assert np.geterr() == inside
+        assert np.geterr() == before
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isfinite(got).all() and (got < 0.0).all()
+        assert gen.calls == ref_gen.calls == [self.N, self.N, 4, 4, 1, 1]
+        assert gen.gen.random() == ref_gen.gen.random()
+
+    @pytest.mark.parametrize("errstate", ERRSTATES)
+    def test_no_zero_draws_no_more(self, errstate):
+        spec = DistributionSpec.exponential_rank_one(1.0)
+        ref_gen, gen = PlantedStream(0.0, {}), PlantedStream(0.0, {})
+        want = scanned_exponential_units(self.N, ref_gen)
+        with warnings.catch_warnings(), np.errstate(**errstate):
+            warnings.simplefilter("error")
+            got = sample_units(spec, self.N, gen)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert gen.calls == [self.N, self.N]
         assert gen.gen.random() == ref_gen.gen.random()
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmp import product
+from rmp import estimators, product
 from rmp.distributions import (
     DistributionSpec,
     EntryTriple,
@@ -23,7 +23,7 @@ from rmp.distributions import (
     sample_triples,
     sample_units,
 )
-from rmp.estimators import exact_discrete
+from rmp.estimators import SAMPLE_CHUNK, estimate_sigma2_mc, exact_discrete
 from rmp.families import _EXP_MIN_THETA, _HALF_MAX, FAMILIES
 from rmp.product import (
     CHAIN_CHUNK,
@@ -419,6 +419,91 @@ class TestMapStreams:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.split() == ["[]", "[]"]
+
+
+def _address(buf) -> int:
+    return buf.__array_interface__["data"][0]
+
+
+def _mc_estimate_bytes(spec, n_samples, seed):
+    """estimate_sigma2_mc's numbers as bytes, its wall time left out."""
+    result, ladder = estimate_sigma2_mc(spec, n_samples, seed)
+    numbers = [getattr(result, f) for f in ("value", "std_error", "n_samples",
+                                            "minus_inf_events", "inf_nan_events")]
+    numbers += [getattr(ladder, f) for f in ("c0", "c1", "lam", "c0_std_error",
+                                             "c1_std_error", "lam_std_error")]
+    return np.array(numbers, dtype=float).tobytes()
+
+
+# one law per block step: chains take _rank_one_block, _sampled_block and
+# _word_block (n = 1003 cuts a BinaryHill chain's last word), the Monte
+# Carlo segment _rank_one_block, _sampled_block and _word_steps
+BLOCK_STEP_LAWS = [
+    pytest.param(DistributionSpec.exponential_rank_one(1.0), id="rank-one"),
+    pytest.param(DistributionSpec.hill_random(0.5, 2.0), id="sampled"),
+    pytest.param(DistributionSpec.binary_hill(2.0, 3.0, 0.3), id="words"),
+]
+
+
+class TestAlignedWorkspaces:
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 1003, STEP_BLOCK * CHAIN_CHUNK])
+    def test_buffers_start_on_a_line(self, length):
+        buffers = product.workspace(length)
+        assert len(buffers) == 3
+        assert all(b.shape == (length,) and b.dtype == np.float64 for b in buffers)
+        assert all(b.flags.c_contiguous and b.flags.writeable for b in buffers)
+        assert all(_address(b) % 64 == 0 for b in buffers)
+        starts = sorted(_address(b) for b in buffers)
+        assert all(lo + 8 * length <= hi for lo, hi in zip(starts, starts[1:]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda spec, threads: chain_log_norms(spec, 1003, CHAIN_CHUNK + 5, 3, threads),
+            lambda spec, threads: estimate_sigma2_mc(spec, 3 * SAMPLE_CHUNK + 9, 3, threads),
+        ],
+        ids=["chains", "monte-carlo"],
+    )
+    @pytest.mark.parametrize("spec", BLOCK_STEP_LAWS)
+    def test_every_buffer_a_body_gets_is_on_a_line(self, monkeypatch, spec, route, threads):
+        seen = []  # (requested length, workspace) of every chunk
+        original = product.map_streams
+
+        def spying(spec, seed, total, chunk, length, threads, body, grouped=False):
+            def spy(draw, size, gen, workspace):
+                seen.append((length, workspace))
+                return body(draw, size, gen, workspace)
+
+            return original(spec, seed, total, chunk, length, threads, spy, grouped)
+
+        monkeypatch.setattr(product, "map_streams", spying)
+        monkeypatch.setattr(estimators, "map_streams", spying)
+        route(spec, threads)
+        assert len(seen) in (2, 4)  # two chain chunks, four Monte Carlo chunks
+        for length, workspace in seen:
+            assert [b.shape for b in workspace] == [(length,)] * 3
+            assert all(_address(b) % 64 == 0 for b in workspace)
+
+    @pytest.mark.parametrize("spec", BLOCK_STEP_LAWS)
+    def test_values_do_not_depend_on_where_buffers_start(self, monkeypatch, spec):
+        def run():
+            chains = chain_log_norms(spec, 1003, CHAIN_CHUNK + 5, 3, threads=2)
+            return chains.tobytes(), _mc_estimate_bytes(spec, 2 * SAMPLE_CHUNK + 9, 3)
+
+        want = run()
+        original = product.workspace
+        for shift in range(1, 8):
+            starts = []
+
+            def shifted(length, shift=shift):
+                buffers = tuple(b[shift : shift + length] for b in original(length + shift))
+                starts.extend(_address(b) % 64 for b in buffers)
+                return buffers
+
+            monkeypatch.setattr(product, "workspace", shifted)
+            assert run() == want, shift
+            assert set(starts) == {8 * shift}
 
 
 class TestMapChunks:
