@@ -27,14 +27,11 @@ from .distributions import (
     sample_triples,
 )
 from .estimators import (
-    CovarianceLadder,
-    EstimateResult,
+    Estimate,
     NoClosedFormError,
     closed_form,
-    estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
-    lambda_view,
     trajectory_lambda,
 )
 from .product import (
@@ -47,11 +44,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CltReport",
-    "CovarianceLadder",
     "DegeneracyVerdict",
     "DistributionSpec",
     "EntryTriple",
-    "EstimateResult",
+    "Estimate",
     "NoClosedFormError",
     "NotDiscreteError",
     "SpecError",
@@ -60,11 +56,9 @@ __all__ = [
     "closed_form",
     "degeneracy_check",
     "direct_log_norm",
-    "estimate_lambda_mc",
     "estimate_sigma2_mc",
     "exact_discrete",
     "ks_distance",
-    "lambda_view",
     "load_spec",
     "make_stream",
     "parse_spec",

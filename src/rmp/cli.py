@@ -24,20 +24,21 @@ import json
 import math
 import os
 import sys
+import time
 
 from .clt import CltReport, degeneracy_check, simulate_normalized
 from .distributions import _MASK64, NotDiscreteError, SpecError, load_spec
-# estimate_lambda_mc stays a module attribute: perfbench/tracing.py wraps
-# it here by name
 from .estimators import (
-    EstimateResult,
+    Estimate,
     NoClosedFormError,
     closed_form,
-    estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
-    lambda_view,
 )
+
+# estimate_lambda_mc stays a module attribute: perfbench/tracing.py wraps
+# it here by name
+estimate_lambda_mc = estimate_sigma2_mc
 
 # exception -> exit code, most specific first: NoClosedFormError is a
 # ValueError, so it must match before the generic entry
@@ -74,15 +75,21 @@ def _dump(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _result_doc(r: EstimateResult) -> dict:
-    return {
-        "value": r.value,
-        "std_error": r.std_error,
-        "n_samples": r.n_samples,
-        "seed": r.seed,
-        "minus_inf_events": r.minus_inf_events,
-        "inf_nan_events": r.inf_nan_events,
+def _estimate_docs(e: Estimate, seed: int) -> dict:
+    """The "lambda" and "sigma2" documents of an estimate made for the
+    given seed; a standard error that the route leaves None is left out."""
+    meta = {
+        "n_samples": e.n_samples,
+        "seed": seed,
+        "minus_inf_events": e.minus_inf_events,
+        "inf_nan_events": e.inf_nan_events,
     }
+    docs = {}
+    for key, value, se in (
+        ("lambda", e.lam, e.lam_std_error), ("sigma2", e.sigma2, e.sigma2_std_error)
+    ):
+        docs[key] = {"value": value, **({} if se is None else {"std_error": se}), **meta}
+    return docs
 
 
 def _write_histogram_csv(path: str, histogram) -> None:
@@ -115,24 +122,18 @@ def _report_doc(report: CltReport, source: str) -> dict:
 def cmd_estimate(args) -> int:
     spec = load_spec(args.dist)
     if args.exact:
-        lam, sigma2, ladder = exact_discrete(spec)
-        meta = {
-            "n_samples": 0,
-            "seed": args.seed,
-            "minus_inf_events": ladder.minus_inf_events,
-            "inf_nan_events": 0,
-        }
-        lam_doc, sig_doc = {"value": lam, **meta}, {"value": sigma2, **meta}
+        _, _, e = exact_discrete(spec)
     else:
-        sig_r, ladder = estimate_sigma2_mc(spec, args.samples, args.seed, args.threads)
-        print(f"estimate {sig_r.wall_time_s:.2f}s", file=sys.stderr)
-        if sig_r.value < 0.0:
+        t0 = time.perf_counter()
+        e = estimate_sigma2_mc(spec, args.samples, args.seed, args.threads)
+        print(f"estimate {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+        if e.sigma2 < 0.0:
             # sigma2 >= 0 for every law: sampling noise, not a variance
-            print(f"warning: sigma2 estimate {sig_r.value:.6g} is negative "
-                  f"(std_error {sig_r.std_error:.6g})", file=sys.stderr)
-        lam_doc, sig_doc = _result_doc(lambda_view(sig_r, ladder)), _result_doc(sig_r)
-    ladder_doc = {"c0": ladder.c0, "c1": ladder.c1}
-    _dump({"lambda": lam_doc, "sigma2": sig_doc, "ladder": ladder_doc}, args.out)
+            print(f"warning: sigma2 estimate {e.sigma2:.6g} is negative "
+                  f"(std_error {e.sigma2_std_error:.6g})", file=sys.stderr)
+    doc = _estimate_docs(e, args.seed)
+    doc["ladder"] = {"c0": e.c0, "c1": e.c1}
+    _dump(doc, args.out)
     return 0
 
 
@@ -147,10 +148,9 @@ def cmd_clt(args) -> int:
         # decoupled from the chain streams so the hypothesis is
         # estimated on randomness independent of the evidence
         src_seed = (args.seed + 1) & _MASK64
-        sig_r, ladder = estimate_sigma2_mc(spec, args.samples, src_seed, args.threads)
-        lam_r = lambda_view(sig_r, ladder)
-        lam, sigma2 = lam_r.value, sig_r.value
-        source_doc = {"lambda": _result_doc(lam_r), "sigma2": _result_doc(sig_r)}
+        e = estimate_sigma2_mc(spec, args.samples, src_seed, args.threads)
+        lam, sigma2 = e.lam, e.sigma2
+        source_doc = _estimate_docs(e, src_seed)
 
     report = simulate_normalized(
         spec, args.n, args.chains, lam, sigma2, args.seed, args.threads
@@ -193,7 +193,9 @@ def cmd_selftest(args) -> int:
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  ({r.seconds:6.2f}s)  {r.detail}")
+        print(f"[{status}] {r.name:<{width}}  {r.detail}")
+        # wall times vary from run to run, so they stay off stdout
+        print(f"{r.name:<{width}}  {r.seconds:6.2f}s", file=sys.stderr)
         failed += not r.passed
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 3 if failed else 0

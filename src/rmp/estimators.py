@@ -1,7 +1,9 @@
 """Lyapunov exponent and CLT variance estimators.
 
 Three independent routes are provided and cross-checked against each
-other:
+other.  The first two return one Estimate record of lambda, sigma^2,
+C_0, C_1 and their provenance (trajectory_lambda's lambda is one too);
+the closed forms return the pair (lambda, sigma^2):
 
 * Monte Carlo over the scalar cross terms x_j = log |a_j + c_j (b_{j+1} / a_{j+1})|
   of one chain segment per chunk,
@@ -29,7 +31,6 @@ those are non-overlapping batch means (Flegal & Jones, Ann. Statist.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,50 +58,31 @@ SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class EstimateResult:
-    """Point estimate with provenance.
+class Estimate:
+    """lambda and sigma2 = c0 + 2*c1 of one route, with provenance.
 
-    std_error is None on exact (non-Monte-Carlo) paths and NaN when the
-    estimate degenerated (non-finite samples).  n_samples counts cross
-    terms (lag rows) on the Monte Carlo route; minus_inf_events counts
-    cross terms (or chains) that vanished exactly, and inf_nan_events
-    those that came out +inf or NaN, a numerical failure: the value is
-    then NaN.
+    c0, c1 are the lag-0 and lag-1 autocovariances of the cross terms,
+    centred at lam.  A field the route does not estimate is None, as is
+    every standard error of exact enumeration, which has n_samples 0 and
+    seed None; a standard error is NaN where the estimate degenerated.
+    n_samples counts lag rows (Monte Carlo) or chains (trajectory_lambda).
+    minus_inf_events counts the -inf cross terms, chains or atom pairs:
+    it is > 0 exactly when lam = -inf, unless a +inf or NaN one, counted
+    in inf_nan_events, made lam NaN.  sigma2, c0 and c1 are then NaN.
     """
 
-    value: float
-    std_error: float | None
-    n_samples: int
-    seed: int
-    minus_inf_events: int = 0
-    inf_nan_events: int = 0
-    wall_time_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class CovarianceLadder:
-    """Autocovariances (c0, c1) of the cross-term sequence and the mean.
-
-    sigma2 reconstructs the CLT variance as c0 + 2*c1 (lag >= 2 terms
-    are identically zero by 1-dependence).  Standard errors (of c0, c1
-    and of lam) are filled on the Monte Carlo path only.
-    minus_inf_events counts the -inf cross terms the ladder was made
-    from: sampled terms on the Monte Carlo path, ordered atom pairs of
-    the table in exact enumeration.  It is > 0 exactly when lam = -inf,
-    unless a +inf or NaN term made lam NaN.
-    """
-
-    c0: float
-    c1: float
     lam: float
+    sigma2: float | None
+    c0: float | None
+    c1: float | None
+    lam_std_error: float | None = None
+    sigma2_std_error: float | None = None
     c0_std_error: float | None = None
     c1_std_error: float | None = None
-    lam_std_error: float | None = None
+    n_samples: int = 0
+    seed: int | None = None
     minus_inf_events: int = 0
-
-    @property
-    def sigma2(self) -> float:
-        return self.c0 + 2.0 * self.c1
+    inf_nan_events: int = 0
 
 
 # -- batch-means reducer -----------------------------------------------------
@@ -206,7 +188,7 @@ def _batch_se(v: np.ndarray) -> float:
 
 def estimate_sigma2_mc(
     spec: DistributionSpec, n_samples: int, seed: int = 0, threads: int = 1
-):
+) -> Estimate:
     """CLT variance, with lambda, from one pass over chain segments.
 
     The n_samples rows are lag pairs (x_j, x_{j+1}) of consecutive cross
@@ -241,21 +223,18 @@ def estimate_sigma2_mc(
     variance s_b^2) and the plug-in (n sigma2 - 2 K c1) / n^2 are <= 0 for
     43 % and 55 % of seeds, as the noise of s_b^2 / B and of sigma2 is
     above the target; the first floored at -2 K c1 / n^2 is ~30 % wide.
-    Returns (EstimateResult, CovarianceLadder); the ladder carries lam
-    and its standard error (estimate_lambda_mc reads them).  If any
-    cross term cancelled exactly, lam is -inf, the variance and every
-    standard error are undefined (NaN), and the -inf terms are counted.
-    A +inf or NaN term is a numerical failure, counted in the result's
-    inf_nan_events; lam is then NaN too.
+    Returns an Estimate with every field set.  If any cross term cancelled
+    exactly, lam is -inf, the variance and every standard error are
+    undefined (NaN), and the -inf terms are counted.  A +inf or NaN term
+    is a numerical failure, counted in inf_nan_events; lam is then NaN
+    too.
     """
-    t0 = time.perf_counter()
     (minus_inf, inf_nan), table = _reduce(spec, n_samples, seed, threads)
     if table is None:
         nan = float("nan")
-        wall = time.perf_counter() - t0
-        result = EstimateResult(nan, nan, n_samples, seed, minus_inf, inf_nan, wall)
         lam = nan if inf_nan else NEG_INF
-        return result, CovarianceLadder(nan, nan, lam, nan, nan, nan, minus_inf)
+        return Estimate(lam, nan, nan, nan, nan, nan, nan, nan,
+                        n_samples, seed, minus_inf, inf_nan)
 
     n, L = n_samples, batch_length(n_samples)
     n_b, p, Sxx, Sxy, Sx, Sy = table.T
@@ -263,7 +242,6 @@ def estimate_sigma2_mc(
     d = p - lam
     c0 = float(np.sum(Sxx + 2.0 * d * Sx + n_b * d * d)) / n
     c1 = float(np.sum(Sxy + d * (Sx + Sy) + n_b * d * d)) / n
-    sigma2 = c0 + 2.0 * c1
     _, p, Sxx, Sxy, Sx, Sy = table[n_b == L].T
     e = Sx / L
     lam_b, c0_b = p - p[0] + e, Sxx / L - e * e
@@ -271,39 +249,11 @@ def estimate_sigma2_mc(
     if L < 2:
         # a one-row batch has no spread of its own
         c0_b = c1_b = c0_b[:0]
-    se = _batch_se(c0_b + 2.0 * c1_b)
-    result = EstimateResult(sigma2, se, n, seed, wall_time_s=time.perf_counter() - t0)
-    ladder = CovarianceLadder(
-        c0, c1, lam, _batch_se(c0_b), _batch_se(c1_b), _batch_se(lam_b)
+    return Estimate(
+        lam, c0 + 2.0 * c1, c0, c1,
+        _batch_se(lam_b), _batch_se(c0_b + 2.0 * c1_b), _batch_se(c0_b), _batch_se(c1_b),
+        n, seed,
     )
-    return result, ladder
-
-
-def lambda_view(result: EstimateResult, ladder: CovarianceLadder) -> EstimateResult:
-    """The Lyapunov exponent of an estimate_sigma2_mc pass as its own result."""
-    return EstimateResult(
-        ladder.lam,
-        ladder.lam_std_error,
-        result.n_samples,
-        result.seed,
-        ladder.minus_inf_events,
-        result.inf_nan_events,
-        result.wall_time_s,
-    )
-
-
-def estimate_lambda_mc(
-    spec: DistributionSpec, n_samples: int, seed: int = 0, threads: int = 1
-) -> EstimateResult:
-    """Lyapunov exponent as the mean cross term: a view of estimate_sigma2_mc.
-
-    The value and its batch-means standard error come from the same
-    pass, so calling both costs two passes; call estimate_sigma2_mc
-    once and take lambda_view of its result instead.  Any exactly
-    cancelled term makes the value -inf (the event count is reported);
-    the mean is then -inf by convention, not an error.
-    """
-    return lambda_view(*estimate_sigma2_mc(spec, n_samples, seed, threads))
 
 
 def trajectory_lambda(
@@ -312,42 +262,37 @@ def trajectory_lambda(
     n_chains: int,
     seed: int = 0,
     threads: int = 1,
-) -> EstimateResult:
+) -> Estimate:
     """Lyapunov exponent as the across-chain mean of log ||S_n|| / n.
 
     Runs n_chains independent chains of length n (chain_log_norms); the
     almost-sure limit of log ||S_n|| / n is the exponent.  Chains whose
     product collapsed contribute -inf and are counted, and so are chains
-    whose log-norm came out +inf or NaN.
+    whose log-norm came out +inf or NaN.  The Estimate holds lam, its
+    standard error over the chains and the counts; sigma2, c0 and c1 are
+    None.
     """
     if n < 2:
         raise ValueError("need chain length n >= 2")
     if n_chains < 1:
         raise ValueError("need n_chains >= 1")
-    t0 = time.perf_counter()
     per_chain = chain_log_norms(spec, n, n_chains, seed, threads) / n
     n_inf = int(np.isneginf(per_chain).sum())
     n_inf_nan = n_chains - n_inf - int(np.isfinite(per_chain).sum())
-    value = float(per_chain.mean())
     if n_inf or n_inf_nan or n_chains < 2:
         se = float("nan")
     else:
         se = float(per_chain.std(ddof=1)) / math.sqrt(n_chains)
-    return EstimateResult(
-        value=value,
-        std_error=se,
-        n_samples=n_chains,
-        seed=seed,
-        minus_inf_events=n_inf,
-        inf_nan_events=n_inf_nan,
-        wall_time_s=time.perf_counter() - t0,
+    return Estimate(
+        float(per_chain.mean()), None, None, None, lam_std_error=se,
+        n_samples=n_chains, seed=seed, minus_inf_events=n_inf, inf_nan_events=n_inf_nan,
     )
 
 
 # -- exact enumeration ------------------------------------------------------
 
 def exact_discrete(spec: DistributionSpec):
-    """(lambda, sigma2, ladder) by exact enumeration of a finite support.
+    """(lambda, sigma2, Estimate) by exact enumeration of a finite support.
 
     Sums over AtomLaw's k x k cross-term table, see exact_moments.
     Raises NotDiscreteError for continuous families.
@@ -357,7 +302,7 @@ def exact_discrete(spec: DistributionSpec):
 
 
 def exact_moments(T: np.ndarray, p: np.ndarray):
-    """(lambda, sigma2, ladder) of the cross-term table T of atoms with weights p.
+    """(lambda, sigma2, Estimate) of the cross-term table T of atoms with weights p.
 
     With T[i, j] the cross term of atom i followed by atom j,
 
@@ -367,19 +312,21 @@ def exact_moments(T: np.ndarray, p: np.ndarray):
     since the middle atom j of a triple couples both cross terms; O(k^2)
     and exact up to float arithmetic.  D is centered before the
     p-weighted sums: m2 - lambda^2 cancels when sigma2 is tiny next to
-    lambda^2.  If any atom pair cancels exactly (a -inf entry),
-    lambda = -inf, the variance is undefined (NaN), and the ladder's
-    minus_inf_events counts the -inf entries.
+    lambda^2.  The Estimate has no standard errors, no samples and no
+    seed.  If any atom pair cancels exactly (a -inf entry), lambda =
+    -inf, the variance is undefined (NaN), and minus_inf_events counts
+    the -inf entries.
     """
     events = int(np.count_nonzero(np.isneginf(T)))
     if events:
         nan = float("nan")
-        return NEG_INF, nan, CovarianceLadder(nan, nan, NEG_INF, minus_inf_events=events)
+        return NEG_INF, nan, Estimate(NEG_INF, nan, nan, nan, minus_inf_events=events)
     lam = float(p @ T @ p)
     D = T - lam
     c0 = float(p @ (D * D) @ p)
     c1 = float(((p @ D) * (D @ p)) @ p)
-    return lam, c0 + 2.0 * c1, CovarianceLadder(c0, c1, lam)
+    sigma2 = c0 + 2.0 * c1
+    return lam, sigma2, Estimate(lam, sigma2, c0, c1)
 
 
 # -- closed forms ------------------------------------------------------------

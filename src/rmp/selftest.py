@@ -30,10 +30,8 @@ from .distributions import (
 from .estimators import (
     NoClosedFormError,
     closed_form,
-    estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
-    lambda_view,
     trajectory_lambda,
 )
 from . import product
@@ -78,11 +76,11 @@ def _spec_zoo():
     }
 
 
-def _band(est, target, k):
-    """|estimate - target| <= k * std_error, with a printable summary."""
-    err = abs(est.value - target)
-    ok = err <= k * est.std_error
-    return ok, f"err={err:.2e} vs {k}se={k * est.std_error:.2e}"
+def _band(value, se, target, k):
+    """|value - target| <= k * se, with a printable summary."""
+    err = abs(value - target)
+    ok = err <= k * se
+    return ok, f"err={err:.2e} vs {k}se={k * se:.2e}"
 
 
 # -- the ten criteria ---------------------------------------------------------
@@ -92,10 +90,9 @@ def check_cauchy_exact_values(quick=False, threads=1) -> CheckResult:
     t0 = time.perf_counter()
     n = 10**5 if quick else 10**6
     spec = DistributionSpec.cauchy_rank_one()
-    sig, ladder = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
-    lam = lambda_view(sig, ladder)
-    ok1, d1 = _band(lam, LOG2, 3.0)
-    ok2, d2 = _band(sig, PI2 / 4.0, 3.0)
+    e = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+    ok1, d1 = _band(e.lam, e.lam_std_error, LOG2, 3.0)
+    ok2, d2 = _band(e.sigma2, e.sigma2_std_error, PI2 / 4.0, 3.0)
     return CheckResult(
         "cauchy-exact-values",
         ok1 and ok2,
@@ -111,10 +108,9 @@ def check_exponential_exact_values(quick=False, threads=1) -> CheckResult:
     fails = []
     for theta in (0.5, 1.0, 2.0):
         spec = DistributionSpec.exponential_rank_one(theta)
-        sig, ladder = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
-        lam = lambda_view(sig, ladder)
-        ok1, _ = _band(lam, 1.0 - EULER_GAMMA - math.log(theta), 3.0)
-        ok2, _ = _band(sig, PI2 / 6.0 - 1.0, 3.0)
+        e = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+        ok1, _ = _band(e.lam, e.lam_std_error, 1.0 - EULER_GAMMA - math.log(theta), 3.0)
+        ok2, _ = _band(e.sigma2, e.sigma2_std_error, PI2 / 6.0 - 1.0, 3.0)
         if not (ok1 and ok2):
             fails.append(f"theta={theta} lambda_ok={ok1} sigma2_ok={ok2}")
     return CheckResult(
@@ -133,10 +129,9 @@ def check_uniform_case_table(quick=False, threads=1) -> CheckResult:
     for (a, b) in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         spec = DistributionSpec.uniform_rank_one(a, b)
         lam_cf, sig_cf = closed_form(spec)
-        sig, ladder = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
-        lam = lambda_view(sig, ladder)
-        ok1, _ = _band(lam, lam_cf, 3.0)
-        ok2, _ = _band(sig, sig_cf, 3.0)
+        e = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
+        ok1, _ = _band(e.lam, e.lam_std_error, lam_cf, 3.0)
+        ok2, _ = _band(e.sigma2, e.sigma2_std_error, sig_cf, 3.0)
         if not (ok1 and ok2):
             fails.append(f"(a,b)=({a},{b}) lambda_ok={ok1} sigma2_ok={ok2}")
     return CheckResult(
@@ -335,16 +330,16 @@ def check_law_of_large_numbers(quick=False, threads=1) -> CheckResult:
                 oracle, _ = closed_form(spec)
                 oracle_se = 0.0
             except NoClosedFormError:
-                ref = estimate_lambda_mc(spec, mc_n, seed=500 + i, threads=threads)
-                oracle, oracle_se = ref.value, ref.std_error
+                ref = estimate_sigma2_mc(spec, mc_n, seed=500 + i, threads=threads)
+                oracle, oracle_se = ref.lam, ref.lam_std_error
         traj = trajectory_lambda(spec, n, chains, seed=100 + i, threads=threads)
-        tol = 4.0 * math.hypot(traj.std_error, oracle_se)
+        tol = 4.0 * math.hypot(traj.lam_std_error, oracle_se)
         if spec.family == CONSTANT_TRIPLE:
-            ok = abs(traj.value - oracle) <= 1e-12
+            ok = abs(traj.lam - oracle) <= 1e-12
         else:
-            ok = abs(traj.value - oracle) <= tol
+            ok = abs(traj.lam - oracle) <= tol
         if not ok:
-            fails.append(f"{name} err={abs(traj.value - oracle):.2e} tol={tol:.2e}")
+            fails.append(f"{name} err={abs(traj.lam - oracle):.2e} tol={tol:.2e}")
     return CheckResult(
         "law-of-large-numbers",
         not fails,
@@ -365,9 +360,9 @@ def check_rank_one_c1_vanishing(quick=False, threads=1) -> CheckResult:
     ]
     fails = []
     for i, (name, spec) in enumerate(cases):
-        _, ladder = estimate_sigma2_mc(spec, n, seed=700 + i, threads=threads)
-        if abs(ladder.c1) > 4.0 * ladder.c1_std_error:
-            fails.append(f"{name} c1={ladder.c1:.2e} 4se={4 * ladder.c1_std_error:.2e}")
+        e = estimate_sigma2_mc(spec, n, seed=700 + i, threads=threads)
+        if abs(e.c1) > 4.0 * e.c1_std_error:
+            fails.append(f"{name} c1={e.c1:.2e} 4se={4 * e.c1_std_error:.2e}")
     return CheckResult(
         "rank-one-c1-vanishing",
         not fails,

@@ -1,16 +1,22 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from test_estimators import decimal_reference
 
-from rmp.cli import build_parser
+from rmp import selftest
+from rmp.cli import build_parser, main
 from rmp.distributions import parse_spec
+from rmp.estimators import estimate_sigma2_mc
 from rmp.families import MAX_ATOMS
+from rmp.selftest import CheckResult
 
 LOG2 = math.log(2.0)
 
@@ -211,6 +217,118 @@ class TestEstimate:
         assert out.stdout == ""
         doc = json.loads(path.read_text())
         assert doc["lambda"]["value"] == LOG2
+
+
+# the keys of an estimate's "lambda" and "sigma2" documents, in order;
+# an exact route has no std_error
+ESTIMATE_KEYS = ["value", "std_error", "n_samples", "seed", "minus_inf_events", "inf_nan_events"]
+
+
+class TestDocumentKeys:
+    """The key order of every document built from an Estimate."""
+
+    @staticmethod
+    def _doc(capsys, *argv):
+        assert main([*argv, "--threads", "1"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_estimate(self, dists, capsys):
+        doc = self._doc(capsys, "estimate", "--dist", dists["atoms"], "--samples", "1000")
+        assert list(doc) == ["lambda", "sigma2", "ladder"]
+        assert list(doc["lambda"]) == list(doc["sigma2"]) == ESTIMATE_KEYS
+        assert list(doc["ladder"]) == ["c0", "c1"]
+
+    def test_estimate_exact(self, dists, capsys):
+        doc = self._doc(capsys, "estimate", "--dist", dists["atoms"], "--exact")
+        assert list(doc) == ["lambda", "sigma2", "ladder"]
+        keys = [k for k in ESTIMATE_KEYS if k != "std_error"]
+        assert list(doc["lambda"]) == list(doc["sigma2"]) == keys
+        assert list(doc["ladder"]) == ["c0", "c1"]
+
+    def test_clt_mc_source_estimates(self, dists, capsys):
+        doc = self._doc(capsys, "clt", "--dist", dists["cauchy"], "--source", "mc",
+                        "--samples", "1000", "--n", "20", "--chains", "20")
+        assert list(doc) == [
+            "n", "m_chains", "lambda_used", "sigma2_used", "empirical_mean",
+            "empirical_var", "ks_distance", "histogram", "minus_inf_events",
+            "inf_nan_events", "seed", "source", "source_estimates",
+        ]
+        source = doc["source_estimates"]
+        assert list(source) == ["lambda", "sigma2"]
+        assert list(source["lambda"]) == list(source["sigma2"]) == ESTIMATE_KEYS
+        assert (doc["lambda_used"], doc["sigma2_used"]) == (
+            source["lambda"]["value"], source["sigma2"]["value"])
+
+
+class TestSelftestOutput:
+    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 3)])
+    def test_times_on_stderr_only(self, monkeypatch, capsys, passed, code):
+        # the wall times differ between runs; stdout must not
+        outs = []
+        for seconds in (12.34, 56.78):
+            results = [CheckResult("first", True, "detail one", seconds),
+                       CheckResult("second-check", passed, "detail two", seconds)]
+            monkeypatch.setattr(selftest, "run_battery", lambda quick, threads: results)
+            assert main(["selftest", "--quick"]) == code
+            out, err = capsys.readouterr()
+            assert f"{seconds:.2f}" not in out and err.count(f"{seconds:.2f}s") == 2
+            outs.append(out)
+        status = "PASS" if passed else "FAIL"
+        assert outs[0] == outs[1] == (
+            "[PASS] first         detail one\n"
+            f"[{status}] second-check  detail two\n"
+            f"{1 + passed}/2 criteria passed\n"
+        )
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py as a module, compiled from its text so that
+    nothing is written there; listed in sys.modules while it runs, where
+    its dataclasses look their module up."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    with mock.patch.dict(sys.modules, {module.__name__: module}):
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestBenchmarkContract:
+    """What perfbench/ looks up in rmp by name: its tracer wraps module
+    attributes, its provenance line reads constants, its checks call the
+    exact and closed-form routes."""
+
+    def test_traced_attributes_are_callable(self):
+        tracing = _load_perfbench("tracing")
+        for module, attr, *_ in tracing.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+        for module, _ in tracing.MAP_CALLERS:
+            assert callable(importlib.import_module(module).map_chunks), module
+
+    def test_provenance_constants(self):
+        from rmp.estimators import SAMPLE_CHUNK
+        from rmp.product import CHAIN_CHUNK, STEP_BLOCK
+
+        for value in (SAMPLE_CHUNK, CHAIN_CHUNK, STEP_BLOCK):
+            assert isinstance(value, int) and value > 0
+
+    def test_reference_values_are_two_finite_floats(self):
+        workloads = _load_perfbench("workloads")
+        for key in workloads.SPECS:
+            ref = workloads.reference_values(key)
+            assert len(ref) == 2, key
+            assert all(isinstance(v, float) and math.isfinite(v) for v in ref), (key, ref)
+
+    def test_estimate_notes_read_the_record(self):
+        tracing = _load_perfbench("tracing")
+        spec = parse_spec('{"family": "DiscreteAtoms", '
+                          '"atoms": [[[2, 5, 1], 0.5], [[1, -2, 3], 0.5]]}')
+        e = estimate_sigma2_mc(spec, 1000)
+        assert e.minus_inf_events > 0
+        notes = tracing._notes_estimate((spec, 1000), e)
+        assert notes == {"samples": 1000, "minus_inf_events": e.minus_inf_events}
 
 
 class TestClt:

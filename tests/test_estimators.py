@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import itertools
 import math
@@ -29,10 +30,8 @@ from rmp.estimators import (
     batch_length,
     closed_form,
     cross_terms,
-    estimate_lambda_mc,
     estimate_sigma2_mc,
     exact_discrete,
-    lambda_view,
     trajectory_lambda,
 )
 from rmp.families import (
@@ -146,33 +145,39 @@ class TestCrossTerm:
         assert fwd != rev
 
 
+def record_bytes(e) -> bytes:
+    """Every field of an Estimate as bytes (None as NaN): equal bytes are
+    equal values, signs of zeros included."""
+    return np.array(dataclasses.astuple(e), dtype=float).tobytes()
+
+
 class TestLambdaMC:
     def test_constant_exact(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
-        r = estimate_lambda_mc(spec, 1024, seed=0)
-        assert r.value == LOG2
-        assert r.std_error == 0.0
+        r = estimate_sigma2_mc(spec, 1024, seed=0)
+        assert r.lam == LOG2
+        assert r.lam_std_error == 0.0
         assert r.minus_inf_events == 0
 
     def test_cauchy_hits_log2(self):
-        r = estimate_lambda_mc(DistributionSpec.cauchy_rank_one(), 10**5, seed=0)
-        assert abs(r.value - LOG2) <= 3.0 * r.std_error
+        r = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 10**5, seed=0)
+        assert abs(r.lam - LOG2) <= 3.0 * r.lam_std_error
 
     def test_minus_inf_events(self):
-        r = estimate_lambda_mc(CANCELLING, 1000, seed=0)
-        assert r.value == -math.inf
+        r = estimate_sigma2_mc(CANCELLING, 1000, seed=0)
+        assert r.lam == -math.inf
         assert 0 < r.minus_inf_events <= r.n_samples
-        assert math.isnan(r.std_error)
+        assert math.isnan(r.lam_std_error)
 
     def test_bitwise_deterministic(self):
         spec = DistributionSpec.exponential_rank_one(1.0)
-        a = estimate_lambda_mc(spec, 200_000, seed=5, threads=1)
-        b = estimate_lambda_mc(spec, 200_000, seed=5, threads=8)
-        assert (a.value, a.std_error) == (b.value, b.std_error)
+        a = estimate_sigma2_mc(spec, 200_000, seed=5, threads=1)
+        b = estimate_sigma2_mc(spec, 200_000, seed=5, threads=8)
+        assert record_bytes(a) == record_bytes(b)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            estimate_lambda_mc(DistributionSpec.cauchy_rank_one(), 1)
+            estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 1)
 
 
 def _ln(x) -> decimal.Decimal:
@@ -200,9 +205,9 @@ class TestOverflowingRankOneLaws:
         ids=["uniform", "exponential"],
     )
     def test_lambda_within_4se_of_closed_form(self, spec, lam):
-        r = estimate_lambda_mc(spec, 10**5, seed=0)
-        assert math.isfinite(r.value) and r.minus_inf_events == 0
-        assert abs(r.value - lam) <= 4.0 * r.std_error
+        r = estimate_sigma2_mc(spec, 10**5, seed=0)
+        assert math.isfinite(r.lam) and r.minus_inf_events == 0
+        assert abs(r.lam - lam) <= 4.0 * r.lam_std_error
         assert lam == pytest.approx(closed_form(spec)[0], rel=1e-15)
 
 
@@ -337,9 +342,9 @@ class TestRankOneOverflowBounds:
             assert np.isfinite(x + y).all(), pair
             t = sample_units(spec, 2, _ExtremeStream(pair))
             assert np.isfinite(_sums(spec, t)).all(), pair
-        r = estimate_lambda_mc(spec, 10**5, seed=0)
-        assert math.isfinite(r.value) and r.minus_inf_events == 0
-        assert abs(r.value - lam) <= 4.0 * r.std_error
+        r = estimate_sigma2_mc(spec, 10**5, seed=0)
+        assert math.isfinite(r.lam) and r.minus_inf_events == 0
+        assert abs(r.lam - lam) <= 4.0 * r.lam_std_error
 
 
 class TestUniformSupportFloor:
@@ -360,10 +365,10 @@ class TestUniformSupportFloor:
     @pytest.mark.parametrize("a, b", [(DBL_MIN, 0.0), (0.0, DBL_MIN)], ids=["a", "b"])
     def test_law_at_floor_within_4se_of_closed_form(self, a, b):
         spec = DistributionSpec.uniform_rank_one(a, b)
-        r, ladder = estimate_sigma2_mc(spec, 10**5, seed=1)
+        r = estimate_sigma2_mc(spec, 10**5, seed=1)
         lam, sigma2 = closed_form(spec)
-        assert abs(ladder.lam - lam) <= 4.0 * ladder.lam_std_error
-        assert abs(r.value - sigma2) <= 4.0 * r.std_error
+        assert abs(r.lam - lam) <= 4.0 * r.lam_std_error
+        assert abs(r.sigma2 - sigma2) <= 4.0 * r.sigma2_std_error
 
 
 class _ExtremeStream:
@@ -534,22 +539,19 @@ class TestNonFiniteEvents:
         # these once gave lambda = sigma2 = NaN with no event counted
         with np.errstate(over="ignore", invalid="ignore"):
             (minus_inf, inf_nan), table = _reduce(spec, 4096, 0, 1)
-            sig, ladder = estimate_sigma2_mc(spec, 4096, seed=0)
+            r = estimate_sigma2_mc(spec, 4096, seed=0)
             traj = trajectory_lambda(spec, 100, 20, seed=0)
             report = simulate_normalized(spec, 100, 20, 0.0, 1.0, seed=0)
         assert table is None and minus_inf == 0 and inf_nan > 0
-        for r in (sig, lambda_view(sig, ladder)):
-            assert math.isnan(r.value) and math.isnan(r.std_error)
-            assert r.minus_inf_events == 0 and r.inf_nan_events == inf_nan
-        assert math.isnan(ladder.lam)
-        assert traj.inf_nan_events > 0 and math.isnan(traj.std_error)
+        assert np.isnan(dataclasses.astuple(r)[:8]).all()  # values and SEs
+        assert r.minus_inf_events == 0 and r.inf_nan_events == inf_nan
+        assert traj.inf_nan_events > 0 and math.isnan(traj.lam_std_error)
         assert report.inf_nan_events > 0 and report.minus_inf_events == 0
         assert sum(c for *_, c in report.histogram) == 20 - report.inf_nan_events
 
     def test_finite_laws_count_none(self):
         for spec in _spec_zoo().values():
-            sig, _ = estimate_sigma2_mc(spec, 4096, seed=0)
-            assert sig.inf_nan_events == 0
+            assert estimate_sigma2_mc(spec, 4096, seed=0).inf_nan_events == 0
             assert simulate_normalized(spec, 20, 10, 0.0, 1.0).inf_nan_events == 0
 
 
@@ -557,27 +559,24 @@ class TestSigma2MC:
     def test_constant_exactly_zero(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
         for n in (1024, SAMPLE_CHUNK + 1000):  # one chunk, then a merge
-            r, ladder = estimate_sigma2_mc(spec, n, seed=0)
-            assert r.value == 0.0 and r.std_error == 0.0
-            assert ladder.c0 == 0.0 and ladder.c1 == 0.0
-            assert ladder.lam == LOG2
+            r = estimate_sigma2_mc(spec, n, seed=0)
+            assert r.sigma2 == 0.0 and r.sigma2_std_error == 0.0
+            assert r.c0 == 0.0 and r.c1 == 0.0
+            assert r.lam == LOG2
 
     def test_ladder_reconstruction_is_exact(self):
-        r, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 50_000, seed=1)
-        assert r.value == ladder.c0 + 2.0 * ladder.c1
-        assert r.value == ladder.sigma2
+        r = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 50_000, seed=1)
+        assert r.sigma2 == r.c0 + 2.0 * r.c1
 
     def test_exponential_hits_target(self):
-        r, _ = estimate_sigma2_mc(
-            DistributionSpec.exponential_rank_one(1.0), 200_000, seed=3
-        )
-        assert abs(r.value - (PI2 / 6.0 - 1.0)) <= 3.0 * r.std_error
+        r = estimate_sigma2_mc(DistributionSpec.exponential_rank_one(1.0), 200_000, seed=3)
+        assert abs(r.sigma2 - (PI2 / 6.0 - 1.0)) <= 3.0 * r.sigma2_std_error
 
     def test_undefined_on_cancellation(self):
-        r, ladder = estimate_sigma2_mc(CANCELLING, 1000, seed=0)
-        assert math.isnan(r.value)
+        r = estimate_sigma2_mc(CANCELLING, 1000, seed=0)
+        assert math.isnan(r.sigma2)
         assert r.minus_inf_events > 0
-        assert ladder.lam == -math.inf
+        assert r.lam == -math.inf
 
     def test_last_term_event_makes_lambda_minus_inf(self):
         # the first seed whose chunk draws a word that starts with atoms
@@ -592,28 +591,27 @@ class TestSigma2MC:
 
         seed = next((s for s in range(1000) if first_steps(s) == [0, 0, 0, 1]), None)
         assert seed is not None
-        r, ladder = estimate_sigma2_mc(CANCELLING, 2, seed=seed)
-        assert math.isnan(r.value) and r.minus_inf_events == 1
-        assert ladder.lam == -math.inf and ladder.minus_inf_events == 1
-        assert math.isnan(ladder.lam_std_error)
+        r = estimate_sigma2_mc(CANCELLING, 2, seed=seed)
+        assert math.isnan(r.sigma2) and r.minus_inf_events == 1
+        assert r.lam == -math.inf
+        assert math.isnan(r.lam_std_error)
 
     def test_rank_one_c1_small(self):
-        _, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 10**5, seed=2)
-        assert abs(ladder.c1) <= 4.0 * ladder.c1_std_error
+        r = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 10**5, seed=2)
+        assert abs(r.c1) <= 4.0 * r.c1_std_error
 
     def test_near_degenerate_two_atom_within_3se(self):
         _, c0, c1 = decimal_reference(TWO_ATOM)
         for seed in (0, 1, 2):
-            r, _ = estimate_sigma2_mc(TWO_ATOM, 10**6, seed=seed)
-            assert abs(r.value - (c0 + 2.0 * c1)) <= 3.0 * r.std_error
+            r = estimate_sigma2_mc(TWO_ATOM, 10**6, seed=seed)
+            assert abs(r.sigma2 - (c0 + 2.0 * c1)) <= 3.0 * r.sigma2_std_error
 
     def test_std_errors_match_batch_means(self):
         n = SAMPLE_CHUNK + 30_000  # a full chunk, then a short one
         for name, spec in sorted(_spec_zoo().items()):
-            r, ladder = estimate_sigma2_mc(spec, n, seed=4)
+            r = estimate_sigma2_mc(spec, n, seed=4)
             want = batch_means_se(segment_rows(spec, n, seed=4), n)
-            got = (r.std_error, ladder.c0_std_error, ladder.c1_std_error,
-                   ladder.lam_std_error)
+            got = (r.sigma2_std_error, r.c0_std_error, r.c1_std_error, r.lam_std_error)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-15), name
 
     def test_memory_does_not_grow_with_samples(self):
@@ -631,9 +629,9 @@ class TestSigma2MC:
 
     def test_bitwise_deterministic(self):
         spec = DistributionSpec.uniform_rank_one(1.0, 1.0)
-        a, la = estimate_sigma2_mc(spec, 150_000, seed=9, threads=1)
-        b, lb = estimate_sigma2_mc(spec, 150_000, seed=9, threads=4)
-        assert (a.value, a.std_error, la.c0, la.c1) == (b.value, b.std_error, lb.c0, lb.c1)
+        a = estimate_sigma2_mc(spec, 150_000, seed=9, threads=1)
+        b = estimate_sigma2_mc(spec, 150_000, seed=9, threads=4)
+        assert record_bytes(a) == record_bytes(b)
 
 
 ATOMS3 = DistributionSpec.discrete_atoms(
@@ -697,15 +695,14 @@ class TestOnePass:
     def test_constant_std_errors_exactly_zero(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
         for n in (1024, SAMPLE_CHUNK + 1000):
-            r, ladder = estimate_sigma2_mc(spec, n, seed=0)
-            ses = (r.std_error, ladder.c0_std_error, ladder.c1_std_error,
-                   ladder.lam_std_error)
+            r = estimate_sigma2_mc(spec, n, seed=0)
+            ses = (r.sigma2_std_error, r.c0_std_error, r.c1_std_error, r.lam_std_error)
             assert ses == (0.0, 0.0, 0.0, 0.0)
 
     def test_batch_length(self):
         # n = 2 and 3 give batches of one row, so still two or more batches
-        _, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 3, seed=0)
-        assert math.isfinite(ladder.lam_std_error)
+        r = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 3, seed=0)
+        assert math.isfinite(r.lam_std_error)
         assert batch_length(3) == 1 and batch_length(4) == 2
         assert batch_length(16384) == 128 and batch_length(4_000_000) == 1024
         assert batch_length(1 << 40) == SAMPLE_CHUNK
@@ -714,10 +711,10 @@ class TestOnePass:
     def test_variance_std_errors_need_two_row_batches(self, n):
         # a one-row batch centered at its own mean has Sxx = Sxy = 0, so
         # below 4 rows the variance SEs are undefined, not 0
-        r, ladder = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), n, seed=1)
-        ses = np.array([r.std_error, ladder.c0_std_error, ladder.c1_std_error])
+        r = estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), n, seed=1)
+        ses = np.array([r.sigma2_std_error, r.c0_std_error, r.c1_std_error])
         assert np.isnan(ses).all() if n < 4 else np.isfinite(ses).all()
-        assert math.isfinite(ladder.lam_std_error)
+        assert math.isfinite(r.lam_std_error)
 
     @pytest.mark.parametrize(
         "spec, cancels",
@@ -726,16 +723,10 @@ class TestOnePass:
         ids=["cancelling", "binary", "atoms3"],
     )
     def test_events_exactly_when_lambda_is_minus_inf(self, spec, cancels):
-        lam, _, ladder = exact_discrete(spec)
-        sig, mc = estimate_sigma2_mc(spec, 4096, seed=0)
-        lam_mc = estimate_lambda_mc(spec, 4096, seed=0)
-        assert ladder.minus_inf_events == (1 if cancels else 0)
-        for value, events in (
-            (lam, ladder.minus_inf_events),
-            (mc.lam, mc.minus_inf_events),
-            (mc.lam, sig.minus_inf_events),
-            (lam_mc.value, lam_mc.minus_inf_events),
-        ):
+        lam, _, exact = exact_discrete(spec)
+        mc = estimate_sigma2_mc(spec, 4096, seed=0)
+        assert exact.minus_inf_events == (1 if cancels else 0)
+        for value, events in ((lam, exact.minus_inf_events), (mc.lam, mc.minus_inf_events)):
             assert (events > 0) is cancels
             assert (value == -math.inf) is cancels
 
@@ -783,9 +774,9 @@ class TestStdErrorCalibration:
             lam, sigma2 = closed_form(spec)
         z_lam, z_sigma2 = [], []
         for seed in range(self.N_SEEDS):
-            r, ladder = estimate_sigma2_mc(spec, self.N, seed=seed)
-            z_lam.append((ladder.lam - lam) / ladder.lam_std_error)
-            z_sigma2.append((r.value - sigma2) / r.std_error)
+            r = estimate_sigma2_mc(spec, self.N, seed=seed)
+            z_lam.append((r.lam - lam) / r.lam_std_error)
+            z_sigma2.append((r.sigma2 - sigma2) / r.sigma2_std_error)
         for z in (np.array(z_lam), np.array(z_sigma2)):
             assert self._bands_hold(z), (z.mean(), z.var(ddof=1))
             # halved SEs double z, doubled SEs halve it
@@ -795,12 +786,18 @@ class TestStdErrorCalibration:
 
 class TestExactDiscrete:
     def test_constant(self):
-        lam, sigma2, ladder = exact_discrete(
-            DistributionSpec.constant_triple(1.0, 1.0, 1.0)
-        )
+        lam, sigma2, e = exact_discrete(DistributionSpec.constant_triple(1.0, 1.0, 1.0))
         assert lam == LOG2
         assert sigma2 == 0.0
-        assert (ladder.c0, ladder.c1) == (0.0, 0.0)
+        assert (e.lam, e.sigma2, e.c0, e.c1) == (LOG2, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("spec", [ATOMS3, CANCELLING], ids=["atoms3", "cancelling"])
+    def test_record_has_no_standard_errors_samples_or_seed(self, spec):
+        lam, sigma2, e = exact_discrete(spec)
+        assert record_bytes(e)[:16] == np.array([lam, sigma2]).tobytes()
+        assert (e.lam_std_error, e.sigma2_std_error, e.c0_std_error, e.c1_std_error) == (
+            None, None, None, None)
+        assert (e.n_samples, e.seed, e.inf_nan_events) == (0, None, 0)
 
     def test_binary_lambda_formula(self):
         # independent transcription of the two-point exponent formula
@@ -844,12 +841,12 @@ class TestExactDiscrete:
     def test_atom_cap(self):
         # the one cap is MAX_ATOMS, checked at validation; 65 atoms enumerate
         atoms = [((float(i + 1), 0.0, 0.0), 1.0 / 65) for i in range(65)]
-        lam, sigma2, ladder = exact_discrete(DistributionSpec.discrete_atoms(atoms))
+        lam, sigma2, e = exact_discrete(DistributionSpec.discrete_atoms(atoms))
         # b = 0: every cross term is log a_i, so the terms are independent
         logs = np.log(np.arange(1.0, 66.0))
         assert lam == pytest.approx(logs.mean(), rel=1e-14)
         assert sigma2 == pytest.approx(logs.var(), rel=1e-12)
-        assert abs(ladder.c1) <= 1e-14
+        assert abs(e.c1) <= 1e-14
         k = MAX_ATOMS + 1
         atoms = [((float(i + 1), 0.0, 0.0), 1.0 / k) for i in range(k)]
         with pytest.raises(SpecError, match="too many atoms"):
@@ -857,10 +854,10 @@ class TestExactDiscrete:
 
     def test_near_degenerate_two_atom_matches_decimal(self):
         lam, c0, c1 = decimal_reference(TWO_ATOM)
-        lam_e, sigma2, ladder = exact_discrete(TWO_ATOM)
+        lam_e, sigma2, e = exact_discrete(TWO_ATOM)
         assert sigma2 == pytest.approx(c0 + 2.0 * c1, rel=1e-6)
-        assert ladder.c0 == pytest.approx(c0, rel=1e-6)
-        assert abs(ladder.c1 - c1) <= 1e-6 * sigma2
+        assert e.c0 == pytest.approx(c0, rel=1e-6)
+        assert abs(e.c1 - c1) <= 1e-6 * sigma2
         assert lam_e == pytest.approx(lam, rel=1e-15)
 
     def test_mc_agrees_with_enumeration(self):
@@ -868,10 +865,9 @@ class TestExactDiscrete:
             [((1.0, 0.5, 1.0), 0.25), ((2.0, 1.0, -1.0), 0.5), ((-1.5, 2.0, 0.5), 0.25)]
         )
         lam, sigma2, _ = exact_discrete(spec)
-        lam_mc = estimate_lambda_mc(spec, 200_000, seed=0)
-        sig_mc, _ = estimate_sigma2_mc(spec, 200_000, seed=0)
-        assert abs(lam_mc.value - lam) <= 4.0 * lam_mc.std_error
-        assert abs(sig_mc.value - sigma2) <= 4.0 * sig_mc.std_error
+        mc = estimate_sigma2_mc(spec, 200_000, seed=0)
+        assert abs(mc.lam - lam) <= 4.0 * mc.lam_std_error
+        assert abs(mc.sigma2 - sigma2) <= 4.0 * mc.sigma2_std_error
 
 
 class TestClosedForm:
@@ -907,22 +903,28 @@ class TestTrajectoryLambda:
     def test_constant_chain(self):
         spec = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
         r = trajectory_lambda(spec, 1000, 4, seed=0)
-        assert r.value == pytest.approx(LOG2, rel=1e-14)
+        assert r.lam == pytest.approx(LOG2, rel=1e-14)
         assert r.minus_inf_events == 0
+
+    def test_record_holds_lambda_alone(self):
+        r = trajectory_lambda(DistributionSpec.cauchy_rank_one(), 100, 8, seed=3)
+        assert (r.sigma2, r.c0, r.c1) == (None, None, None)
+        assert (r.sigma2_std_error, r.c0_std_error, r.c1_std_error) == (None, None, None)
+        assert (r.n_samples, r.seed) == (8, 3) and math.isfinite(r.lam_std_error)
 
     def test_cauchy(self):
         r = trajectory_lambda(DistributionSpec.cauchy_rank_one(), 10**4, 30, seed=1)
-        assert abs(r.value - LOG2) <= 4.0 * r.std_error
+        assert abs(r.lam - LOG2) <= 4.0 * r.lam_std_error
 
     def test_binary_matches_enumeration(self):
         spec = DistributionSpec.binary_hill(2.0, 3.0, 0.5)
         lam, _, _ = exact_discrete(spec)
         r = trajectory_lambda(spec, 10**4, 30, seed=2)
-        assert abs(r.value - lam) <= 4.0 * r.std_error
+        assert abs(r.lam - lam) <= 4.0 * r.lam_std_error
 
     def test_minus_inf_counted(self):
         r = trajectory_lambda(CANCELLING, 100, 32, seed=0)
-        assert r.value == -math.inf
+        assert r.lam == -math.inf
         assert r.minus_inf_events > 0
 
 
@@ -939,19 +941,19 @@ class TestReducer:
         x, y = (np.concatenate(v) for v in zip(*segment_rows(spec, n, seed=3)))
         lam = x.mean()
         c0, c1 = np.mean((x - lam) ** 2), np.mean((x - lam) * (y - lam))
-        _, ladder = estimate_sigma2_mc(spec, n, seed=3)
-        got = (ladder.lam, ladder.c0, ladder.c1)
+        r = estimate_sigma2_mc(spec, n, seed=3)
+        got = (r.lam, r.c0, r.c1)
         assert got == pytest.approx((lam, c0, c1), rel=1e-12, abs=0)
 
 
-def pivot_ladder(segments):
-    """estimate_sigma2_mc's ladder on the given terms: each segment one
+def pivot_estimate(segments):
+    """estimate_sigma2_mc's Estimate of the given terms: each segment one
     chunk through _segment, then the combine."""
     n = sum(c.size - 1 for c in segments)
     L = batch_length(n)
     table = np.concatenate([_segment(c, L, np.empty(c.size))[1] for c in segments])
     with mock.patch.object(estimators, "_reduce", return_value=((0, 0), table)):
-        return estimate_sigma2_mc(TWO_ATOM, n)[1]
+        return estimate_sigma2_mc(TWO_ATOM, n)
 
 
 def decimal_two_pass(segments, digits=60):
@@ -1012,12 +1014,12 @@ class TestPivotConditioning:
         # eps |lambda| off, which moves it by that times mean(y) - mean(x):
         # 1.3e-12 c0 near degeneracy, in a float two-pass as well.
         # Measured: lambda <= 5.4e-15, c0 <= 4.2e-14, c1 <= 1.4e-12
-        ladder = pivot_ladder(segments)
+        est = pivot_estimate(segments)
         lam, c0, c1 = decimal_two_pass(segments)
         D = decimal.Decimal
-        assert abs(D(ladder.lam) - lam) <= D(1e-13) * max(abs(lam), c0.sqrt())
-        assert abs(D(ladder.c0) - c0) <= D(1e-12) * c0
-        assert abs(D(ladder.c1) - c1) <= D(1e-11) * c0
+        assert abs(D(est.lam) - lam) <= D(1e-13) * max(abs(lam), c0.sqrt())
+        assert abs(D(est.c0) - c0) <= D(1e-12) * c0
+        assert abs(D(est.c1) - c1) <= D(1e-11) * c0
 
 
 def _extreme(draw):
@@ -1084,7 +1086,7 @@ class TestExtremeAtoms:
         except SpecError:
             return
         lam, sigma2, _ = exact_discrete(spec)
-        mc = estimate_lambda_mc(spec, 4096, seed=0).value
+        mc = estimate_sigma2_mc(spec, 4096, seed=0).lam
         chains = chain_log_norms(spec, 40, 8, seed=0)
         for v in (lam, mc, *chains):
             assert not (math.isnan(v) or v == math.inf)
@@ -1176,7 +1178,7 @@ class TestTableEnumeration:
     @given(small_atom_laws())
     @settings(max_examples=300, deadline=None)
     def test_matches_decimal_within_rounding_bound(self, spec):
-        lam, sigma2, ladder = exact_discrete(spec)
+        lam, sigma2, e = exact_discrete(spec)
         assume(lam != -math.inf)  # an exact cancellation has no decimal log
         bounds = exact_error_bounds(spec, lam)
         assume(bounds is not None)
@@ -1185,8 +1187,8 @@ class TestTableEnumeration:
         # the reference is rounded to float once per value, and sigma2
         # adds two roundings of its own on each side
         assert abs(lam - ref_lam) <= lam_err + U * abs(ref_lam)
-        assert abs(ladder.c0 - ref_c0) <= c0_err + U * abs(ref_c0)
-        assert abs(ladder.c1 - ref_c1) <= c1_err + U * abs(ref_c1)
+        assert abs(e.c0 - ref_c0) <= c0_err + U * abs(ref_c0)
+        assert abs(e.c1 - ref_c1) <= c1_err + U * abs(ref_c1)
         ref_sigma2 = ref_c0 + 2.0 * ref_c1
         slack = 3.0 * U * (abs(ref_c0) + 2.0 * abs(ref_c1))
         assert abs(sigma2 - ref_sigma2) <= c0_err + 2.0 * c1_err + slack

@@ -197,10 +197,10 @@ def test_one_atom_law_has_zero_variance_and_standard_errors():
     # from words of 8 steps, centres at it exactly
     spec = DistributionSpec.constant_triple(1e80, 1.0, 1.0)
     for n in (3, 1001, SAMPLE_CHUNK + 5):
-        r, ladder = estimate_sigma2_mc(spec, n, seed=2, threads=2)
-        assert ladder.lam == spec.atom_law.log_cross()[0, 0]
-        assert r.value == 0.0 and ladder.lam_std_error == 0.0, n
-        assert r.std_error == 0.0 or (n == 3 and math.isnan(r.std_error)), n
+        r = estimate_sigma2_mc(spec, n, seed=2, threads=2)
+        assert r.lam == spec.atom_law.log_cross()[0, 0]
+        assert r.sigma2 == 0.0 and r.lam_std_error == 0.0, n
+        assert r.sigma2_std_error == 0.0 or (n == 3 and math.isnan(r.sigma2_std_error)), n
 
 
 class TestCancellation:
