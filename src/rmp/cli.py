@@ -20,14 +20,15 @@ of ``--threads``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 
-from .clt import CltReport, degeneracy_check, simulate_normalized
-from .distributions import _MASK64, NotDiscreteError, SpecError, load_spec
+from .clt import degeneracy_check, simulate_normalized
+from .distributions import _MASK64, EntryTriple, NotDiscreteError, SpecError, load_spec
 from .estimators import (
     Estimate,
     NoClosedFormError,
@@ -61,6 +62,8 @@ def _jsonify(x):
         return "nan"
     if isinstance(x, dict):
         return {k: _jsonify(v) for k, v in x.items()}
+    if isinstance(x, EntryTriple):
+        return [x.a, x.b, x.c]
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
     return x
@@ -75,20 +78,25 @@ def _dump(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _estimate_docs(e: Estimate, seed: int) -> dict:
-    """The "lambda" and "sigma2" documents of an estimate made for the
-    given seed; a standard error that the route leaves None is left out."""
-    meta = {
-        "n_samples": e.n_samples,
-        "seed": seed,
-        "minus_inf_events": e.minus_inf_events,
-        "inf_nan_events": e.inf_nan_events,
-    }
+def _fields(record, **rename) -> dict:
+    """A record's fields in declaration order, keyed by name (or its rename)."""
+    return {rename.get(f.name, f.name): getattr(record, f.name)
+            for f in dataclasses.fields(record)}
+
+
+def _estimate_docs(e: Estimate) -> dict:
+    """The "lambda" and "sigma2" documents of an estimate: value and
+    standard error, then n_samples, seed and the event counts.  A field
+    the route leaves None is left out: exact enumeration's standard
+    errors and seed, since it draws nothing."""
+    meta = {k: getattr(e, k)
+            for k in ("n_samples", "seed", "minus_inf_events", "inf_nan_events")}
     docs = {}
     for key, value, se in (
         ("lambda", e.lam, e.lam_std_error), ("sigma2", e.sigma2, e.sigma2_std_error)
     ):
-        docs[key] = {"value": value, **({} if se is None else {"std_error": se}), **meta}
+        doc = {"value": value, "std_error": se, **meta}
+        docs[key] = {k: v for k, v in doc.items() if v is not None}
     return docs
 
 
@@ -98,23 +106,6 @@ def _write_histogram_csv(path: str, histogram) -> None:
         lines.append(f"{left:.17g},{right:.17g},{count}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _report_doc(report: CltReport, source: str) -> dict:
-    return {
-        "n": report.n,
-        "m_chains": report.m_chains,
-        "lambda_used": report.lambda_used,
-        "sigma2_used": report.sigma2_used,
-        "empirical_mean": report.empirical_mean,
-        "empirical_var": report.empirical_var,
-        "ks_distance": report.ks_distance,
-        "histogram": [list(b) for b in report.histogram],
-        "minus_inf_events": report.minus_inf_events,
-        "inf_nan_events": report.inf_nan_events,
-        "seed": report.seed,
-        "source": source,
-    }
 
 
 # -- commands ---------------------------------------------------------------
@@ -131,7 +122,7 @@ def cmd_estimate(args) -> int:
             # sigma2 >= 0 for every law: sampling noise, not a variance
             print(f"warning: sigma2 estimate {e.sigma2:.6g} is negative "
                   f"(std_error {e.sigma2_std_error:.6g})", file=sys.stderr)
-    doc = _estimate_docs(e, args.seed)
+    doc = _estimate_docs(e)
     doc["ladder"] = {"c0": e.c0, "c1": e.c1}
     _dump(doc, args.out)
     return 0
@@ -150,12 +141,12 @@ def cmd_clt(args) -> int:
         src_seed = (args.seed + 1) & _MASK64
         e = estimate_sigma2_mc(spec, args.samples, src_seed, args.threads)
         lam, sigma2 = e.lam, e.sigma2
-        source_doc = _estimate_docs(e, src_seed)
+        source_doc = _estimate_docs(e)
 
     report = simulate_normalized(
         spec, args.n, args.chains, lam, sigma2, args.seed, args.threads
     )
-    doc = _report_doc(report, args.source)
+    doc = {**_fields(report), "source": args.source}
     if source_doc is not None:
         doc["source_estimates"] = source_doc
     if args.hist_out:
@@ -170,18 +161,7 @@ def cmd_degeneracy(args) -> int:
         verdict = degeneracy_check(spec, args.tolerance)
     except NotDiscreteError:
         raise SpecError("degeneracy check requires finite support") from None
-    doc = {
-        "is_degenerate_candidate": verdict.is_degenerate_candidate,
-        "atom": [verdict.atom.a, verdict.atom.b, verdict.atom.c],
-        "lambda_residual": verdict.lambda_residual,
-        "pairwise_residuals": [
-            [[t.a, t.b, t.c], res] for t, res in verdict.pairwise_residuals
-        ],
-        "lambda": verdict.lam,
-        "sigma2": verdict.sigma2,
-        "tolerance": verdict.tolerance,
-    }
-    _dump(doc, args.out)
+    _dump(_fields(verdict, lam="lambda"), args.out)
     return 0
 
 

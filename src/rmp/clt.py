@@ -169,14 +169,15 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
     the logarithm of the quartic identity
     (a_i + c_i b_j / a_j)^2 (a_j + c_j b_i / a_i)^2 = (a_i + c_i b_i / a_i)^4,
     so no power is formed and nothing overflows.  The residuals are
-    absolute differences in log units (0 where both sides are -inf) and
-    pass at tolerance * max(1, |T[i, i]|).  The verdict reports the atom
+    absolute differences in log units and pass at
+    tolerance * max(1, |T[i, i]|).  The verdict reports the atom
     whose worst scaled residual is smallest (the first on a tie), and
     pairwise_residuals holds |T[i, j] + T[j, i] - 2 T[i, i]| for every j.
     The table is built once and shared with the exact enumeration.
     Raises NotDiscreteError for continuous families, and SpecError when
     an atom pair cancels exactly: lambda is then -inf, sigma^2 undefined,
-    and there is no CLT to be degenerate.
+    and there is no CLT to be degenerate.  So the residuals are formed
+    only on a finite table (validation rejects +inf and NaN entries).
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
@@ -189,9 +190,9 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
         )
 
     lam_atom = np.diag(T)
-    lam_res = _diff(lam, lam_atom)
-    pair_res = _diff(T + T.T, 2.0 * lam_atom[:, None])
-    scale = np.maximum(1.0, np.abs(np.where(np.isfinite(lam_atom), lam_atom, 0.0)))
+    lam_res = np.abs(lam - lam_atom)
+    pair_res = np.abs(T + T.T - 2.0 * lam_atom[:, None])
+    scale = np.maximum(1.0, np.abs(lam_atom))
     worst = np.maximum(lam_res, pair_res.max(axis=1)) / scale
     i = int(np.argmin(worst))
     triples = [EntryTriple(*row) for row in law.atoms.tolist()]
@@ -205,8 +206,3 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
         tolerance=tolerance,
     )
 
-
-def _diff(x, y) -> np.ndarray:
-    """|x - y| elementwise, and 0 where x == y (so -inf against -inf is 0)."""
-    with np.errstate(invalid="ignore"):  # -inf - -inf, masked below
-        return np.where(x == y, 0.0, np.abs(x - y))

@@ -62,15 +62,7 @@ def cross_terms(t1, t2, out=None, ratio=None) -> np.ndarray:
     a2, b2, _ = t2
     ratio = np.divide(b2, a2, out=ratio)
     out = np.multiply(c1, ratio, out=out)
-    return log_abs_sum(a1, out, out=out)
-
-
-def log_abs_sum(x, y, out=None) -> np.ndarray:
-    """log |x + y| by numpy's add, abs and log; -inf where x + y = 0.
-
-    The last three steps of cross_terms.  ``out`` may be x or y.
-    """
-    out = np.add(x, y, out=out)
+    np.add(a1, out, out=out)
     np.abs(out, out=out)
     with np.errstate(divide="ignore"):
         np.log(out, out=out)

@@ -4,10 +4,13 @@ Each check pins its seeds and tolerances; the full battery targets a
 desk-scale budget (a few minutes on one core).  ``quick=True`` shrinks
 sample counts for a smoke run (statistical acceptance bands scale with
 the reported standard errors, and the KS line scales as 1/sqrt(m)).
+A check's body returns (passed, detail); _criterion names and times it,
+so every check_* returns a CheckResult.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -76,6 +79,22 @@ def _spec_zoo():
     }
 
 
+def _criterion(name):
+    """Decorator: a check(quick, threads) -> (passed, detail) becomes one
+    that returns its CheckResult under this name, with its wall time."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def timed(quick=False, threads=1) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = check(quick=quick, threads=threads)
+            return CheckResult(name, passed, detail, time.perf_counter() - t0)
+
+        return timed
+
+    return wrap
+
+
 def _band(value, se, target, k):
     """|value - target| <= k * se, with a printable summary."""
     err = abs(value - target)
@@ -83,90 +102,69 @@ def _band(value, se, target, k):
     return ok, f"err={err:.2e} vs {k}se={k * se:.2e}"
 
 
+def _bands_at_3se(spec, lam, sigma2, quick, threads):
+    """Estimate at seed 0 (1e6 rows, 1e5 quick); the _band of lambda and
+    of sigma2 at 3 SE of the targets."""
+    e = estimate_sigma2_mc(spec, 10**5 if quick else 10**6, seed=0, threads=threads)
+    return (_band(e.lam, e.lam_std_error, lam, 3.0),
+            _band(e.sigma2, e.sigma2_std_error, sigma2, 3.0))
+
+
 # -- the ten criteria ---------------------------------------------------------
 
-def check_cauchy_exact_values(quick=False, threads=1) -> CheckResult:
+@_criterion("cauchy-exact-values")
+def check_cauchy_exact_values(quick=False, threads=1):
     """Cauchy rank-one: lambda = log 2, sigma^2 = pi^2/4, within 3 SE."""
-    t0 = time.perf_counter()
-    n = 10**5 if quick else 10**6
     spec = DistributionSpec.cauchy_rank_one()
-    e = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
-    ok1, d1 = _band(e.lam, e.lam_std_error, LOG2, 3.0)
-    ok2, d2 = _band(e.sigma2, e.sigma2_std_error, PI2 / 4.0, 3.0)
-    return CheckResult(
-        "cauchy-exact-values",
-        ok1 and ok2,
-        f"lambda {d1}; sigma2 {d2}",
-        time.perf_counter() - t0,
-    )
+    (ok1, d1), (ok2, d2) = _bands_at_3se(spec, LOG2, PI2 / 4.0, quick, threads)
+    return ok1 and ok2, f"lambda {d1}; sigma2 {d2}"
 
 
-def check_exponential_exact_values(quick=False, threads=1) -> CheckResult:
+@_criterion("exponential-exact-values")
+def check_exponential_exact_values(quick=False, threads=1):
     """Exponential rank-one at theta in {0.5, 1, 2}, within 3 SE."""
-    t0 = time.perf_counter()
-    n = 10**5 if quick else 10**6
     fails = []
     for theta in (0.5, 1.0, 2.0):
         spec = DistributionSpec.exponential_rank_one(theta)
-        e = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
-        ok1, _ = _band(e.lam, e.lam_std_error, 1.0 - EULER_GAMMA - math.log(theta), 3.0)
-        ok2, _ = _band(e.sigma2, e.sigma2_std_error, PI2 / 6.0 - 1.0, 3.0)
+        lam = 1.0 - EULER_GAMMA - math.log(theta)
+        (ok1, _), (ok2, _) = _bands_at_3se(spec, lam, PI2 / 6.0 - 1.0, quick, threads)
         if not (ok1 and ok2):
             fails.append(f"theta={theta} lambda_ok={ok1} sigma2_ok={ok2}")
-    return CheckResult(
-        "exponential-exact-values",
-        not fails,
-        "; ".join(fails) or "theta 0.5/1/2 all within 3se",
-        time.perf_counter() - t0,
-    )
+    return not fails, "; ".join(fails) or "theta 0.5/1/2 all within 3se"
 
 
-def check_uniform_case_table(quick=False, threads=1) -> CheckResult:
+@_criterion("uniform-case-table")
+def check_uniform_case_table(quick=False, threads=1):
     """Uniform rank-one supports [0,1], [-1,0], [-1,1] vs closed forms."""
-    t0 = time.perf_counter()
-    n = 10**5 if quick else 10**6
     fails = []
     for (a, b) in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         spec = DistributionSpec.uniform_rank_one(a, b)
-        lam_cf, sig_cf = closed_form(spec)
-        e = estimate_sigma2_mc(spec, n, seed=0, threads=threads)
-        ok1, _ = _band(e.lam, e.lam_std_error, lam_cf, 3.0)
-        ok2, _ = _band(e.sigma2, e.sigma2_std_error, sig_cf, 3.0)
+        (ok1, _), (ok2, _) = _bands_at_3se(spec, *closed_form(spec), quick, threads)
         if not (ok1 and ok2):
             fails.append(f"(a,b)=({a},{b}) lambda_ok={ok1} sigma2_ok={ok2}")
-    return CheckResult(
-        "uniform-case-table",
-        not fails,
-        "; ".join(fails) or "supports [0,1], [-1,0], [-1,1] all within 3se",
-        time.perf_counter() - t0,
-    )
+    return not fails, "; ".join(fails) or "supports [0,1], [-1,0], [-1,1] all within 3se"
 
 
-def check_binary_formula(quick=False, threads=1) -> CheckResult:
+@_criterion("binary-formula-reproduction")
+def check_binary_formula(quick=False, threads=1):
     """Enumeration equals the transcribed binary polynomials to 1e-12."""
-    t0 = time.perf_counter()
     worst = 0.0
     for (al, be, p) in ((2.0, 3.0, 0.5), (2.0, 3.0, 0.9), (0.5, 4.0, 0.3)):
         spec = DistributionSpec.binary_hill(al, be, p)
         lam_e, sig_e, _ = exact_discrete(spec)
         lam_c, sig_c = closed_form(spec)
         worst = max(worst, abs(lam_e - lam_c), abs(sig_e - sig_c))
-    return CheckResult(
-        "binary-formula-reproduction",
-        worst <= 1e-12,
-        f"max |enumeration - polynomial| = {worst:.2e} (tol 1e-12)",
-        time.perf_counter() - t0,
-    )
+    return worst <= 1e-12, f"max |enumeration - polynomial| = {worst:.2e} (tol 1e-12)"
 
 
-def check_product_formula_oracle(quick=False, threads=1) -> CheckResult:
+@_criterion("product-formula-oracle")
+def check_product_formula_oracle(quick=False, threads=1):
     """Chain kernel vs naive rescaled multiplication of the triples it drew.
 
     200 chains of random length in [1, 200] and, per law, one chain that
     crosses a step block, within 1e-9 relative; chains of a law whose
     atom pair cancels must give -inf on both routes.
     """
-    t0 = time.perf_counter()
     zoo = _spec_zoo()
     names = sorted(zoo)
     trials = 50 if quick else 200
@@ -189,12 +187,9 @@ def check_product_formula_oracle(quick=False, threads=1) -> CheckResult:
     inf_ok = all(
         _both_routes(cancelling, 57, seed) == (NEG_INF, NEG_INF) for seed in range(3)
     )
-    return CheckResult(
-        "product-formula-oracle",
-        not fails and inf_ok,
+    return not fails and inf_ok, (
         f"worst rel err {worst:.2e} at {bad}, {fails}/{len(cases)} chains off; "
-        f"-inf agreement {inf_ok}",
-        time.perf_counter() - t0,
+        f"-inf agreement {inf_ok}"
     )
 
 
@@ -280,9 +275,9 @@ def variance_band(m: int) -> float:
     return VAR_BAND_SDS * math.sqrt(2.0 / (m - 1))
 
 
-def check_clt_normality(quick=False, threads=1) -> CheckResult:
+@_criterion("clt-normality")
+def check_clt_normality(quick=False, threads=1):
     """KS vs N(0, sigma^2) and variance match for four families."""
-    t0 = time.perf_counter()
     n = 2_000 if quick else 10_000
     m = 300 if quick else 2_000
     ks_line = KS_COEFF / math.sqrt(m)
@@ -305,18 +300,14 @@ def check_clt_normality(quick=False, threads=1) -> CheckResult:
         details.append(f"{name}: ks={rep.ks_distance:.4f} var/s2={rep.empirical_var / sigma2:.3f}")
         if not (var_ok and ks_ok):
             fails.append(f"{name} ks_ok={ks_ok} var_ok={var_ok}")
-    return CheckResult(
-        "clt-normality",
-        not fails,
-        "; ".join(fails)
-        or f"{'; '.join(details)} (line {ks_line:.4f}, var band +-{variance_band(m):.3f})",
-        time.perf_counter() - t0,
+    return not fails, "; ".join(fails) or (
+        f"{'; '.join(details)} (line {ks_line:.4f}, var band +-{variance_band(m):.3f})"
     )
 
 
-def check_law_of_large_numbers(quick=False, threads=1) -> CheckResult:
+@_criterion("law-of-large-numbers")
+def check_law_of_large_numbers(quick=False, threads=1):
     """Trajectory exponent matches the per-family oracle within 4 SE."""
-    t0 = time.perf_counter()
     n = 10**4 if quick else 10**5
     chains = 20 if quick else 50
     mc_n = 10**5 if quick else 10**6
@@ -340,17 +331,12 @@ def check_law_of_large_numbers(quick=False, threads=1) -> CheckResult:
             ok = abs(traj.lam - oracle) <= tol
         if not ok:
             fails.append(f"{name} err={abs(traj.lam - oracle):.2e} tol={tol:.2e}")
-    return CheckResult(
-        "law-of-large-numbers",
-        not fails,
-        "; ".join(fails) or f"all {len(_spec_zoo())} families within 4se",
-        time.perf_counter() - t0,
-    )
+    return not fails, "; ".join(fails) or f"all {len(_spec_zoo())} families within 4se"
 
 
-def check_rank_one_c1_vanishing(quick=False, threads=1) -> CheckResult:
+@_criterion("rank-one-c1-vanishing")
+def check_rank_one_c1_vanishing(quick=False, threads=1):
     """Lag-1 autocovariance vanishes for rank-one families."""
-    t0 = time.perf_counter()
     n = 10**5 if quick else 10**6
     cases = [
         ("uniform_sym", DistributionSpec.uniform_rank_one(1.0, 1.0)),
@@ -363,17 +349,12 @@ def check_rank_one_c1_vanishing(quick=False, threads=1) -> CheckResult:
         e = estimate_sigma2_mc(spec, n, seed=700 + i, threads=threads)
         if abs(e.c1) > 4.0 * e.c1_std_error:
             fails.append(f"{name} c1={e.c1:.2e} 4se={4 * e.c1_std_error:.2e}")
-    return CheckResult(
-        "rank-one-c1-vanishing",
-        not fails,
-        "; ".join(fails) or "c1 within 4se of 0 for all rank-one families",
-        time.perf_counter() - t0,
-    )
+    return not fails, "; ".join(fails) or "c1 within 4se of 0 for all rank-one families"
 
 
-def check_degeneracy_detection(quick=False, threads=1) -> CheckResult:
+@_criterion("degeneracy-detection")
+def check_degeneracy_detection(quick=False, threads=1):
     """Constant/constant-Hill specs are degenerate; binary is not."""
-    t0 = time.perf_counter()
     const = DistributionSpec.constant_triple(1.0, 1.0, 1.0)
     hill_const = DistributionSpec.discrete_atoms([((1.0, 0.7, 1.0 / 0.7), 1.0)])
     binary = DistributionSpec.binary_hill(2.0, 3.0, 0.5)
@@ -391,14 +372,12 @@ def check_degeneracy_detection(quick=False, threads=1) -> CheckResult:
     good = sigma2 > 0.0 and not verdict.is_degenerate_candidate
     ok &= good
     notes.append(f"binary: sigma2={sigma2:.4f} candidate={verdict.is_degenerate_candidate}")
-    return CheckResult(
-        "degeneracy-detection", ok, "; ".join(notes), time.perf_counter() - t0
-    )
+    return ok, "; ".join(notes)
 
 
-def check_determinism(quick=False, threads=1) -> CheckResult:
+@_criterion("determinism")
+def check_determinism(quick=False, threads=1):
     """Identical flags give byte-identical JSON; threads do not matter."""
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         dist = os.path.join(tmp, "cauchy.json")
         with open(dist, "w", encoding="utf-8") as f:
@@ -424,12 +403,7 @@ def check_determinism(quick=False, threads=1) -> CheckResult:
             one_again = run([*cmd, "--threads", "1"])
             eight = run([*cmd, "--threads", "8"])
             ok &= one == one_again == eight
-    return CheckResult(
-        "determinism",
-        ok,
-        "estimate/clt JSON byte-identical across reruns and --threads 1 vs 8",
-        time.perf_counter() - t0,
-    )
+    return ok, "estimate/clt JSON byte-identical across reruns and --threads 1 vs 8"
 
 
 ALL_CHECKS = (

@@ -7,7 +7,8 @@ kernel, and the reducer's one-pass chunk body.  The word paths, which
 gather their terms from tables, must reproduce them bit for bit.  A
 chain's block sums its terms by word as the word kernel gathers them:
 a block of whole words as words.block does, a cut block over the g slots
-of each word.
+of each word.  The chain kernel replica, allocating_chain_chunk, runs
+every other law too; test_product and test_words import it from here.
 """
 
 import math
@@ -22,6 +23,7 @@ from rmp.distributions import (
     DistributionSpec,
     make_stream,
     sample_triples,
+    sample_units,
 )
 from rmp.estimators import (
     SAMPLE_CHUNK,
@@ -30,8 +32,11 @@ from rmp.estimators import (
     estimate_sigma2_mc,
     exact_discrete,
 )
+from rmp.families import FAMILIES
 from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples
+
+LOG2 = math.log(2.0)
 
 
 def _random_atoms(k, seed, cancelling=False):
@@ -106,11 +111,36 @@ def block_lengths(n, g):
     return lengths + [n % g] if n % g else lengths
 
 
-def replayed_chain_chunk(spec, n, width, gen):
-    """The chain kernel with fresh arrays for every block, on replayed words:
-    a block's terms summed by word, as a whole-word block or a cut one."""
-    g = spec.atom_law.words.g
+def allocating_rank_one_block(spec, block, width, gen):
+    """A rank-one block step with fresh arrays: the unit sums of block - 1
+    steps folded by contiguous halving into products of up to `group` of
+    them, one log each; no pair is drawn."""
+    rows = sample_units(spec, (block - 1) * width, gen).reshape(block - 1, width)
+    g = FAMILIES[spec.family].group
+    while g > 1 and len(rows) > 1:
+        r, h = len(rows), (len(rows) + 1) // 2
+        rows = np.concatenate([rows[: r - h] * rows[h:], rows[r - h : h]])
+        g //= 2
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(rows))
+
+
+def allocating_chain_chunk(spec, n, width, gen):
+    """The chain kernel with fresh arrays for every block.  A rank-one law
+    draws its n - 1 unit sums by allocating_rank_one_block, in blocks of
+    up to STEP_BLOCK, then its last pair, and adds (n - 1) log|kappa| and
+    log hypot(1, 1) once.  Other laws run on replayed triples, whose
+    terms a finite-support block sums by word, whole or cut, in blocks of
+    up to STEP_BLOCK words (block_lengths)."""
     sumlog = np.zeros(width)
+    if spec.is_rank_one:
+        for done in range(0, n - 1, STEP_BLOCK):
+            terms = min(STEP_BLOCK, n - 1 - done)
+            sumlog += allocating_rank_one_block(spec, terms + 1, width, gen).sum(axis=0)
+        x, _, y = sample_triples(spec, width, gen)
+        sumlog += (n - 1) * math.log(abs(FAMILIES[spec.family].scale(spec))) + 0.5 * LOG2
+        return sumlog + np.log(np.hypot(x, y))
+    g = spec.atom_law.words.g if spec.is_discrete else 1
     head_ratio = None
     prev = None
     for block in block_lengths(n, g):
@@ -118,19 +148,21 @@ def replayed_chain_chunk(spec, n, width, gen):
         A = a.reshape(block, width)
         B = b.reshape(block, width)
         C = c.reshape(block, width)
+        first, last = (A[0], B[0], C[0]), (A[-1], B[-1], C[-1])
+        with np.errstate(divide="ignore"):
+            cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
+        if spec.is_discrete:
+            cross = (word_rows if block % g == 0 else cut_word_rows)(cross, g)
         if prev is None:
-            head_ratio = B[0] / A[0]
+            head_ratio = first[1] / first[0]
         else:
-            pa, pc = prev
+            pa, _, pc = prev
             with np.errstate(divide="ignore"):
-                sumlog += np.log(np.abs(pa + pc * (B[0] / A[0])))
+                sumlog += np.log(np.abs(pa + pc * (first[1] / first[0])))
         if block > 1:
-            with np.errstate(divide="ignore"):
-                cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
-            rows = word_rows if block % g == 0 else cut_word_rows
-            sumlog += rows(cross, g).sum(axis=0)
-        prev = (A[-1], C[-1])
-    pa, pc = prev
+            sumlog += cross.sum(axis=0)
+        prev = last
+    pa, _, pc = prev
     return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 
 
@@ -186,7 +218,7 @@ class TestPinnedToSampledTriples:
         for n in (1, 2, STEP_BLOCK, 2 * STEP_BLOCK + 37):
             want = np.concatenate(
                 [
-                    replayed_chain_chunk(spec, n, width, make_stream(8, k))
+                    allocating_chain_chunk(spec, n, width, make_stream(8, k))
                     for k, width in enumerate(chunk_sizes(m, CHAIN_CHUNK))
                 ]
             )

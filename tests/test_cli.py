@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -13,10 +14,11 @@ from test_estimators import decimal_reference
 
 from rmp import selftest
 from rmp.cli import build_parser, main
+from rmp.clt import CltReport, DegeneracyVerdict
 from rmp.distributions import parse_spec
 from rmp.estimators import estimate_sigma2_mc
 from rmp.families import MAX_ATOMS
-from rmp.selftest import CheckResult
+from rmp.selftest import CheckResult, _criterion
 
 LOG2 = math.log(2.0)
 
@@ -239,11 +241,36 @@ class TestDocumentKeys:
         assert list(doc["ladder"]) == ["c0", "c1"]
 
     def test_estimate_exact(self, dists, capsys):
+        # enumeration draws nothing: no standard error and no seed
         doc = self._doc(capsys, "estimate", "--dist", dists["atoms"], "--exact")
         assert list(doc) == ["lambda", "sigma2", "ladder"]
-        keys = [k for k in ESTIMATE_KEYS if k != "std_error"]
+        keys = [k for k in ESTIMATE_KEYS if k not in ("std_error", "seed")]
         assert list(doc["lambda"]) == list(doc["sigma2"]) == keys
         assert list(doc["ladder"]) == ["c0", "c1"]
+
+    def test_estimate_exact_does_not_depend_on_seed(self, dists, capsys):
+        argv = ("estimate", "--dist", dists["atoms"], "--exact")
+        outs = []
+        for seed in ("1", "2"):
+            assert main([*argv, "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_clt_is_its_report_then_source(self, dists, capsys):
+        doc = self._doc(capsys, "clt", "--dist", dists["cauchy"], "--source", "closed-form",
+                        "--n", "20", "--chains", "20")
+        fields = [f.name for f in dataclasses.fields(CltReport)]
+        assert list(doc) == [*fields, "source"]
+
+    def test_degeneracy_is_its_verdict(self, dists, capsys):
+        assert main(["degeneracy", "--dist", dists["atoms"]]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        fields = [f.name for f in dataclasses.fields(DegeneracyVerdict)]
+        assert list(doc) == ["lambda" if k == "lam" else k for k in fields]
+        # an EntryTriple is written as [a, b, c]
+        triples = [triple for triple, _ in doc["pairwise_residuals"]]
+        assert triples == [[1.0, 0.5, 1.0], [2.0, 1.0, -1.0]]
+        assert doc["atom"] in triples
 
     def test_clt_mc_source_estimates(self, dists, capsys):
         doc = self._doc(capsys, "clt", "--dist", dists["cauchy"], "--source", "mc",
@@ -258,6 +285,22 @@ class TestDocumentKeys:
         assert list(source["lambda"]) == list(source["sigma2"]) == ESTIMATE_KEYS
         assert (doc["lambda_used"], doc["sigma2_used"]) == (
             source["lambda"]["value"], source["sigma2"]["value"])
+
+
+class TestCriterion:
+    def test_names_and_times_a_check(self):
+        calls = []
+
+        @_criterion("stub-check")
+        def stub(quick=False, threads=1):
+            calls.append((quick, threads))
+            return False, "detail"
+
+        result = stub(quick=True, threads=3)
+        assert calls == [(True, 3)]
+        assert (result.name, result.passed, result.detail) == ("stub-check", False, "detail")
+        assert result.seconds >= 0.0
+        assert stub().passed is False and calls[-1] == (False, 1)
 
 
 class TestSelftestOutput:

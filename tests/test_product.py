@@ -34,7 +34,7 @@ from rmp.product import (
     direct_log_norm,
 )
 from rmp.selftest import _block_triples, _both_routes, _chain_triples
-from test_atom_law import block_lengths, cut_word_rows, word_rows
+from test_atom_law import allocating_chain_chunk, block_lengths, cut_word_rows, word_rows
 from test_distributions import QueueStream
 from test_estimators import record_bytes
 
@@ -328,61 +328,6 @@ ONE_PER_FAMILY = (
     ),
     DistributionSpec.constant_triple(2.0, 6.0, 3.0),
 )
-
-
-def allocating_rank_one_block(spec, block, width, gen):
-    """A rank-one block step with fresh arrays: the unit sums of block - 1
-    steps folded by contiguous halving into products of up to `group` of
-    them, one log each; no pair is drawn."""
-    rows = sample_units(spec, (block - 1) * width, gen).reshape(block - 1, width)
-    g = FAMILIES[spec.family].group
-    while g > 1 and len(rows) > 1:
-        r, h = len(rows), (len(rows) + 1) // 2
-        rows = np.concatenate([rows[: r - h] * rows[h:], rows[r - h : h]])
-        g //= 2
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(rows))
-
-
-def allocating_chain_chunk(spec, n, width, gen):
-    """The chain kernel with fresh arrays for every block.  A rank-one law
-    draws its n - 1 unit sums by allocating_rank_one_block, in blocks of
-    up to STEP_BLOCK, then its last pair, and adds (n - 1) log|kappa| and
-    log hypot(1, 1) once.  Other laws run on replayed triples, whose
-    terms a finite-support block sums by word, whole or cut, in blocks of
-    up to STEP_BLOCK words (block_lengths)."""
-    sumlog = np.zeros(width)
-    if spec.is_rank_one:
-        for done in range(0, n - 1, STEP_BLOCK):
-            terms = min(STEP_BLOCK, n - 1 - done)
-            sumlog += allocating_rank_one_block(spec, terms + 1, width, gen).sum(axis=0)
-        x, _, y = sample_triples(spec, width, gen)
-        sumlog += (n - 1) * math.log(abs(FAMILIES[spec.family].scale(spec))) + 0.5 * LOG2
-        return sumlog + np.log(np.hypot(x, y))
-    g = spec.atom_law.words.g if spec.is_discrete else 1
-    head_ratio = None
-    prev = None
-    for block in block_lengths(n, g):
-        a, b, c = _block_triples(spec, block, width, gen)
-        A = a.reshape(block, width)
-        B = b.reshape(block, width)
-        C = c.reshape(block, width)
-        first, last = (A[0], B[0], C[0]), (A[-1], B[-1], C[-1])
-        with np.errstate(divide="ignore"):
-            cross = np.log(np.abs(A[:-1] + C[:-1] * (B[1:] / A[1:])))
-        if spec.is_discrete:
-            cross = (word_rows if block % g == 0 else cut_word_rows)(cross, g)
-        if prev is None:
-            head_ratio = first[1] / first[0]
-        else:
-            pa, _, pc = prev
-            with np.errstate(divide="ignore"):
-                sumlog += np.log(np.abs(pa + pc * (first[1] / first[0])))
-        if block > 1:
-            sumlog += cross.sum(axis=0)
-        prev = last
-    pa, _, pc = prev
-    return sumlog + np.log(np.hypot(pa, pc)) + np.log(np.hypot(1.0, head_ratio))
 
 
 class TestMapStreams:

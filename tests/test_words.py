@@ -23,7 +23,7 @@ from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples, _chain_triples
 from rmp.words import UNITS, word_length
 
-from test_atom_law import LAWS, IDS, _random_atoms, replayed_chain_chunk, one_pass_reduce
+from test_atom_law import LAWS, IDS, _random_atoms, allocating_chain_chunk, one_pass_reduce
 from test_distributions import QueueStream
 
 CANCEL = ((2.0, 5.0, 1.0), (1.0, -2.0, 3.0))  # 2 + 1 * (-2 / 1) = 0
@@ -173,7 +173,7 @@ class TestCutWords:
         for r in remainders(g):
             for n in sorted({r, 3 * g + r, STEP_BLOCK + r, STEP_BLOCK * g + r}):
                 want = np.concatenate([
-                    replayed_chain_chunk(spec, n, width, make_stream(4, k))
+                    allocating_chain_chunk(spec, n, width, make_stream(4, k))
                     for k, width in enumerate(chunk_sizes(m, CHAIN_CHUNK))
                 ])
                 for threads in (1, 2):
