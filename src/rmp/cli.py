@@ -111,6 +111,9 @@ def _write_histogram_csv(path: str, histogram) -> None:
 # -- commands ---------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
+    if args.exact and args.given:
+        # enumeration draws nothing, so the option would go unused
+        args.usage_error(f"argument {args.given}: not allowed with argument --exact")
     spec = load_spec(args.dist)
     if args.exact:
         _, _, e = exact_discrete(spec)
@@ -197,6 +200,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+class _Given(argparse.Action):
+    """store, noting the option in namespace.given: ``estimate --exact``
+    refuses the options of a sampled route (cmd_estimate)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = option_string
+
+
 def _int_in(lo: int, hi: float = math.inf):
     """argparse type: an int in [lo, hi]; anything else is a usage error."""
 
@@ -228,14 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sampled=True):
+    def common(p, sampled=True, action="store"):
         p.add_argument("--dist", required=True, help="distribution JSON path")
         if sampled:
             p.add_argument(
-                "--seed", type=_int_in(0, _MASK64), default=0, help="64-bit seed (default 0)"
+                "--seed", action=action, type=_int_in(0, _MASK64), default=0,
+                help="64-bit seed (default 0)",
             )
             p.add_argument(
                 "--threads",
+                action=action,
                 type=_int_in(1),
                 default=_usable_cpus(),
                 help="worker cap (default: the usable CPUs); output does not depend on it",
@@ -243,14 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON result here instead of stdout")
 
     p = sub.add_parser("estimate", help="estimate lambda and sigma^2")
-    common(p)
-    p.add_argument("--samples", type=_int_in(2), default=100_000, help="MC sample count")
+    common(p, action=_Given)
+    p.add_argument("--samples", action=_Given, type=_int_in(2), default=100_000,
+                   help="MC sample count")
     p.add_argument(
         "--exact",
         action="store_true",
-        help="exact enumeration (finite-support laws only)",
+        help="exact enumeration (finite-support laws only; no --seed, --threads, --samples)",
     )
-    p.set_defaults(fn=cmd_estimate)
+    p.set_defaults(fn=cmd_estimate, given=None, usage_error=p.error)
 
     p = sub.add_parser("clt", help="simulate the normalized statistic")
     common(p)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, EntryTriple, SpecError
 from .estimators import exact_moments
-from .product import NEG_INF, chain_log_norms
+from .product import NEG_INF, chain_log_norms, count_nonfinite
 
 HISTOGRAM_BINS = 40
 
@@ -123,9 +123,8 @@ def simulate_normalized(
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
     log_norms = chain_log_norms(spec, n, m_chains, seed, threads)
-    finite = np.isfinite(log_norms)
-    n_inf = int(np.isneginf(log_norms).sum())
-    z = (log_norms[finite] - n * lam) / math.sqrt(n)
+    n_inf, n_inf_nan = count_nonfinite(log_norms)
+    z = (log_norms[np.isfinite(log_norms)] - n * lam) / math.sqrt(n)
 
     emp_mean = float(z.mean()) if z.size else float("nan")
     emp_var = float(z.var(ddof=1)) if z.size > 1 else float("nan")
@@ -151,7 +150,7 @@ def simulate_normalized(
         ks_distance=ks,
         histogram=histogram,
         minus_inf_events=n_inf,
-        inf_nan_events=m_chains - n_inf - z.size,
+        inf_nan_events=n_inf_nan,
         seed=seed,
     )
 

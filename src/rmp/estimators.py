@@ -47,14 +47,14 @@ from .distributions import (
 from .families import FAMILIES, NoClosedFormError
 from .product import (
     NEG_INF,
+    SAMPLE_CHUNK,
+    block_step,
     chain_log_norms,
+    count_nonfinite,
     log_kappa,
     map_chunks,
     map_streams,
-    padded_steps,
 )
-
-SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def _segment(c: np.ndarray, L: int, buf: np.ndarray):
     its count n, the pivot c[0] and the sums of dx^2, dx dy, dx and dy
     over its rows (dx, dy) of d, by einsum (never BLAS, so no row depends
     on the thread).  A term that is not finite makes its batch's sums so:
-    it is an event, counted in events = (-inf terms, +inf or NaN terms),
-    and the table is None, since the variance is undefined.
+    it is an event, counted in events = count_nonfinite(c), and the
+    table is None, since the variance is undefined.
     """
     full = (c.size - 1) // L * L
     with np.errstate(invalid="ignore"):  # -inf - (-inf) in a failing segment
@@ -126,8 +126,7 @@ def _segment(c: np.ndarray, L: int, buf: np.ndarray):
             table = np.concatenate([table, _batches(d[full:], c.size - 1 - full, c[0])])
     if np.isfinite(table).all():
         return (0, 0), table
-    minus_inf = int(np.count_nonzero(c == NEG_INF))
-    return (minus_inf, c.size - minus_inf - int(np.count_nonzero(np.isfinite(c)))), None
+    return count_nonfinite(c), None
 
 
 def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
@@ -135,15 +134,14 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
 
     map_streams cuts the rows into chunks of SAMPLE_CHUNK.  Chunk k of
     size m draws one chain segment of m + 2 consecutive steps from its
-    (seed, k) stream with the chain kernel's block step, which gives
-    m + 1 cross terms and m lag rows; _segment cuts them into batches of
-    batch_length(n_samples) rows.  A finite-support law draws words of
-    g atoms, ceil((m + 2) / g) of them with the last cut to the segment,
-    and gathers each word's terms from its tables (words.step_terms), so
-    the workspace is rounded up to whole words (padded_steps); a
-    rank-one law draws only the m + 1 unit sums t_j, and its terms
-    log |t_j| + log |kappa| come without the constant, which is added
-    once, to the pivots.
+    (seed, k) stream with the chain kernel's block step, bound into the
+    segment body, which gives m + 1 cross terms and m lag rows; _segment
+    cuts them into batches of batch_length(n_samples) rows.  A
+    finite-support law draws words of g atoms, ceil((m + 2) / g) of them
+    with the last cut to the segment, and gathers each word's terms from
+    its tables (words.step_terms); a rank-one law draws only the m + 1
+    unit sums t_j, and its terms log |t_j| + log |kappa| come without
+    the constant, which is added once, to the pivots.
     Returns (events, table): the counts of -inf terms and of +inf or NaN
     terms, and the batch rows of every chunk in chunk order (see
     _segment), or None if any term was not finite.  Memory is
@@ -152,16 +150,16 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
     L = batch_length(n_samples)
+    draw = block_step(spec)
 
-    def segment(draw, m, gen, workspace):
+    def segment(m, gen, workspace):
         # the terms land in the last buffer; the first, spent, takes d.
         # A rank-one unit sum of exactly 0 is a -inf term
         with np.errstate(divide="ignore"):
             _, _, cross = draw(m + 2, 1, gen, workspace)
         return _segment(cross.ravel(), L, workspace[0])
 
-    length = padded_steps(spec, min(n_samples, SAMPLE_CHUNK) + 2)
-    parts = map_streams(spec, seed, n_samples, SAMPLE_CHUNK, length, threads, segment)
+    parts = map_streams(seed, n_samples, SAMPLE_CHUNK, threads, segment)
     events = tuple(sum(counts) for counts in zip(*(p[0] for p in parts)))
     if any(events):
         return events, None
@@ -277,8 +275,7 @@ def trajectory_lambda(
     if n_chains < 1:
         raise ValueError("need n_chains >= 1")
     per_chain = chain_log_norms(spec, n, n_chains, seed, threads) / n
-    n_inf = int(np.isneginf(per_chain).sum())
-    n_inf_nan = n_chains - n_inf - int(np.isfinite(per_chain).sum())
+    n_inf, n_inf_nan = count_nonfinite(per_chain)
     if n_inf or n_inf_nan or n_chains < 2:
         se = float("nan")
     else:
@@ -317,7 +314,7 @@ def exact_moments(T: np.ndarray, p: np.ndarray):
     -inf, the variance is undefined (NaN), and minus_inf_events counts
     the -inf entries.
     """
-    events = int(np.count_nonzero(np.isneginf(T)))
+    events, _ = count_nonfinite(T)
     if events:
         nan = float("nan")
         return NEG_INF, nan, Estimate(NEG_INF, nan, nan, nan, minus_inf_events=events)

@@ -21,16 +21,16 @@ A cross term that is exactly zero makes S_n the zero matrix; this is a
 legitimate state, represented by -inf, not an error.
 
 Both sampled routes, chain_log_norms and the estimators' Monte Carlo
-reducer, run their chunks through one function, map_streams.  Chunks do
-not depend on the worker count, chunk k draws from the (seed, k) stream
-and results merge in chunk order, so any thread count gives
-bit-identical output.  With more than one thread, map_chunks runs the
-chunks on plain threads, the caller among them, that take chunk indices
-from one counter.  A running chunk borrows one of the call's
-workspaces of three float64 buffers, so memory is fixed whatever the
-chain length, chain count or sample count are.  Each buffer starts on a
-64-byte cache line (workspace), so every elementwise pass of a block
-step streams whole lines.
+reducer, run their chunks through one function, map_streams, each with
+a body that brings its law's block step.  Chunks do not depend on the
+worker count, chunk k draws from the (seed, k) stream and results merge
+in chunk order, so any thread count gives bit-identical output.
+map_chunks runs the chunks on plain threads, the caller among them, that
+take chunk indices from one counter.  A running chunk borrows one of the
+call's workspaces of three float64 buffers of WORKSPACE doubles, so
+memory is fixed whatever the chain length, chain count or sample count
+are.  Each buffer starts on a 64-byte cache line (workspace), so every
+elementwise pass of a block step streams whole lines.
 
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
 one block at a time: _rank_one_chunk for a rank-one law, _chain_chunk
@@ -41,9 +41,8 @@ CHAIN_CHUNK = 65 536 entries per buffer either way.  The three buffers
 of a running chunk then take 1.5 MiB and fit in a 2 MiB L2, where every
 elementwise pass of the block step reads and writes, and each numpy
 call of the step works on 65 536 elements, enough for a second thread
-to pay.  The Monte Carlo route sizes its own block (a segment
-of m + 2 steps at width 1, m <= SAMPLE_CHUNK) and does not depend on
-STEP_BLOCK.  Only the block step depends on the law: a rank-one law
+to pay.  A Monte Carlo chunk is one segment of m + 2 steps at width 1,
+m <= SAMPLE_CHUNK.  Only the block step depends on the law: a rank-one law
 draws one unit sum per term (_rank_one_block) and a chain the pair of
 its last step once, after its last block; another continuous law
 samples the block's triples and forms the cross terms in place, and a
@@ -55,14 +54,14 @@ finite-support draw).  A chain's block of whole words gathers one
 number per word, which sums the word's g - 1 terms and the term into
 it.  Every other block, the Monte Carlo segment (which needs every
 term) and a chain's final n mod g steps, gathers each word's g step
-terms and cuts its last word; its workspace is rounded up to whole
-words (padded_steps).
+terms and cuts its last word.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -84,6 +83,15 @@ LOG2 = math.log(2.0)
 # STEP_BLOCK * CHAIN_CHUNK doubles are 1.5 MiB
 CHAIN_CHUNK = 128
 STEP_BLOCK = 512
+# lag rows per Monte Carlo chunk, one segment of SAMPLE_CHUNK + 2 steps
+SAMPLE_CHUNK = 1 << 16
+# doubles per workspace buffer (65 544): the longest prefix that a block
+# step writes, a chain block or a Monte Carlo segment, rounded up to
+# whole words of at most MAX_WORD_LENGTH steps (words.MAX_WORD_LENGTH;
+# only a finite-support draw loads rmp.words), whole 64-byte lines too
+MAX_WORD_LENGTH = 8
+_LONGEST = max(STEP_BLOCK * CHAIN_CHUNK, SAMPLE_CHUNK + 2)
+WORKSPACE = -(-_LONGEST // MAX_WORD_LENGTH) * MAX_WORD_LENGTH
 
 
 def build_matrix(xi: EntryTriple) -> np.ndarray:
@@ -146,6 +154,13 @@ def direct_log_norm(matrices) -> float:
     return total + 0.5 * math.log(sq)
 
 
+def count_nonfinite(x: np.ndarray):
+    """(-inf entries, +inf or NaN entries) of x: every route's
+    minus_inf_events and inf_nan_events."""
+    minus_inf = int(np.count_nonzero(np.isneginf(x)))
+    return minus_inf, x.size - minus_inf - int(np.count_nonzero(np.isfinite(x)))
+
+
 # -- vectorized many-chain kernel -----------------------------------------
 
 def chain_log_norms(
@@ -158,84 +173,65 @@ def chain_log_norms(
     """log ||S_n|| for n_chains independent chains of length n.
 
     Chains are cut into chunks of CHAIN_CHUNK; map_streams runs each
-    through _chain_chunk on its (seed, k) stream, so the result is
+    through _chain_chunk (or _rank_one_chunk), bound to the law's
+    grouped block step, on its (seed, k) stream, so the result is
     deterministic for a given (spec, n, n_chains, seed) regardless of
-    the thread count.  Each running chunk's workspace is three buffers
-    of min(STEP_BLOCK, n) * min(CHAIN_CHUNK, n_chains) doubles (n
-    rounded up to whole words, padded_steps), at most 1.5 MiB, which fit
-    in a 2 MiB L2.  A block of a finite-support law is up to STEP_BLOCK
-    words of g steps, and its step needs one entry per word, so the
-    same buffers serve g times the steps.  Chains whose product
-    collapsed carry -inf.
+    the thread count.  A block of a finite-support law is up to
+    STEP_BLOCK words of g steps, and its step needs one entry per word,
+    so a chunk's workspace serves g times the steps.  Chains whose
+    product collapsed carry -inf.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
     if n_chains < 1:
         raise ValueError("need at least one chain")
+    draw = block_step(spec, grouped=True)
     if spec.is_rank_one:
-        body = functools.partial(_rank_one_chunk, spec, n)
+        body = functools.partial(_rank_one_chunk, spec, n, draw)
     else:
-        body = functools.partial(_chain_chunk, n, steps_per_word(spec))
-    length = padded_steps(spec, min(STEP_BLOCK, n)) * min(CHAIN_CHUNK, n_chains)
-    parts = map_streams(
-        spec, seed, n_chains, CHAIN_CHUNK, length, threads, body, grouped=True
-    )
-    return np.concatenate(parts)
+        g = spec.atom_law.words.g if spec.is_discrete else 1
+        body = functools.partial(_chain_chunk, n, g, draw)
+    return np.concatenate(map_streams(seed, n_chains, CHAIN_CHUNK, threads, body))
 
 
-def map_streams(spec, seed, total, chunk, length, threads, body, grouped=False):
-    """[body(draw, size_k, make_stream(seed, k), workspace) for each chunk k].
+def map_streams(seed, total, chunk, threads, body):
+    """[body(size_k, make_stream(seed, k), workspace) for each chunk k].
 
     ``total`` items are cut into chunks of ``chunk``; the results come in
-    chunk order whatever ``threads`` is.  draw is the law's
-    block_step(spec, grouped).  workspace is three float64 buffers of
-    ``length``, each on a cache line (workspace), from a free list of the
+    chunk order whatever ``threads`` is.  body brings its own draw, the
+    law's block step.  workspace is three float64 buffers of WORKSPACE
+    doubles, each on a cache line (workspace), from a free list of the
     call, made on first need: one per chunk running at once.
     """
     sizes = chunk_sizes(total, chunk)
-    draw = block_step(spec, grouped)
     free = []
 
     def run(k: int):
         try:
             buffers = free.pop()
         except IndexError:
-            buffers = workspace(length)
+            buffers = workspace()
         try:
-            return body(draw, sizes[k], make_stream(seed, k), buffers)
+            return body(sizes[k], make_stream(seed, k), buffers)
         finally:
             free.append(buffers)
 
     return map_chunks(run, len(sizes), threads)
 
 
-def workspace(length: int):
-    """Three float64 buffers of ``length``, each starting on a 64-byte
-    cache line.
+def workspace():
+    """Three float64 buffers of WORKSPACE doubles, each starting on a
+    64-byte cache line.
 
     np.empty puts a large array 16 bytes past a page, and then every
     64-byte vector load of a pass over it straddles two lines.  So the
     buffers are slices of one array, over-allocated by 7 doubles and cut
-    at whole lines.  No value depends on where a buffer starts.
+    at whole lines (WORKSPACE is a whole number of them).  No value
+    depends on where a buffer starts.
     """
-    stride = -(-length // 8) * 8  # doubles per buffer, whole lines
-    raw = np.empty(3 * stride + 7)
+    raw = np.empty(3 * WORKSPACE + 7)
     start = (-raw.__array_interface__["data"][0] % 64) // 8
-    return tuple(raw[start + i * stride : start + i * stride + length] for i in range(3))
-
-
-def steps_per_word(spec: DistributionSpec) -> int:
-    """g, the steps per word of a finite-support law (AtomLaw.words); 1 for
-    a continuous law, whose block step draws step by step."""
-    return spec.atom_law.words.g if spec.is_discrete else 1
-
-
-def padded_steps(spec: DistributionSpec, steps: int) -> int:
-    """``steps`` rounded up to whole words of a finite-support law, so
-    that a block's cut last word fits its workspace; ``steps`` itself for
-    a continuous law."""
-    g = steps_per_word(spec)
-    return -(-steps // g) * g
+    return tuple(raw[start + i * WORKSPACE : start + (i + 1) * WORKSPACE] for i in range(3))
 
 
 def chunk_sizes(total: int, chunk: int):
@@ -249,18 +245,13 @@ def chunk_sizes(total: int, chunk: int):
 def map_chunks(fn, n_chunks: int, threads: int = 1):
     """Apply fn(0..n_chunks-1), returning results in chunk order.
 
-    With more than one thread and chunk, min(threads, n_chunks) - 1
-    worker threads and the calling thread take chunk indices in order
-    from one counter under a lock and store each result at its index.
-    A chunk that raises stops the others from taking new chunks; once
-    all are joined, the error of the lowest failing chunk is raised, the
-    one a run in chunk order would meet first.  threading is imported
-    only by a run that uses it.
+    The calling thread and min(threads, n_chunks) - 1 worker threads
+    (none at one thread or one chunk) take chunk indices in order from
+    one counter under a lock and store each result at its index.  A
+    chunk that raises stops the others from taking new chunks; once all
+    are joined, the error of the lowest failing chunk is raised, the one
+    a run in chunk order would meet first.
     """
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    import threading
-
     results = [None] * n_chunks
     errors = []
     lock = threading.Lock()
@@ -294,7 +285,7 @@ def map_chunks(fn, n_chunks: int, threads: int = 1):
 
 
 def block_step(spec: DistributionSpec, grouped: bool = False):
-    """The law's draw(block, width, gen, workspace), as map_streams passes it.
+    """The law's draw(block, width, gen, workspace), which a chunk body binds.
 
     For a finite-support law, in words of its AtomLaw.words:
     _word_steps, or with ``grouped`` _word_block; _rank_one_block for a
@@ -324,13 +315,13 @@ def log_kappa(spec: DistributionSpec) -> float:
 def _chain_chunk(n, g, draw, width, gen, workspace) -> np.ndarray:
     """One chunk of ``width`` chains of a law that is not rank-one (those
     take _rank_one_chunk), in blocks of up to STEP_BLOCK words of ``g``
-    steps (steps_per_word; a continuous law's word is one step).
+    steps (words.g; a continuous law's word is one step).
 
     A block is min(STEP_BLOCK g, rest) steps rounded down to whole words;
     only a chain's final run of fewer than g steps is no whole word.
-    draw(block, width, gen, workspace) fills ``workspace``, three float64
-    buffers of at least min(STEP_BLOCK, n) * width entries, rounded up to
-    whole words (1.5 MiB at width CHAIN_CHUNK, which stay in a 2 MiB L2),
+    draw(block, width, gen, workspace), the law's grouped block step,
+    fills ``workspace``, three float64 buffers of WORKSPACE doubles (the
+    1.5 MiB that a block at width CHAIN_CHUNK writes stay in a 2 MiB L2),
     with the next ``block`` steps: a whole-word block takes one entry per
     word and chain, a final cut word g.  It returns the (a, b, c) rows
     of the first and the last step, and rows whose column sums are those

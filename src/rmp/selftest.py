@@ -222,7 +222,7 @@ def _chain_triples(spec, n, seed, width=1):
             extend(terms, *_block_triples(spec, terms + 1, width, gen))
         extend(1, *sample_triples(spec, width, gen))
         return chains
-    g = product.steps_per_word(spec)
+    g = spec.atom_law.words.g if spec.is_discrete else 1
     whole, span = n - n % g, product.STEP_BLOCK * g
     blocks = [min(span, whole - done) for done in range(0, whole, span)]
     if n % g:

@@ -241,20 +241,22 @@ class TestDocumentKeys:
         assert list(doc["ladder"]) == ["c0", "c1"]
 
     def test_estimate_exact(self, dists, capsys):
-        # enumeration draws nothing: no standard error and no seed
-        doc = self._doc(capsys, "estimate", "--dist", dists["atoms"], "--exact")
+        # enumeration draws nothing: no standard error and no seed (and
+        # no --threads, which _doc would pass)
+        assert main(["estimate", "--dist", dists["atoms"], "--exact"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["lambda", "sigma2", "ladder"]
         keys = [k for k in ESTIMATE_KEYS if k not in ("std_error", "seed")]
         assert list(doc["lambda"]) == list(doc["sigma2"]) == keys
         assert list(doc["ladder"]) == ["c0", "c1"]
 
     def test_estimate_exact_does_not_depend_on_seed(self, dists, capsys):
+        # enumeration draws nothing, so a seed is refused, not ignored
         argv = ("estimate", "--dist", dists["atoms"], "--exact")
-        outs = []
         for seed in ("1", "2"):
-            assert main([*argv, "--seed", seed]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+            assert main([*argv, "--seed", seed]) == 1
+            out = capsys.readouterr()
+            assert out.out == "" and "--seed" in out.err.splitlines()[-1]
 
     def test_clt_is_its_report_then_source(self, dists, capsys):
         doc = self._doc(capsys, "clt", "--dist", dists["cauchy"], "--source", "closed-form",
@@ -515,6 +517,18 @@ class TestRankOneOverflow:
         assert out.returncode == 1
         assert out.stderr.startswith("error:") and "overflow" in out.stderr
         assert out.stdout == ""
+
+
+class TestExactDrawsNothing:
+    @pytest.mark.parametrize("option", [("--seed", "9"), ("--threads", "2"), ("--samples", "7")])
+    @pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "exact-last"])
+    def test_sampling_option_is_a_usage_error(self, dists, option, exact_first):
+        args = ["--exact", *option] if exact_first else [*option, "--exact"]
+        out = rmp("estimate", "--dist", dists["atoms"], *args)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("usage: rmp estimate")
+        last = out.stderr.splitlines()[-1]
+        assert last.startswith("error: rmp estimate") and option[0] in last
 
 
 class TestDegeneracy:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmp import estimators, product
+from rmp import estimators, product, words
 from rmp.distributions import (
     DistributionSpec,
     EntryTriple,
@@ -330,24 +330,57 @@ ONE_PER_FAMILY = (
 )
 
 
+# one law per block step: chains take _rank_one_block, _sampled_block and
+# _word_block (n = 1003 cuts a BinaryHill chain's last word), the Monte
+# Carlo segment _rank_one_block, _sampled_block and _word_steps
+BLOCK_STEP_LAWS = [
+    pytest.param(DistributionSpec.exponential_rank_one(1.0), id="rank-one"),
+    pytest.param(DistributionSpec.hill_random(0.5, 2.0), id="sampled"),
+    pytest.param(DistributionSpec.binary_hill(2.0, 3.0, 0.3), id="words"),
+]
+
+
 class TestMapStreams:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_chunk_order_streams_sizes_and_workspaces(self, threads):
-        spec, seed, chunk, length = DistributionSpec.cauchy_rank_one(), 17, 8, 5
+        seed, chunk = 17, 8
         total = 4 * chunk + 3  # five chunks, the last one short
 
-        def record(draw, size, gen, workspace):
-            return draw, size, gen.random(), workspace
+        def record(size, gen, workspace):
+            return size, gen.random(), workspace
 
-        got = product.map_streams(spec, seed, total, chunk, length, threads, record)
-        draws, sizes, firsts, workspaces = zip(*got)
+        got = product.map_streams(seed, total, chunk, threads, record)
+        sizes, firsts, workspaces = zip(*got)
         assert list(sizes) == chunk_sizes(total, chunk) == [8, 8, 8, 8, 3]
         assert list(firsts) == [make_stream(seed, k).random() for k in range(5)]
-        assert all(d is draws[0] for d in draws)  # the block step, taken once
-        assert all(len(w) == 3 and all(b.shape == (length,) for b in w) for w in workspaces)
+        assert all(
+            len(w) == 3 and all(b.shape == (product.WORKSPACE,) for b in w) for w in workspaces
+        )
         if threads == 1:
             assert all(w is workspaces[0] for w in workspaces)
 
+    @pytest.mark.parametrize(
+        "route, grouped",
+        [
+            (lambda spec: chain_log_norms(spec, 1003, 3 * CHAIN_CHUNK + 5, 3, 2), True),
+            (lambda spec: estimate_sigma2_mc(spec, 3 * SAMPLE_CHUNK + 9, 3, 2), False),
+        ],
+        ids=["chains", "monte-carlo"],
+    )
+    @pytest.mark.parametrize("spec", BLOCK_STEP_LAWS)
+    def test_one_block_step_per_call(self, monkeypatch, spec, route, grouped):
+        # four chunks on two threads share the draw their caller took once
+        calls = []
+        original = product.block_step
+
+        def counting(spec, grouped=False):
+            calls.append(grouped)
+            return original(spec, grouped)
+
+        monkeypatch.setattr(product, "block_step", counting)
+        monkeypatch.setattr(estimators, "block_step", counting)
+        route(spec)
+        assert calls == [grouped]
 
     def test_one_thread_run_imports_no_thread_pool(self):
         # concurrent.futures loads logging; a run needs neither, at one
@@ -370,26 +403,48 @@ def _address(buf) -> int:
     return buf.__array_interface__["data"][0]
 
 
-# one law per block step: chains take _rank_one_block, _sampled_block and
-# _word_block (n = 1003 cuts a BinaryHill chain's last word), the Monte
-# Carlo segment _rank_one_block, _sampled_block and _word_steps
-BLOCK_STEP_LAWS = [
-    pytest.param(DistributionSpec.exponential_rank_one(1.0), id="rank-one"),
-    pytest.param(DistributionSpec.hill_random(0.5, 2.0), id="sampled"),
-    pytest.param(DistributionSpec.binary_hill(2.0, 3.0, 0.3), id="words"),
-]
+def _misaligned(shift):
+    """Three WORKSPACE buffers, each starting ``shift`` doubles past a line."""
+    buffers = []
+    for _ in range(3):
+        raw = np.empty(product.WORKSPACE + 16)
+        start = (-_address(raw) % 64) // 8 + shift
+        buffers.append(raw[start : start + product.WORKSPACE])
+    return tuple(buffers)
 
 
 class TestAlignedWorkspaces:
-    @pytest.mark.parametrize("length", [1, 7, 8, 9, 1003, STEP_BLOCK * CHAIN_CHUNK])
-    def test_buffers_start_on_a_line(self, length):
-        buffers = product.workspace(length)
+    def test_buffers_start_on_a_line(self):
+        buffers = product.workspace()
         assert len(buffers) == 3
-        assert all(b.shape == (length,) and b.dtype == np.float64 for b in buffers)
+        assert all(b.shape == (product.WORKSPACE,) and b.dtype == np.float64 for b in buffers)
         assert all(b.flags.c_contiguous and b.flags.writeable for b in buffers)
         assert all(_address(b) % 64 == 0 for b in buffers)
         starts = sorted(_address(b) for b in buffers)
-        assert all(lo + 8 * length <= hi for lo, hi in zip(starts, starts[1:]))
+        assert all(lo + 8 * product.WORKSPACE <= hi for lo, hi in zip(starts, starts[1:]))
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8])
+    def test_workspace_covers_every_block_step(self, g):
+        # a chain block, a chain's cut word and a Monte Carlo segment of
+        # SAMPLE_CHUNK + 2 steps in whole words of g steps
+        segment = -(-(SAMPLE_CHUNK + 2) // g) * g
+        assert max(STEP_BLOCK * CHAIN_CHUNK, g * CHAIN_CHUNK, segment) <= product.WORKSPACE
+        assert g in {words.word_length(k) for k in range(1, 20)}
+
+    def test_workspace_is_whole_lines_of_whole_words(self):
+        assert product.WORKSPACE % 8 == 0
+        assert product.MAX_WORD_LENGTH == words.MAX_WORD_LENGTH
+        assert product.WORKSPACE % words.MAX_WORD_LENGTH == 0
+
+    def test_longest_segment_needs_the_whole_workspace(self, monkeypatch):
+        # BinaryHill draws words of 8 steps: a full chunk's segment of
+        # SAMPLE_CHUNK + 2 steps is 8193 words, 65 544 terms
+        spec = DistributionSpec.binary_hill(2.0, 3.0, 0.3)
+        assert spec.atom_law.words.g == 8
+        assert math.isfinite(estimate_sigma2_mc(spec, SAMPLE_CHUNK, 3).sigma2)
+        monkeypatch.setattr(product, "WORKSPACE", product.WORKSPACE - 8)
+        with pytest.raises(ValueError):
+            estimate_sigma2_mc(spec, SAMPLE_CHUNK, 3)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -402,22 +457,22 @@ class TestAlignedWorkspaces:
     )
     @pytest.mark.parametrize("spec", BLOCK_STEP_LAWS)
     def test_every_buffer_a_body_gets_is_on_a_line(self, monkeypatch, spec, route, threads):
-        seen = []  # (requested length, workspace) of every chunk
+        seen = []  # the workspace of every chunk
         original = product.map_streams
 
-        def spying(spec, seed, total, chunk, length, threads, body, grouped=False):
-            def spy(draw, size, gen, workspace):
-                seen.append((length, workspace))
-                return body(draw, size, gen, workspace)
+        def spying(seed, total, chunk, threads, body):
+            def spy(size, gen, workspace):
+                seen.append(workspace)
+                return body(size, gen, workspace)
 
-            return original(spec, seed, total, chunk, length, threads, spy, grouped)
+            return original(seed, total, chunk, threads, spy)
 
         monkeypatch.setattr(product, "map_streams", spying)
         monkeypatch.setattr(estimators, "map_streams", spying)
         route(spec, threads)
         assert len(seen) in (2, 4)  # two chain chunks, four Monte Carlo chunks
-        for length, workspace in seen:
-            assert [b.shape for b in workspace] == [(length,)] * 3
+        for workspace in seen:
+            assert [b.shape for b in workspace] == [(product.WORKSPACE,)] * 3
             assert all(_address(b) % 64 == 0 for b in workspace)
 
     @pytest.mark.parametrize("spec", BLOCK_STEP_LAWS)
@@ -428,12 +483,11 @@ class TestAlignedWorkspaces:
             return chains.tobytes(), record_bytes(mc)
 
         want = run()
-        original = product.workspace
         for shift in range(1, 8):
             starts = []
 
-            def shifted(length, shift=shift):
-                buffers = tuple(b[shift : shift + length] for b in original(length + shift))
+            def shifted(shift=shift):
+                buffers = _misaligned(shift)
                 starts.extend(_address(b) % 64 for b in buffers)
                 return buffers
 
