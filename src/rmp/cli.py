@@ -132,6 +132,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    if args.source != "mc" and args.given:
+        # only a Monte Carlo source draws samples
+        args.usage_error(f"argument {args.given}: not allowed with --source {args.source}")
     spec = load_spec(args.dist)
     source_doc = None
     if args.source == "closed-form":
@@ -202,7 +205,8 @@ class _Parser(argparse.ArgumentParser):
 
 class _Given(argparse.Action):
     """store, noting the option in namespace.given: ``estimate --exact``
-    refuses the options of a sampled route (cmd_estimate)."""
+    refuses the options of a sampled route (cmd_estimate), and ``clt``
+    --samples unless its source is ``mc`` (cmd_clt)."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
@@ -277,9 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["closed-form", "exact", "mc"],
         help="where (lambda, sigma^2) come from",
     )
-    p.add_argument("--samples", type=_int_in(2), default=100_000, help="MC source samples")
+    p.add_argument("--samples", action=_Given, type=_int_in(2), default=100_000,
+                   help="MC source samples (--source mc only)")
     p.add_argument("--hist-out", help="write the histogram CSV here")
-    p.set_defaults(fn=cmd_clt)
+    p.set_defaults(fn=cmd_clt, given=None, usage_error=p.error)
 
     p = sub.add_parser("degeneracy", help="atomic-case degeneracy conditions")
     common(p, sampled=False)

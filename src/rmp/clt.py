@@ -11,8 +11,8 @@ The degeneracy check applies the necessary conditions for sigma^2 = 0
 when the entry law has an atom (a, b, c): the exponent must equal
 log |a + bc/a| and all support points must satisfy a quartic identity.
 Both are tested in log space on the same k x k cross-term table that
-the exact enumeration sums (AtomLaw.log_cross), so extreme atoms
-cannot overflow them.  A failed check proves sigma^2 > 0; a passed
+the exact enumeration sums (rmp.words.AtomLaw.log_cross), so extreme
+atoms cannot overflow them.  A failed check proves sigma^2 > 0; a passed
 check only means degeneracy is not ruled out.
 """
 

@@ -3,7 +3,7 @@
 DistributionSpec is one validated law of the triple (a, b, c), read by
 parse_spec from the JSON grammar; its family's record in
 families.FAMILIES decides its fields, validation and samplers.  Every
-finite-support law is sampled through its AtomLaw, shared by all routes.
+finite-support law is sampled through its one rmp.words.AtomLaw.
 
 Specs are immutable and validated on construction.  Sampling draws from
 SFC64 streams, one per (seed, chunk) key hashed through a SeedSequence
@@ -144,7 +144,8 @@ class DistributionSpec:
                 self, "atoms", tuple((t, float(p)) for t, p in self.atoms)
             )
         if record.atoms is not None:
-            object.__setattr__(self, "_atom_law", _validate_cross_terms(self))
+            from .words import AtomLaw  # only a finite-support law loads it
+            object.__setattr__(self, "_atom_law", AtomLaw(self))
         for name in ("alpha", "beta", "p", "a", "b", "theta", "value", "atoms"):
             if name not in record.fields and getattr(self, name) is not None:
                 raise SpecError(f"{name} is not a parameter of {self.family}")
@@ -195,7 +196,7 @@ class DistributionSpec:
 
     @property
     def atom_law(self) -> "AtomLaw":
-        """The AtomLaw that validation built, shared by every route.
+        """The rmp.words.AtomLaw that validation built, shared by every route.
 
         Raises NotDiscreteError for continuous families.
         """
@@ -204,29 +205,6 @@ class DistributionSpec:
                 f"{self.family} is not discrete; finite support unavailable"
             )
         return self._atom_law
-
-
-# -- validation ----------------------------------------------------------
-
-def _validate_cross_terms(spec) -> "AtomLaw":
-    """The law's AtomLaw, or SpecError if an atom pair's cross term overflows.
-
-    Each of the k^2 ordered atom pairs (i, j) is one possible cross term
-    a_i + c_i (b_j / a_j), evaluated as the kernels evaluate it.  If one is
-    not finite, its log would be +inf (or NaN) in every estimator.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        law = AtomLaw(spec)
-    T = law.log_cross()
-    bad = np.argwhere(~(T < np.inf))  # +inf or NaN; -inf is a cancellation
-    if bad.size:
-        i, j = bad[0]
-        (ai, _, ci), (aj, bj, _) = law.atoms[i].tolist(), law.atoms[j].tolist()
-        raise SpecError(
-            f"cross term a_i + c_i*(b_j/a_j) = {ai!r} + {ci!r}*({bj!r}/{aj!r}) "
-            f"of atoms i, j = {i}, {j} is not finite"
-        )
-    return law
 
 
 # -- parsing -------------------------------------------------------------
@@ -302,10 +280,10 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     nonzero are resampled on the measure-zero event of an exact 0.0.
 
     A finite-support law draws ceil(n / g) words of g atoms from the
-    alias table of its AtomLaw.words, one uniform each, decodes them
-    into their atoms (WordTable.atom_indices) and cuts the last word to
-    n, as its Monte Carlo segment and chains draw.  Other laws draw by
-    their family's ``triples``.
+    alias table of its AtomLaw, one uniform each, decodes them into
+    their atoms and cuts the last word to n (AtomLaw.step_atoms), as its
+    Monte Carlo segment and chains draw.  Other laws draw by their
+    family's ``triples``.
 
     ``out`` is an optional triple of float64 buffers, each at least n
     long.  Their first n entries are overwritten and the returned arrays
@@ -320,9 +298,7 @@ def sample_triples(spec: DistributionSpec, n: int, gen: np.random.Generator, out
     if not spec.is_discrete:
         return FAMILIES[spec.family].triples(spec, gen, a, b, c)
     law = spec.atom_law
-    words = law.words
-    drawn = words.draw(-(-n // words.g), gen, out)
-    idx = words.atom_indices(drawn.reshape(-1, 1)).ravel()[:n]
+    idx = law.step_atoms(n, 1, gen, out).ravel()
     # idx < k; mode="clip" writes out directly, where the default
     # mode="raise" buffers a copy
     for j, buf in enumerate((a, b, c)):
@@ -354,47 +330,3 @@ def sample_units(spec: DistributionSpec, n: int, gen: np.random.Generator, out=N
     if out is None:
         out = (np.empty(n), np.empty(n))
     return units(spec, gen, out[0][:n], out[1])
-
-
-# -- finite-support laws -------------------------------------------------
-
-class AtomLaw:
-    """A finite-support law as read-only arrays, built once per spec.
-
-    Validation builds it and the spec keeps it (DistributionSpec.atom_law),
-    so every route and thread shares one instance.  ``atoms`` is the
-    k x 3 table of the triples of the family's ``atoms(spec)``, one row
-    (a, b, c) per atom, and ``p`` their probabilities exactly as stated
-    (no renormalization).  The cross term of atom i followed by atom j
-    is one of k^2 numbers, kept in a table built here (log_cross).  Every
-    draw of the law, sampled triples, Monte Carlo segments and chains
-    alike, takes words of consecutive atoms from the tables of ``words``.
-    """
-
-    def __init__(self, spec: DistributionSpec):
-        support = FAMILIES[spec.family].atoms(spec)
-        self.k = len(support)
-        self.atoms = np.array([(t.a, t.b, t.c) for t, _ in support])
-        self.p = np.array([p for _, p in support])
-        a, b, c = self.atoms.T[:, :, None]
-        self._table = cross_terms((a, b, c), (a.T, b.T, c.T))
-        for arr in (self.atoms, self.p, self._table):
-            arr.flags.writeable = False
-
-    def log_cross(self) -> np.ndarray:
-        """k x k table T[i, j] = log |a_i + c_i (b_j / a_j)|; -inf on cancellation.
-
-        cross_terms of the atom columns, broadcast as rows i against
-        columns j, so T[i, j] equals the cross term of sampled triples
-        equal to atoms i and j bit for bit.  T is the law's own read-only
-        table, k^2 doubles: 8 MiB at k = 1024.
-        """
-        return self._table
-
-    @functools.cached_property
-    def words(self):
-        """The law's words.WordTable, built on first use: every draw of
-        the law takes words of consecutive atoms through it."""
-        from .words import WordTable
-
-        return WordTable(self)

@@ -9,7 +9,7 @@ the closed forms return the pair (lambda, sigma^2):
   of one chain segment per chunk,
 * exact enumeration for finite-support laws: O(k^2) sums over the k x k
   table of atom-pair cross terms that the MC and chain kernels gather
-  from (AtomLaw.log_cross),
+  from (rmp.words.AtomLaw.log_cross),
 * closed forms for the solvable families (uniform / exponential /
   Cauchy rank-one and the binary two-point multiplier).
 
@@ -139,9 +139,9 @@ def _reduce(spec: DistributionSpec, n_samples: int, seed: int, threads: int):
     cuts them into batches of batch_length(n_samples) rows.  A
     finite-support law draws words of g atoms, ceil((m + 2) / g) of them
     with the last cut to the segment, and gathers each word's terms from
-    its tables (words.step_terms); a rank-one law draws only the m + 1
-    unit sums t_j, and its terms log |t_j| + log |kappa| come without
-    the constant, which is added once, to the pivots.
+    its tables (rmp.words.AtomLaw.step_rows); a rank-one law draws only
+    the m + 1 unit sums t_j, and its terms log |t_j| + log |kappa| come
+    without the constant, which is added once, to the pivots.
     Returns (events, table): the counts of -inf terms and of +inf or NaN
     terms, and the batch rows of every chunk in chunk order (see
     _segment), or None if any term was not finite.  Memory is

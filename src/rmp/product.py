@@ -49,12 +49,12 @@ samples the block's triples and forms the cross terms in place, and a
 finite-support law gathers them from tables built once per law, with no
 divide or log per step.  A law of k atoms draws words of g consecutive
 atoms (g = 8 for k <= 2, 4 for k <= 4, 2 for k <= 16, else 1), one
-uniform through an alias table each (rmp.words, imported by the first
-finite-support draw).  A chain's block of whole words gathers one
-number per word, which sums the word's g - 1 terms and the term into
-it.  Every other block, the Monte Carlo segment (which needs every
-term) and a chain's final n mod g steps, gathers each word's g step
-terms and cuts its last word.
+uniform through an alias table each.  The law's one rmp.words.AtomLaw,
+built by validation, holds those tables and its two block steps:
+AtomLaw.block, where a chain's block of whole words gathers one number
+per word, which sums the word's g - 1 terms and the term into it, and a
+chain's final n mod g steps sum each cut word's g step terms; and
+AtomLaw.step_rows, the Monte Carlo segment, which needs every term.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ SAMPLE_CHUNK = 1 << 16
 # doubles per workspace buffer (65 544): the longest prefix that a block
 # step writes, a chain block or a Monte Carlo segment, rounded up to
 # whole words of at most MAX_WORD_LENGTH steps (words.MAX_WORD_LENGTH;
-# only a finite-support draw loads rmp.words), whole 64-byte lines too
+# only a finite-support spec loads rmp.words), whole 64-byte lines too
 MAX_WORD_LENGTH = 8
 _LONGEST = max(STEP_BLOCK * CHAIN_CHUNK, SAMPLE_CHUNK + 2)
 WORKSPACE = -(-_LONGEST // MAX_WORD_LENGTH) * MAX_WORD_LENGTH
@@ -189,7 +189,7 @@ def chain_log_norms(
     if spec.is_rank_one:
         body = functools.partial(_rank_one_chunk, spec, n, draw)
     else:
-        g = spec.atom_law.words.g if spec.is_discrete else 1
+        g = spec.atom_law.g if spec.is_discrete else 1
         body = functools.partial(_chain_chunk, n, g, draw)
     return np.concatenate(map_streams(seed, n_chains, CHAIN_CHUNK, threads, body))
 
@@ -287,20 +287,20 @@ def map_chunks(fn, n_chunks: int, threads: int = 1):
 def block_step(spec: DistributionSpec, grouped: bool = False):
     """The law's draw(block, width, gen, workspace), which a chunk body binds.
 
-    For a finite-support law, in words of its AtomLaw.words:
-    _word_steps, or with ``grouped`` _word_block; _rank_one_block for a
-    rank-one law (``grouped``: in its family's groups); _sampled_block
-    otherwise.  Ungrouped, every step's term (less log_kappa) is a row,
-    and at width 1 a block is one chain segment of ``block`` steps and
-    its block - 1 cross terms; grouped, only the rows' column sums are
-    the block's.  Ungrouped, the terms land in the third buffer and the
+    For a finite-support law, its AtomLaw's step_rows, or with
+    ``grouped`` its block; _rank_one_block for a rank-one law
+    (``grouped``: in its family's groups); _sampled_block otherwise.
+    Ungrouped, every step's term (less log_kappa) is a row, and at
+    width 1 a block is one chain segment of ``block`` steps and its
+    block - 1 cross terms; grouped, only the rows' column sums are the
+    block's.  Ungrouped, the terms land in the third buffer and the
     first is left spent, so a caller may reuse it.  A rank-one block
     draws only the unit sums of its terms, and its caller holds
     np.errstate(divide="ignore") for their logs.
     """
     if spec.is_discrete:
-        words = spec.atom_law.words
-        return functools.partial(_word_block if grouped else _word_steps, words)
+        law = spec.atom_law
+        return law.block if grouped else law.step_rows
     if spec.is_rank_one:
         group = FAMILIES[spec.family].group if grouped else None
         return functools.partial(_rank_one_block, spec, group)
@@ -315,7 +315,7 @@ def log_kappa(spec: DistributionSpec) -> float:
 def _chain_chunk(n, g, draw, width, gen, workspace) -> np.ndarray:
     """One chunk of ``width`` chains of a law that is not rank-one (those
     take _rank_one_chunk), in blocks of up to STEP_BLOCK words of ``g``
-    steps (words.g; a continuous law's word is one step).
+    steps (AtomLaw.g; a continuous law's word is one step).
 
     A block is min(STEP_BLOCK g, rest) steps rounded down to whole words;
     only a chain's final run of fewer than g steps is no whole word.
@@ -417,23 +417,3 @@ def _sampled_block(spec, block, width, gen, workspace):
     t1, t2 = (A[:-1], None, C[:-1]), (A[1:], B[1:], None)
     cross_terms(t1, t2, out=C[:-1], ratio=B[1:])
     return (A[0], B[0], C[0]), last, C[:-1]
-
-
-def _word_steps(words, block, width, gen, workspace):
-    """words.step_terms of a block, its terms as (block - 1) x width rows,
-    step-major: a view of the third buffer at width 1."""
-    first, last, terms = words.step_terms(block, width, gen, workspace)
-    return first, last, terms.transpose(0, 2, 1).reshape(-1, width)[1:block]
-
-
-def _word_block(words, block, width, gen, workspace):
-    """words.block of a block of whole words.  A block that is not, which
-    only a chain's final run of fewer than g steps is, takes
-    words.step_terms, cut, and sums the word's g terms into the spent
-    first buffer.
-    """
-    if block % words.g == 0:
-        return words.block(block // words.g, width, gen, workspace)
-    first, last, terms = words.step_terms(block, width, gen, workspace)
-    rows = workspace[0][: terms.shape[0] * width].reshape(-1, width)
-    return first, last, np.sum(terms, axis=2, out=rows)

@@ -222,7 +222,7 @@ def _chain_triples(spec, n, seed, width=1):
             extend(terms, *_block_triples(spec, terms + 1, width, gen))
         extend(1, *sample_triples(spec, width, gen))
         return chains
-    g = spec.atom_law.words.g if spec.is_discrete else 1
+    g = spec.atom_law.g if spec.is_discrete else 1
     whole, span = n - n % g, product.STEP_BLOCK * g
     blocks = [min(span, whole - done) for done in range(0, whole, span)]
     if n % g:
@@ -237,8 +237,8 @@ def _block_triples(spec, block, width, gen):
     block_step(spec) grouped or not.
 
     A finite-support block draws ceil(block / g) words of g atoms per
-    chain (AtomLaw.words.draw), decodes each into its atoms and cuts the
-    last to the block, whether its steps are whole words or not.  Every
+    chain, decodes each into its atoms and cuts the last to the block
+    (AtomLaw.step_atoms), whether its steps are whole words or not.  Every
     other law that is not rank-one draws sample_triples of the whole
     block.  A rank-one block draws the unit sums t of its first
     block - 1 steps (sample_units) and nothing for its last, whose
@@ -249,11 +249,9 @@ def _block_triples(spec, block, width, gen):
     triple (1, 1, -1), whose term is 1 - 1 = 0.
     """
     if spec.is_discrete:
-        words = spec.atom_law.words
-        n = -(-block // words.g) * width
-        drawn = words.draw(n, gen, (np.empty(n), np.empty(n), np.empty(n)))
-        steps = words.atom_indices(drawn.reshape(-1, width))[:block]
-        return tuple(spec.atom_law.atoms[steps.ravel()].T)
+        law = spec.atom_law
+        out = tuple(np.empty(block * width) for _ in range(3))
+        return tuple(law.atoms[law.step_atoms(block, width, gen, out).ravel()].T)
     if not spec.is_rank_one:
         return sample_triples(spec, block * width, gen)
     s = sample_units(spec, (block - 1) * width, gen) * FAMILIES[spec.family].scale(spec)

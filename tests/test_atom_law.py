@@ -1,12 +1,12 @@
 """Finite-support laws by words of atoms: AtomLaw and the paths on it.
 
 The references below replay the words that a path draws (their atoms
-through WordTable.digits, the last word cut to the steps drawn) and form
+through AtomLaw.digits, the last word cut to the steps drawn) and form
 the cross terms of the replayed triples: the allocate-per-block chain
 kernel, and the reducer's one-pass chunk body.  The word paths, which
 gather their terms from tables, must reproduce them bit for bit.  A
 chain's block sums its terms by word as the word kernel gathers them:
-a block of whole words as words.block does, a cut block over the g slots
+a block of whole words as AtomLaw.block does, a cut block over the g slots
 of each word.  The chain kernel replica, allocating_chain_chunk, runs
 every other law too; test_product and test_words import it from here.
 """
@@ -19,7 +19,6 @@ import pytest
 
 from rmp.clt import degeneracy_check
 from rmp.distributions import (
-    AtomLaw,
     DistributionSpec,
     make_stream,
     sample_triples,
@@ -35,6 +34,7 @@ from rmp.estimators import (
 from rmp.families import FAMILIES
 from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples
+from rmp.words import AtomLaw
 
 LOG2 = math.log(2.0)
 
@@ -69,11 +69,11 @@ IDS = ("binary-p0", "binary-p0.3", "binary-p1", "atoms3", "constant",
 def replayed_triples(spec, n, gen):
     """n triples of one chain, replayed from drawn words: ceil(n / g) words
     of the law's alias table, decoded through their digits, the last cut."""
-    words = spec.atom_law.words
-    r = -(-n // words.g)
-    drawn = words.draw(r, gen, (np.empty(r), np.empty(r), np.empty(r)))
-    idx = words.digits[drawn].ravel()[:n]
-    return tuple(spec.atom_law.atoms[idx].T)
+    law = spec.atom_law
+    r = -(-n // law.g)
+    drawn = law.draw(r, gen, (np.empty(r), np.empty(r), np.empty(r)))
+    idx = law.digits[drawn].ravel()[:n]
+    return tuple(law.atoms[idx].T)
 
 
 def word_rows(terms, g):
@@ -140,7 +140,7 @@ def allocating_chain_chunk(spec, n, width, gen):
         x, _, y = sample_triples(spec, width, gen)
         sumlog += (n - 1) * math.log(abs(FAMILIES[spec.family].scale(spec))) + 0.5 * LOG2
         return sumlog + np.log(np.hypot(x, y))
-    g = spec.atom_law.words.g if spec.is_discrete else 1
+    g = spec.atom_law.g if spec.is_discrete else 1
     head_ratio = None
     prev = None
     for block in block_lengths(n, g):

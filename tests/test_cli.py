@@ -530,6 +530,19 @@ class TestExactDrawsNothing:
         last = out.stderr.splitlines()[-1]
         assert last.startswith("error: rmp estimate") and option[0] in last
 
+    @pytest.mark.parametrize("source, dist", [("closed-form", "cauchy"), ("exact", "atoms")])
+    @pytest.mark.parametrize("samples_first", [True, False], ids=["samples-first", "samples-last"])
+    def test_clt_samples_without_mc_source_is_a_usage_error(self, dists, source, dist,
+                                                            samples_first):
+        # only --source mc draws samples: a count there would go unused
+        args = [("--samples", "7"), ("--source", source)]
+        args = [a for pair in (args if samples_first else args[::-1]) for a in pair]
+        out = rmp("clt", "--dist", dists[dist], "--n", "20", "--chains", "20", *args)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("usage: rmp clt")
+        last = out.stderr.splitlines()[-1]
+        assert last.startswith("error: rmp clt") and "--samples" in last
+
 
 class TestDegeneracy:
     @pytest.mark.parametrize("option", [("--seed", "1"), ("--threads", "2")])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmp import distributions, families
+from rmp import distributions, families, words
 from rmp.distributions import (
     DistributionSpec,
     EntryTriple,
@@ -260,15 +260,15 @@ class TestAtomLawCross:
         # atom l into word w, then the g - 1 terms inside w, each an entry of
         # T; at g = 1 the rows are T itself, not a copy
         law = _atom_law(k, seed=k)
-        T, words = law.log_cross(), law.words
-        g, n_words = words.g, len(words.sums)
+        T = law.log_cross()
+        g, n_words = law.g, len(law.sums)
         rng = np.random.default_rng(k)
         l, w = rng.integers(0, k, 40), rng.integers(0, n_words, 40)
-        d = words.digits[w]
+        d = law.digits[w]
         want = np.column_stack([T[l, d[:, 0]], T[d[:, :-1], d[:, 1:]]])
-        assert np.array_equal(np.take(words.steps, l * n_words + w, axis=0), want)
-        assert words.steps.shape == (k * n_words, g) and not words.steps.flags.writeable
-        assert np.shares_memory(words.steps, T) == (g == 1)
+        assert np.array_equal(np.take(law.steps, l * n_words + w, axis=0), want)
+        assert law.steps.shape == (k * n_words, g) and not law.steps.flags.writeable
+        assert np.shares_memory(law.steps, T) == (g == 1)
 
     def test_table_is_built_once(self, monkeypatch):
         # the law builds its table when it is made; word draws only read it
@@ -279,11 +279,12 @@ class TestAtomLawCross:
             calls.append(1)
             return cross_terms(*args, **kwargs)
 
-        monkeypatch.setattr(distributions, "cross_terms", counting)
+        for module in (distributions, words):
+            monkeypatch.setattr(module, "cross_terms", counting)
         workspace = tuple(np.empty(32) for _ in range(3))
-        _, _, first = law.words.step_terms(7, 2, make_stream(0), workspace)
+        _, _, first = law.step_rows(7, 2, make_stream(0), workspace)
         first = first.copy()
-        _, _, second = law.words.step_terms(7, 2, make_stream(0), workspace)
+        _, _, second = law.step_rows(7, 2, make_stream(0), workspace)
         assert not calls and law.log_cross() is law.log_cross()
         assert np.array_equal(first, second)
 

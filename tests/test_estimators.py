@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from rmp import estimators, product
 from rmp.clt import degeneracy_check, simulate_normalized
 from rmp.distributions import (
-    AtomLaw,
     DistributionSpec,
     EntryTriple,
     SpecError,
@@ -44,6 +43,7 @@ from rmp.families import (
 )
 from rmp.product import block_step, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples, _spec_zoo
+from rmp.words import AtomLaw
 from test_distributions import QueueStream
 
 LOG2 = math.log(2.0)
@@ -583,11 +583,11 @@ class TestSigma2MC:
         # 0, 0, 0, 1: the segment's 4 steps are cut from it, and the only
         # -inf is its last term, which is never an x; lambda is -inf all
         # the same, since the law can cancel
-        words = CANCELLING.atom_law.words
+        law = CANCELLING.atom_law
 
         def first_steps(seed):
-            drawn = words.draw(1, make_stream(seed, 0), [np.empty(1) for _ in range(3)])
-            return words.digits[drawn[0], :4].tolist()
+            drawn = law.draw(1, make_stream(seed, 0), [np.empty(1) for _ in range(3)])
+            return law.digits[drawn[0], :4].tolist()
 
         seed = next((s for s in range(1000) if first_steps(s) == [0, 0, 0, 1]), None)
         assert seed is not None

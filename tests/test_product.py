@@ -198,12 +198,16 @@ DIRECT_RESIDUE = [((-1.5, -_X, 0.0), 0.25), ((_X, 0.0, -1.5), 0.25),
                   ((1.5, 0.0, 0.0), 0.25), ((1.0, 0.0, 0.0), 0.25)]
 KERNEL_RESIDUE = [((1.0, 0.0, 0.0), 1 / 3), ((1.0, 0.0, 3.16015625), 1 / 3),
                   ((3.16015625, -1.0, 0.0), 1 / 3)]
+# a chain whose exact product, e^-29.8, lies below the rounding floor,
+# e^-16.4: both routes come out finite, at -21.8 and -27.0
+BELOW_FLOOR = [((49.0, -238.0, 0.0), 0.5), ((238.0, 1.0, 49.0), 0.5)]
 
 
 class TestProductFormulaProperty:
     @given(atom_laws(), st.integers(0, (1 << 64) - 1), st.integers(1, 40), st.integers(1, 8))
     @example(DistributionSpec.discrete_atoms(DIRECT_RESIDUE), 0, 4, 1)
     @example(DistributionSpec.discrete_atoms(KERNEL_RESIDUE), 0, 4, 4)
+    @example(DistributionSpec.discrete_atoms(BELOW_FLOOR), 58, 3, 1)
     @settings(max_examples=200, deadline=None)
     def test_kernel_agrees_with_direct(self, spec, seed, n, block):
         # step blocks of 1 to 8 put most steps of a chain on a block
@@ -211,15 +215,12 @@ class TestProductFormulaProperty:
         with mock.patch.object(product, "STEP_BLOCK", block):
             via_kernel, via_direct = _both_routes(spec, n, seed)
             [triples] = _chain_triples(spec, n, seed)
-        if not (math.isinf(via_kernel) or math.isinf(via_direct)):
-            assert abs(via_kernel - via_direct) <= 1e-9 * max(1.0, abs(via_kernel))
-            return
-        # a -inf is decided by the exact product of the replayed matrices.
-        # Both routes round, so where it is 0 (or below their rounding) a
-        # route may leave a residue: at most 2 n eps prod ||Y_j|| for the
-        # direct product (2 roundings per entry and step) and ~4 eps
-        # prod ||Y_j|| for the kernel's cancelling cross term; 8 n eps
-        # covers both
+        # each route is held to the exact product of the replayed matrices.
+        # Both round, so where it is 0 (-inf) or below their rounding a
+        # route may leave a residue, finite or not: at most 2 n eps
+        # prod ||Y_j|| for the direct product (2 roundings per entry and
+        # step) and ~4 eps prod ||Y_j|| for the kernel's cancelling cross
+        # term; 8 n eps covers both
         matrices = [build_matrix(t) for t in triples]
         want = exact_log_norm(matrices)
         floor = sum(math.log(np.linalg.norm(m)) for m in matrices)
@@ -331,8 +332,8 @@ ONE_PER_FAMILY = (
 
 
 # one law per block step: chains take _rank_one_block, _sampled_block and
-# _word_block (n = 1003 cuts a BinaryHill chain's last word), the Monte
-# Carlo segment _rank_one_block, _sampled_block and _word_steps
+# AtomLaw.block (n = 1003 cuts a BinaryHill chain's last word), the Monte
+# Carlo segment _rank_one_block, _sampled_block and AtomLaw.step_rows
 BLOCK_STEP_LAWS = [
     pytest.param(DistributionSpec.exponential_rank_one(1.0), id="rank-one"),
     pytest.param(DistributionSpec.hill_random(0.5, 2.0), id="sampled"),
@@ -440,7 +441,7 @@ class TestAlignedWorkspaces:
         # BinaryHill draws words of 8 steps: a full chunk's segment of
         # SAMPLE_CHUNK + 2 steps is 8193 words, 65 544 terms
         spec = DistributionSpec.binary_hill(2.0, 3.0, 0.3)
-        assert spec.atom_law.words.g == 8
+        assert spec.atom_law.g == 8
         assert math.isfinite(estimate_sigma2_mc(spec, SAMPLE_CHUNK, 3).sigma2)
         monkeypatch.setattr(product, "WORKSPACE", product.WORKSPACE - 8)
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The word tables of a finite-support chain (rmp.words), checked exactly.
+"""The word tables of a finite-support law (rmp.words.AtomLaw), checked exactly.
 
 A word's alias mass is counted from the table's thresholds in exact
 rationals and compared with the fractions.Fraction product of its atoms'
@@ -6,6 +6,7 @@ probabilities; its gathered sums are compared with the cross-term table
 summed along the word.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -38,19 +39,19 @@ WORD_LAWS = LAWS + (
 WORD_IDS = IDS + ("tenths", "underflow", "atoms16")
 
 
-def alias_mass(words):
+def alias_mass(law):
     """The probability, in units of 2^-53, that the alias table draws each
     word: slot j keeps its own word for threshold[j] 2^53 - j M of its
     M = 2^53 / N values of m and gives the rest to its alias.  Exact:
     every threshold is a multiple of 2^-53."""
-    M, size = UNITS // words.size, words.size
-    units = [0] * len(words.sums)
-    for j, t in enumerate(words.threshold):
+    M, size = UNITS // law.size, law.size
+    units = [0] * len(law.sums)
+    for j, t in enumerate(law.threshold):
         own = Fraction(t) * UNITS - j * M
         assert own.denominator == 1 and 0 <= own <= M
         for key, count in ((j, int(own)), (j + size, M - int(own))):
             if count:
-                units[words.word[key]] += count
+                units[law.word[key]] += count
     return units
 
 
@@ -67,13 +68,12 @@ class TestWordLength:
 class TestWordTable:
     def test_alias_mass_is_the_product_of_probabilities(self, spec):
         law = spec.atom_law
-        words = law.words
-        g, n_words = words.g, law.k**words.g
-        mass = [Fraction(units, UNITS) for units in alias_mass(words)]
+        g, n_words = law.g, law.k**law.g
+        mass = [Fraction(units, UNITS) for units in alias_mass(law)]
         assert sum(mass) == 1
         p = [Fraction(x) for x in law.p]
         exact = [math.prod((p[i] for i in digits), start=Fraction(1))
-                 for digits in words.digits.tolist()]
+                 for digits in law.digits.tolist()]
         # the float product carries (1 + 2^-53)^(g - 1) - 1 relative error,
         # and rounding it to a count of 2^-53 half a count; the most probable
         # word also takes the slack 1 - sum of counts, at most the distance
@@ -81,46 +81,46 @@ class TestWordTable:
         gamma = (1 + Fraction(1, 2**53)) ** (g - 1) - 1
         bound = [gamma * x + Fraction(1, 2**54) for x in exact]
         slack = abs(1 - sum(p) ** g) + sum(bound)
-        top = int(np.argmax(np.rint(words.p * UNITS)))  # the first most probable
+        top = int(np.argmax(np.rint(law.word_p * UNITS)))  # the first most probable
         for w in range(n_words):
             assert abs(mass[w] - exact[w]) <= bound[w] + (slack if w == top else 0), w
 
     def test_padded_and_massless_words_never_drawn(self, spec):
-        words = spec.atom_law.words
-        n_words = len(words.sums)
-        assert n_words == spec.atom_law.k**words.g and (words.word < n_words).all()
-        for j in range(n_words, words.size):  # padded slots keep nothing
-            assert words.threshold[j] == j / words.size
+        law = spec.atom_law
+        n_words = len(law.sums)
+        assert n_words == law.k**law.g and (law.word < n_words).all()
+        for j in range(n_words, law.size):  # padded slots keep nothing
+            assert law.threshold[j] == j / law.size
         n = 4096
-        drawn = words.draw(n, make_stream(3), (np.empty(n), np.empty(n), np.empty(n)))
-        assert all(alias_mass(words)[w] > 0 for w in set(drawn.tolist()))
+        drawn = law.draw(n, make_stream(3), (np.empty(n), np.empty(n), np.empty(n)))
+        assert all(alias_mass(law)[w] > 0 for w in set(drawn.tolist()))
 
     def test_each_uniform_draws_its_slots_word(self, spec):
         # u = m 2^-53 in slot j = floor(u N) draws word[j] for the first
         # threshold[j] 2^53 - j M of the slot's M values of m and word[j + N]
         # for the rest, as alias_mass counts them: the first and last value
         # of each part, for every slot
-        words = spec.atom_law.words
-        N = words.size
+        law = spec.atom_law
+        N = law.size
         M = UNITS // N
         u, want = [], []
-        for j, t in enumerate(words.threshold):
+        for j, t in enumerate(law.threshold):
             own = int(Fraction(t) * UNITS) - j * M
-            parts = ((j * M, own, words.word[j]), (j * M + own, M - own, words.word[j + N]))
+            parts = ((j * M, own, law.word[j]), (j * M + own, M - own, law.word[j + N]))
             for start, count, word in parts:
                 if count:
                     u += [start / UNITS, (start + count - 1) / UNITS]
                     want += [word, word]
         n = len(u)
         gen = QueueStream([np.array(u)])
-        drawn = words.draw(n, gen, (np.empty(n), np.empty(n), np.empty(n)))
+        drawn = law.draw(n, gen, (np.empty(n), np.empty(n), np.empty(n)))
         assert drawn.tolist() == want
 
     def test_ungrouped_replay_draws_single_atoms(self, spec):
         # the Monte Carlo segment's block step gives every single step its
         # own term, in words cut to the block: ceil(block / g) uniforms,
         # the terms of the replayed steps, a view of the third buffer
-        g = spec.atom_law.words.g
+        g = spec.atom_law.g
         for block in range(3 * g + 1, 4 * g + 1):
             workspace = tuple(np.empty(4 * g) for _ in range(3))
             gen, ref = make_stream(3), make_stream(3)
@@ -135,19 +135,19 @@ class TestWordTable:
 
     def test_sums_follow_the_word(self, spec):
         law = spec.atom_law
-        words, T = law.words, law.log_cross()
-        for w, digits in enumerate(words.digits.tolist()):
+        T = law.log_cross()
+        for w, digits in enumerate(law.digits.tolist()):
             s = 0.0
             for i, j in zip(digits, digits[1:]):
                 s += float(T[i, j])
-            assert words.sums[w] == s
-        n_words = len(words.sums)
-        gather = words.gather.ravel()
-        for w, digits in enumerate(words.digits.tolist()):
+            assert law.sums[w] == s
+        n_words = len(law.sums)
+        gather = law.gather.ravel()
+        for w, digits in enumerate(law.digits.tolist()):
             for l in range(law.k):
-                want = float(T[l, digits[0]]) + float(words.sums[w])
+                want = float(T[l, digits[0]]) + float(law.sums[w])
                 assert gather[l * n_words + w] == want
-            assert words.offset[w] == digits[-1] * n_words
+            assert law.offset[w] == digits[-1] * n_words
 
 
 # one law per word length: BinaryHill, 3, 5 and 17 atoms
@@ -168,7 +168,7 @@ class TestCutWords:
         # (STEP_BLOCK words) at n = STEP_BLOCK g + r, then a cut word of
         # r steps, in two chunks
         spec = CUT_LAWS[g]
-        assert spec.atom_law.words.g == g
+        assert spec.atom_law.g == g
         m = CHAIN_CHUNK + 3
         for r in remainders(g):
             for n in sorted({r, 3 * g + r, STEP_BLOCK + r, STEP_BLOCK * g + r}):
@@ -209,14 +209,13 @@ class TestCancellation:
         atoms = [(CANCEL[0], 1 / k), (CANCEL[1], 1 / k)]
         atoms += [((float(i + 3), 1.0, 0.5), 1 / k) for i in range(k - 2)]
         law = DistributionSpec.discrete_atoms(atoms).atom_law
-        words = law.words
         assert law.log_cross()[0, 1] == -math.inf
-        for w, digits in enumerate(words.digits.tolist()):
+        for w, digits in enumerate(law.digits.tolist()):
             inside = any(d == (0, 1) for d in zip(digits, digits[1:]))
-            assert bool(words.sums[w] == -math.inf) == inside
-        for w, row in enumerate(words.gather[0]):  # atom 0, then word w
-            across = words.digits[w, 0] == 1
-            assert bool(row == -math.inf) == bool(across or words.sums[w] == -math.inf)
+            assert bool(law.sums[w] == -math.inf) == inside
+        for w, row in enumerate(law.gather[0]):  # atom 0, then word w
+            across = law.digits[w, 0] == 1
+            assert bool(row == -math.inf) == bool(across or law.sums[w] == -math.inf)
 
     def test_chains_reach_minus_inf_at_word_boundaries(self):
         # chains of whole words of 4 steps: -inf exactly when the pair
@@ -237,22 +236,38 @@ class TestCancellation:
 
 
 def test_word_module_imported_only_by_a_finite_support_draw():
-    # the tables' module stays out of a run on a continuous law, Monte
-    # Carlo or chain; a finite-support estimate draws words
+    # the tables' module stays out of parsing a continuous law and of a
+    # run on one, Monte Carlo or chain; validating a finite-support law
+    # builds its AtomLaw, so the module is loaded before its first draw
     code = (
         "import sys, rmp.cli\n"
-        "from rmp.distributions import DistributionSpec\n"
+        "from rmp.distributions import DistributionSpec, parse_spec\n"
         "from rmp.estimators import estimate_sigma2_mc\n"
         "from rmp.product import chain_log_norms\n"
+        "parse_spec('{\"family\": \"CauchyRankOne\"}')\n"
+        "parse_spec('{\"family\": \"HillRandom\", \"a\": 0.5, \"b\": 2}')\n"
+        "print('rmp.words' in sys.modules)\n"
         "estimate_sigma2_mc(DistributionSpec.cauchy_rank_one(), 1000, seed=0)\n"
         "estimate_sigma2_mc(DistributionSpec.hill_random(0.5, 2.0), 1000, seed=0)\n"
         "chain_log_norms(DistributionSpec.cauchy_rank_one(), 16, 4, 1)\n"
         "chain_log_norms(DistributionSpec.hill_random(0.5, 2.0), 16, 4, 1)\n"
         "print('rmp.words' in sys.modules)\n"
-        "estimate_sigma2_mc(DistributionSpec.binary_hill(2.0, 3.0, 0.3), 1000, seed=0)\n"
+        "spec = parse_spec('{\"family\": \"BinaryHill\", \"alpha\": 2, \"beta\": 3, \"p\": 0.3}')\n"
         "print('rmp.words' in sys.modules)\n"
+        "estimate_sigma2_mc(spec, 1000, seed=0)\n"
     )
     src = str(Path(product.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
+
+
+@pytest.mark.parametrize("spec", WORD_LAWS, ids=WORD_IDS)
+def test_validation_builds_every_table_read_only(spec):
+    # a fresh spec, drawn from by no one: its AtomLaw already holds the
+    # word tables, and every array of it is read-only (threads share it)
+    law = dataclasses.replace(spec).atom_law
+    tables = {name: arr for name, arr in vars(law).items() if isinstance(arr, np.ndarray)}
+    assert set(tables) == {"atoms", "p", "_table", "digits", "word_p", "sums",
+                           "threshold", "word", "first", "offset", "gather", "steps"}
+    assert not any(arr.flags.writeable for arr in tables.values())
