@@ -11,7 +11,7 @@ The degeneracy check applies the necessary conditions for sigma^2 = 0
 when the entry law has an atom (a, b, c): the exponent must equal
 log |a + bc/a| and all support points must satisfy a quartic identity.
 Both are tested in log space on the same k x k cross-term table that
-the exact enumeration sums (rmp.words.AtomLaw.log_cross), so extreme
+the exact enumeration sums (rmp.words.AtomLaw.T), so extreme
 atoms cannot overflow them.  A failed check proves sigma^2 > 0; a passed
 check only means degeneracy is not ruled out.
 """
@@ -159,9 +159,9 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
     """Test the necessary conditions for a degenerate (sigma^2 = 0) CLT.
 
     Each atom i of the finite support is tried as the candidate.  With
-    T = AtomLaw.log_cross() (T[i, j] = log |a_i + c_i (b_j / a_j)|), the
-    exact exponent must equal T[i, i] = log |a_i + c_i (b_i / a_i)|, and
-    every support point j must satisfy
+    the law's table T = AtomLaw.T, T[i, j] = log |a_i + c_i (b_j / a_j)|,
+    the exact exponent must equal T[i, i] = log |a_i + c_i (b_i / a_i)|,
+    and every support point j must satisfy
 
         T[i, j] + T[j, i] = 2 T[i, i],
 
@@ -181,7 +181,7 @@ def degeneracy_check(spec: DistributionSpec, tolerance: float = 1e-9) -> Degener
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     law = spec.atom_law
-    T = law.log_cross()
+    T = law.T
     lam, sigma2, _ = exact_moments(T, law.p)
     if lam == NEG_INF:
         raise SpecError(

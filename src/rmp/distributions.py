@@ -130,8 +130,9 @@ class DistributionSpec:
 
     def __post_init__(self):
         record = _record(self.family)
-        if self.atoms is not None:
-            object.__setattr__(self, "atoms", tuple(tuple(at) for at in self.atoms))
+        for name in ("alpha", "beta", "p", "a", "b", "theta", "value", "atoms"):
+            if name not in record.fields and getattr(self, name) is not None:
+                raise SpecError(f"{name} is not a parameter of {self.family}")
         if record.validate is not None:
             record.validate(self)
         # normalize validated numerics so JSON integers behave like reals
@@ -146,9 +147,6 @@ class DistributionSpec:
         if record.atoms is not None:
             from .words import AtomLaw  # only a finite-support law loads it
             object.__setattr__(self, "_atom_law", AtomLaw(self))
-        for name in ("alpha", "beta", "p", "a", "b", "theta", "value", "atoms"):
-            if name not in record.fields and getattr(self, name) is not None:
-                raise SpecError(f"{name} is not a parameter of {self.family}")
 
     # -- constructors ---------------------------------------------------
 

@@ -8,8 +8,8 @@ the closed forms return the pair (lambda, sigma^2):
 * Monte Carlo over the scalar cross terms x_j = log |a_j + c_j (b_{j+1} / a_{j+1})|
   of one chain segment per chunk,
 * exact enumeration for finite-support laws: O(k^2) sums over the k x k
-  table of atom-pair cross terms that the MC and chain kernels gather
-  from (rmp.words.AtomLaw.log_cross),
+  table T of atom-pair cross terms whose entries the MC and chain
+  kernels gather (rmp.words.AtomLaw.T),
 * closed forms for the solvable families (uniform / exponential /
   Cauchy rank-one and the binary two-point multiplier).
 
@@ -295,7 +295,7 @@ def exact_discrete(spec: DistributionSpec):
     Raises NotDiscreteError for continuous families.
     """
     law = spec.atom_law
-    return exact_moments(law.log_cross(), law.p)
+    return exact_moments(law.T, law.p)
 
 
 def exact_moments(T: np.ndarray, p: np.ndarray):

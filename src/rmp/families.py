@@ -246,13 +246,13 @@ def _validate_constant(spec):
 
 
 def _validate_atoms(spec):
-    if spec.atoms is None or len(spec.atoms) == 0:
+    if not isinstance(spec.atoms, (list, tuple)) or len(spec.atoms) == 0:
         raise SpecError("DiscreteAtoms requires a nonempty 'atoms' list")
     if len(spec.atoms) > MAX_ATOMS:
         raise SpecError(f"too many atoms: {len(spec.atoms)} > {MAX_ATOMS}")
     total = 0.0
     for i, pair in enumerate(spec.atoms):
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SpecError(f"atoms[{i}] must be a (triple, probability) pair")
         t, p = pair
         if not isinstance(t, EntryTriple):

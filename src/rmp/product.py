@@ -34,9 +34,9 @@ elementwise pass of a block step streams whole lines.
 
 chain_log_norms runs many chains at once in chunks of CHAIN_CHUNK chains,
 one block at a time: _rank_one_chunk for a rank-one law, _chain_chunk
-for every other law.  A block is STEP_BLOCK
-steps of a continuous law and STEP_BLOCK words of g steps of a
-finite-support law (below), so a block step holds STEP_BLOCK *
+for every other law.  A block is STEP_BLOCK steps of a continuous law
+and STEP_BLOCK words of g steps of a finite-support law (AtomLaw.g,
+below), so a block step holds STEP_BLOCK *
 CHAIN_CHUNK = 65 536 entries per buffer either way.  The three buffers
 of a running chunk then take 1.5 MiB and fit in a 2 MiB L2, where every
 elementwise pass of the block step reads and writes, and each numpy
@@ -47,14 +47,9 @@ draws one unit sum per term (_rank_one_block) and a chain the pair of
 its last step once, after its last block; another continuous law
 samples the block's triples and forms the cross terms in place, and a
 finite-support law gathers them from tables built once per law, with no
-divide or log per step.  A law of k atoms draws words of g consecutive
-atoms (g = 8 for k <= 2, 4 for k <= 4, 2 for k <= 16, else 1), one
-uniform through an alias table each.  The law's one rmp.words.AtomLaw,
-built by validation, holds those tables and its two block steps:
-AtomLaw.block, where a chain's block of whole words gathers one number
-per word, which sums the word's g - 1 terms and the term into it, and a
-chain's final n mod g steps sum each cut word's g step terms; and
-AtomLaw.step_rows, the Monte Carlo segment, which needs every term.
+divide or log per step: its rmp.words.AtomLaw holds those tables, its
+word length g and its two block steps, AtomLaw.block for a chain and
+AtomLaw.step_rows for a Monte Carlo segment (see rmp.words).
 """
 
 from __future__ import annotations

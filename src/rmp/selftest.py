@@ -375,20 +375,15 @@ def check_degeneracy_detection(quick=False, threads=1):
 
 @_criterion("determinism")
 def check_determinism(quick=False, threads=1):
-    """Identical flags give byte-identical JSON; threads do not matter."""
+    """Identical flags give byte-identical JSON; threads do not matter.
+
+    A child that exits nonzero fails the check, with its command, exit
+    code and last line of stderr as the detail.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         dist = os.path.join(tmp, "cauchy.json")
         with open(dist, "w", encoding="utf-8") as f:
             json.dump({"family": "CauchyRankOne"}, f)
-
-        def run(cmd):
-            proc = subprocess.run(
-                [sys.executable, "-m", "rmp", *cmd],
-                capture_output=True,
-                check=True,
-            )
-            return proc.stdout
-
         samples = "5000" if quick else "20000"
         est = ["estimate", "--dist", dist, "--samples", samples, "--seed", "7"]
         clt = [
@@ -397,10 +392,15 @@ def check_determinism(quick=False, threads=1):
         ]
         ok = True
         for cmd in (est, clt):
-            one = run([*cmd, "--threads", "1"])
-            one_again = run([*cmd, "--threads", "1"])
-            eight = run([*cmd, "--threads", "8"])
-            ok &= one == one_again == eight
+            outs = []
+            for threads_flag in ("1", "1", "8"):  # a rerun, then 8 threads
+                args = [*cmd, "--threads", threads_flag]
+                proc = subprocess.run([sys.executable, "-m", "rmp", *args], capture_output=True)
+                if proc.returncode:
+                    last = (proc.stderr.decode(errors="replace").splitlines() or [""])[-1]
+                    return False, f"rmp {' '.join(args)} exited {proc.returncode}: {last}"
+                outs.append(proc.stdout)
+            ok &= outs[0] == outs[1] == outs[2]
     return ok, "estimate/clt JSON byte-identical across reruns and --threads 1 vs 8"
 
 

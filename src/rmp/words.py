@@ -3,23 +3,24 @@
 A law of k atoms draws words w = (i_1, ..., i_g) of g consecutive atom
 indices, g the largest power of two <= 8 with k^g <= 256 (word_length).
 A word takes one uniform through Walker's alias table over the k^g
-words, with P[w] = p_{i_1} ... p_{i_g}.  T is the law's k x k
-cross-term log table (AtomLaw.log_cross) and l the last atom of the
-word before.  Two gathers read a word's terms, one per block step:
+words, with P[w] = p_{i_1} ... p_{i_g}.  T (AtomLaw.T) is the law's
+k x k cross-term log table.  One walk reads a block's terms
+(AtomLaw._walk): it draws the words and gathers, for each word w after
+a word that ends in atom l, row (l, w) of one of two tables:
 
-* a chain's block of whole words (AtomLaw.block) gathers one number per
-  word, B[l, w] = T[l, i_1] + S[w], with S[w] = T[i_1, i_2] + ... +
-  T[i_{g-1}, i_g] summed left to right; its first word gathers S[w]
-  alone, as its term from the previous block is the carry that
+* ``gather``, one number B[l, w] = T[l, i_1] + S[w], with S[w] =
+  T[i_1, i_2] + ... + T[i_{g-1}, i_g] summed left to right, for a
+  chain's block of whole words (AtomLaw.block).  Its first word takes
+  S[w] alone, as its term from the previous block is the carry that
   product._chain_chunk forms from the triples.  A block of g R steps
   (R <= STEP_BLOCK) thus draws R uniforms and gathers R terms per chain;
-* every other block: the Monte Carlo segment (AtomLaw.step_rows), which
-  needs each step's term, and a chain's final n mod g steps, a block of
-  one cut word that AtomLaw.block sums by word.  It gathers the g terms
-  of each word, the row (T[l, i_1], T[i_1, i_2], ..., T[i_{g-1}, i_g])
-  of ``steps``, and cuts the last word to the block's steps.
+* ``steps``, the g terms (T[l, i_1], T[i_1, i_2], ..., T[i_{g-1}, i_g]),
+  for every other block: the Monte Carlo segment (AtomLaw.step_rows),
+  which needs each step's term, and a chain's final n mod g steps, a
+  block of one cut word that AtomLaw.block sums by word.  The last word
+  is cut to the block's steps.
 
-At g = 1, S = 0 and both tables are T itself.
+At g = 1, S = 0 and both tables are views of T.
 
 The alias table is exact in integers.  gen.random() returns m 2^-53, m
 uniform on [0, 2^53), so each of the N slots (k^g padded to a power of
@@ -65,9 +66,12 @@ class AtomLaw:
     so every route and thread shares one instance; every array is
     read-only.  ``atoms`` is the k x 3 table of the triples of the
     family's ``atoms(spec)``, one row (a, b, c) per atom, and ``p`` their
-    probabilities exactly as stated (no renormalization).  The cross
-    term of atom i followed by atom j is one of k^2 numbers, kept in a
-    table built here (log_cross); SpecError if one is +inf or NaN.
+    probabilities exactly as stated (no renormalization).  ``T`` is the
+    k x k table T[i, j] = log |a_i + c_i (b_j / a_j)|, -inf on
+    cancellation: cross_terms of the atom columns, rows i against columns
+    j, so T[i, j] equals the cross term of sampled triples equal to atoms
+    i and j bit for bit (k^2 doubles, 8 MiB at k = 1024).  SpecError if
+    an entry is +inf or NaN.
 
     Every draw of the law, sampled triples, Monte Carlo segments and
     chains alike, takes words of ``g`` atoms, k^g words in ``size`` =
@@ -76,11 +80,10 @@ class AtomLaw:
     float product of the digits' probabilities, left to right, and
     ``sums`` S[w].  ``threshold`` (N) is the alias table, and ``word``
     (2N) the word of key j (slot j's own) and of key j + N (its alias).
-    ``gather`` is B, k x k^g, which is T itself at g = 1 (S = 0), and
-    ``offset[w]`` the start of row last(w) in it.  ``steps`` holds the
-    step terms, k k^g x g: row l k^g + w (the same position offset + w)
-    is T[l, first(w)], then the g - 1 terms inside w; a view of T at
-    g = 1.
+    The walk's tables have k k^g rows, row l k^g + w for word w after
+    atom l, and ``offset[w]`` = last(w) k^g: ``gather`` (k k^g x 1)
+    holds B[l, w], and ``steps`` (k k^g x g) T[l, first(w)], then the
+    g - 1 terms inside w.  Both are views of T at g = 1.
     """
 
     def __init__(self, spec):
@@ -90,7 +93,7 @@ class AtomLaw:
         self.p = np.array([p for _, p in support])
         a, b, c = self.atoms.T[:, :, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            self._table = T = cross_terms((a, b, c), (a.T, b.T, c.T))
+            self.T = T = cross_terms((a, b, c), (a.T, b.T, c.T))
         # each of the k^2 ordered atom pairs (i, j) is one possible cross
         # term, evaluated as the kernels evaluate it: +inf (or NaN) in
         # every estimator if it is not finite; -inf is a cancellation
@@ -128,25 +131,16 @@ class AtomLaw:
         self.word = np.array(own + alias)
         self.first = self.digits[:, 0]
         self.offset = np.array([w[-1] * n_words for w in words])
-        self.gather = T if g == 1 else T[:, self.first] + self.sums
-        steps = T  # at g = 1 the rows are T itself
+        gather = steps = T  # at g = 1 both are T itself
         if g > 1:
+            gather = T[:, self.first] + self.sums
             inner = np.broadcast_to(inner, (k, n_words, g - 1))
             steps = np.concatenate([T[:, self.first, None], inner], axis=2)
+        self.gather = gather.reshape(k * n_words, 1)
         self.steps = steps.reshape(k * n_words, g)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-
-    def log_cross(self) -> np.ndarray:
-        """k x k table T[i, j] = log |a_i + c_i (b_j / a_j)|; -inf on cancellation.
-
-        cross_terms of the atom columns, broadcast as rows i against
-        columns j, so T[i, j] equals the cross term of sampled triples
-        equal to atoms i and j bit for bit.  T is the law's own read-only
-        table, k^2 doubles: 8 MiB at k = 1024.
-        """
-        return self._table
 
     def draw(self, n: int, gen: np.random.Generator, out) -> np.ndarray:
         """n words, one uniform each.
@@ -183,30 +177,20 @@ class AtomLaw:
 
         Returns the (a, b, c) rows of the first and the last step and
         rows whose column sums are those of the block's (n - 1) x width
-        cross terms.  A block of whole words gathers one row per word:
-        S of each chain's first word, then B[l, w] of each later one, in
-        the third buffer; the words land in the second, and the first
-        holds the uniforms, then the gather positions.  A block that is
-        not, which only a chain's final run of fewer than g steps is,
-        gathers its cut word's step terms (_step_terms) and sums them
-        into the spent first buffer.
+        cross terms.  A block of whole words walks ``gather`` (_walk), one
+        row per word, and puts S of each chain's first word in row 0.  A
+        block that is not, which only a chain's final run of fewer than g
+        steps is, gathers its cut word's step terms (_step_terms) and
+        sums them into the spent first buffer.
         """
         if n % self.g:
             first, last, terms = self._step_terms(n, width, gen, workspace)
             rows = workspace[0][: terms.shape[0] * width].reshape(-1, width)
             return first, last, np.sum(terms, axis=2, out=rows)
-        rows = n // self.g
-        m = rows * width
-        u_buf, word_buf, term_buf = workspace
-        words = self.draw(m, gen, (u_buf, term_buf, word_buf)).reshape(rows, width)
-        terms = term_buf[:m].reshape(rows, width)
-        pos = u_buf[: m - width].view(np.intp).reshape(rows - 1, width)
-        np.take(self.offset, words[:-1], out=pos, mode="clip")
-        np.add(pos, words[1:], out=pos)
-        np.take(self.gather, pos, out=terms[1:], mode="clip")
+        words, first, last, terms = self._walk(n, width, gen, workspace, self.gather)
+        terms = terms.reshape(-1, width)
         np.take(self.sums, words[0], out=terms[0], mode="clip")
-        first, last = self.first[words[0]], self.digits[words[-1], -1]
-        return self.atoms[first].T, self.atoms[last].T, terms
+        return first, last, terms
 
     def step_rows(self, n: int, width: int, gen, workspace):
         """The ungrouped block step of n steps of ``width`` chains.
@@ -219,33 +203,36 @@ class AtomLaw:
         return first, last, terms.transpose(0, 2, 1).reshape(-1, width)[1:n]
 
     def _step_terms(self, n: int, width: int, gen, workspace):
-        """n steps of ``width`` chains, one term per step.
-
-        Draws R = ceil(n / g) words per chain and gathers the g terms of
-        each (``steps``) in one take, word r after word r - 1 at the
-        positions that ``block`` uses, and the first at its row l = 0.
-        Returns the (a, b, c) rows of the first and the last step and the
-        R x width x g terms in the third buffer: slot i of word r holds
-        the term into step r g + i.  The first word's first slot and the
-        last word's slots past step n - 1 are no term and hold 0.  The
-        words land in the second buffer and the first holds the uniforms,
-        then the gather positions; each buffer needs R g width entries.
+        """n steps of ``width`` chains: slot i of word r of the walk over
+        ``steps`` holds the term into step r g + i, and 0 if there is none
+        (the first word's first slot and the slots past step n - 1).
         """
-        g = self.g
-        R = -(-n // g)
-        u_buf, word_buf, term_buf = workspace
-        words = self.draw(R * width, gen, (u_buf, term_buf, word_buf)).reshape(R, width)
+        _, first, last, terms = self._walk(n, width, gen, workspace, self.steps)
+        terms[0, :, 0] = 0.0
+        terms[-1, :, (n - 1) % self.g + 1 :] = 0.0
+        return first, last, terms
+
+    def _walk(self, n: int, width: int, gen, workspace, table):
+        """Draw R = ceil(n / g) words per chain and gather their rows of
+        ``table`` (``gather`` or ``steps``) in one take.
+
+        Word r's row is offset[w_{r-1}] + w_r, and the first word's w_0.
+        The uniforms, then these positions, fill the first buffer, the
+        words the second and the R x width x columns rows the third.
+        Returns the words (R x width), the (a, b, c) rows of the first
+        step and of step n - 1, and the rows.
+        """
+        R = -(-n // self.g)
+        u_buf, word_buf, row_buf = workspace
+        words = self.draw(R * width, gen, (u_buf, row_buf, word_buf)).reshape(R, width)
         pos = u_buf[: R * width].view(np.intp).reshape(R, width)
         np.take(self.offset, words[:-1], out=pos[1:], mode="clip")
         np.add(pos[1:], words[1:], out=pos[1:])
         pos[0] = words[0]
-        terms = term_buf[: R * width * g].reshape(R, width, g)
-        np.take(self.steps, pos, axis=0, out=terms, mode="clip")
-        cut = n - (R - 1) * g  # steps of the last word
-        terms[0, :, 0] = 0.0
-        terms[-1, :, cut:] = 0.0
-        first, last = self.first[words[0]], self.digits[words[-1], cut - 1]
-        return self.atoms[first].T, self.atoms[last].T, terms
+        rows = row_buf[: R * width * table.shape[1]].reshape(R, width, -1)
+        np.take(table, pos, axis=0, out=rows, mode="clip")
+        first, last = self.first[words[0]], self.digits[words[-1], (n - 1) % self.g]
+        return words, self.atoms[first].T, self.atoms[last].T, rows
 
 
 def _vose(counts, capacity):

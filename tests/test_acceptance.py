@@ -5,6 +5,7 @@ battery backs ``rmp selftest``.
 """
 
 import math
+import subprocess
 
 import pytest
 
@@ -99,3 +100,25 @@ def test_c09_degeneracy_detection():
 def test_c10_determinism():
     # byte-identical JSON across reruns and thread counts
     _run(check_determinism, 10, 10.0)
+
+
+def test_c10_failing_child_fails_the_check(monkeypatch):
+    # a child that exits nonzero fails c10 with its command, exit code and
+    # last stderr line, not a traceback; the fake raises on check=True, as
+    # the real call does for a nonzero exit
+    calls = []
+
+    def failing(args, check=False, **kwargs):
+        calls.append(args)
+        if check:
+            raise subprocess.CalledProcessError(1, args)
+        err = b"Traceback (most recent call last):\nModuleNotFoundError: No module named 'rmp'\n"
+        return subprocess.CompletedProcess(args, 1, stdout=b"", stderr=err)
+
+    monkeypatch.setattr("rmp.selftest.subprocess.run", failing)
+    result = check_determinism(quick=True)
+    assert not result.passed and len(calls) == 1
+    assert result.detail.startswith("rmp estimate --dist ")
+    assert result.detail.endswith(
+        "--threads 1 exited 1: ModuleNotFoundError: No module named 'rmp'"
+    )

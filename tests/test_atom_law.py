@@ -31,7 +31,7 @@ from rmp.estimators import (
     estimate_sigma2_mc,
     exact_discrete,
 )
-from rmp.families import FAMILIES
+from rmp.families import FAMILIES, MAX_ATOMS
 from rmp.product import CHAIN_CHUNK, STEP_BLOCK, chain_log_norms, chunk_sizes
 from rmp.selftest import _block_triples
 from rmp.words import AtomLaw
@@ -61,9 +61,12 @@ LAWS = (
     _random_atoms(5, seed=1, cancelling=True),
     _random_atoms(17, seed=2),
     _random_atoms(64, seed=3),
+    # the cap: the walk's positions reach 1023 * 1024, where mode="clip"
+    # would clamp a wrong one instead of raising
+    _random_atoms(MAX_ATOMS, seed=4),
 )
 IDS = ("binary-p0", "binary-p0.3", "binary-p1", "atoms3", "constant",
-       "atoms5", "atoms17", "atoms64")
+       "atoms5", "atoms17", "atoms64", "atoms1024")
 
 
 def replayed_triples(spec, n, gen):
@@ -251,7 +254,7 @@ class TestAtomLaw:
         law = AtomLaw(spec)
         assert law.k == 3
         assert law.atoms.tolist() == [[1.0, 0.5, 1.0], [2.0, 1.0, -1.0], [-1.5, 2.0, 0.5]]
-        T = law.log_cross()
+        T = law.T
         for i, (a1, _, c1) in enumerate(law.atoms):
             for j, (a2, b2, _) in enumerate(law.atoms):
                 want = math.log(abs(a1 + b2 * c1 / a2))
@@ -276,10 +279,8 @@ class TestAtomLaw:
         exact_discrete(spec)
         degeneracy_check(spec)
         assert len(builds) == 1 and spec.atom_law is law
-        # shared across threads, so read-only; log_cross hands out the table
-        T = law.log_cross()
-        assert T is law.log_cross()
-        for arr in (law.atoms, law.p, T):
+        # shared across threads, so read-only
+        for arr in (law.atoms, law.p, law.T):
             assert not arr.flags.writeable
         # not a field: equality, hash and repr are the fields' own
         twin = _random_atoms(5, seed=1)
@@ -296,7 +297,7 @@ class TestAtomLaw:
         spec = DistributionSpec.discrete_atoms(
             [((2.0, 5.0, 1.0), 0.5), ((1.0, -2.0, 3.0), 0.5)]
         )
-        assert AtomLaw(spec).log_cross()[0, 1] == -math.inf
+        assert AtomLaw(spec).T[0, 1] == -math.inf
 
 
 class TestAtomChainMemory:

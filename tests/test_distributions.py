@@ -190,6 +190,43 @@ class TestHillSupportBound:
         DistributionSpec.hill_random(0.0, 1e-310)
 
 
+class TestMalformedSpec:
+    # the Python API reaches values that parse_spec never passes on; each
+    # must still raise SpecError, not a TypeError or ValueError of the
+    # conversion, and a stray field before any table is built
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(family="BinaryHill", alpha=2.0, beta=3.0, p=0.3, atoms=[((1, 1, 1), None)]),
+            dict(family="DiscreteAtoms", atoms=5),
+            dict(family="DiscreteAtoms", atoms=[5]),
+            dict(family="DiscreteAtoms", atoms=[(EntryTriple(1.0, 1.0, 1.0),)]),
+            dict(family="CauchyRankOne", theta="x"),
+        ],
+        ids=["binary-stray-atoms", "atoms-int", "atoms-pair-int", "atoms-short-pair",
+             "cauchy-stray-theta"],
+    )
+    def test_raises_spec_error(self, kwargs):
+        with pytest.raises(SpecError):
+            DistributionSpec(**kwargs)
+
+    def test_stray_field_builds_no_law(self, monkeypatch):
+        calls = []
+        init = words.AtomLaw.__init__
+
+        def counting(self, spec):
+            calls.append(1)
+            init(self, spec)
+
+        monkeypatch.setattr(words.AtomLaw, "__init__", counting)
+        atoms = [[EntryTriple(1.0, 2.0, 0.5), 1.0]]
+        with pytest.raises(SpecError, match="alpha is not a parameter of DiscreteAtoms"):
+            DistributionSpec(family="DiscreteAtoms", atoms=atoms, alpha=2.0)
+        assert not calls
+        DistributionSpec(family="DiscreteAtoms", atoms=atoms)
+        assert len(calls) == 1
+
+
 class TestAtomCap:
     @staticmethod
     def _validate(k):
@@ -256,11 +293,12 @@ def _atom_law(k, seed):
 class TestAtomLawCross:
     @pytest.mark.parametrize("k", [1, 3, 17])
     def test_gather_equals_table(self, k):
-        # the step rows of the law's words: row l k^g + w holds the term from
-        # atom l into word w, then the g - 1 terms inside w, each an entry of
-        # T; at g = 1 the rows are T itself, not a copy
+        # the walk's two tables of the law's words: row l k^g + w of steps
+        # holds the term from atom l into word w, then the g - 1 terms inside
+        # w, each an entry of T, and that row of gather their sum; at g = 1
+        # both are views of T, not copies
         law = _atom_law(k, seed=k)
-        T = law.log_cross()
+        T = law.T
         g, n_words = law.g, len(law.sums)
         rng = np.random.default_rng(k)
         l, w = rng.integers(0, k, 40), rng.integers(0, n_words, 40)
@@ -269,6 +307,8 @@ class TestAtomLawCross:
         assert np.array_equal(np.take(law.steps, l * n_words + w, axis=0), want)
         assert law.steps.shape == (k * n_words, g) and not law.steps.flags.writeable
         assert np.shares_memory(law.steps, T) == (g == 1)
+        assert law.gather.shape == (k * n_words, 1) and not law.gather.flags.writeable
+        assert np.shares_memory(law.gather, T) == (g == 1)
 
     def test_table_is_built_once(self, monkeypatch):
         # the law builds its table when it is made; word draws only read it
@@ -285,7 +325,7 @@ class TestAtomLawCross:
         _, _, first = law.step_rows(7, 2, make_stream(0), workspace)
         first = first.copy()
         _, _, second = law.step_rows(7, 2, make_stream(0), workspace)
-        assert not calls and law.log_cross() is law.log_cross()
+        assert not calls
         assert np.array_equal(first, second)
 
     def test_threads_racing_on_the_first_call(self):

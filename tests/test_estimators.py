@@ -1055,7 +1055,7 @@ def extreme_lambda_bound(spec):
     """
     D = decimal.Decimal
     law = spec.atom_law
-    T, p, atoms = law.log_cross(), law.p, law.atoms.tolist()
+    T, p, atoms = law.T, law.p, law.atoms.tolist()
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         # eta = 2^-1075, half the smallest subnormal, is no double
@@ -1155,7 +1155,7 @@ def exact_error_bounds(spec, lam):
     None when a near cancellation makes rho >= 1/2 (no useful bound).
     """
     law = AtomLaw(spec)
-    T, p = law.log_cross(), law.p
+    T, p = law.T, law.p
     k = law.k
     a, b, c = law.atoms.T
     q = b[None, :] * c[:, None] / a[None, :]

@@ -93,7 +93,8 @@ class TestWordTable:
             assert law.threshold[j] == j / law.size
         n = 4096
         drawn = law.draw(n, make_stream(3), (np.empty(n), np.empty(n), np.empty(n)))
-        assert all(alias_mass(law)[w] > 0 for w in set(drawn.tolist()))
+        mass = alias_mass(law)
+        assert all(mass[w] > 0 for w in set(drawn.tolist()))
 
     def test_each_uniform_draws_its_slots_word(self, spec):
         # u = m 2^-53 in slot j = floor(u N) draws word[j] for the first
@@ -135,7 +136,7 @@ class TestWordTable:
 
     def test_sums_follow_the_word(self, spec):
         law = spec.atom_law
-        T = law.log_cross()
+        T = law.T
         for w, digits in enumerate(law.digits.tolist()):
             s = 0.0
             for i, j in zip(digits, digits[1:]):
@@ -198,7 +199,7 @@ def test_one_atom_law_has_zero_variance_and_standard_errors():
     spec = DistributionSpec.constant_triple(1e80, 1.0, 1.0)
     for n in (3, 1001, SAMPLE_CHUNK + 5):
         r = estimate_sigma2_mc(spec, n, seed=2, threads=2)
-        assert r.lam == spec.atom_law.log_cross()[0, 0]
+        assert r.lam == spec.atom_law.T[0, 0]
         assert r.sigma2 == 0.0 and r.lam_std_error == 0.0, n
         assert r.sigma2_std_error == 0.0 or (n == 3 and math.isnan(r.sigma2_std_error)), n
 
@@ -209,11 +210,11 @@ class TestCancellation:
         atoms = [(CANCEL[0], 1 / k), (CANCEL[1], 1 / k)]
         atoms += [((float(i + 3), 1.0, 0.5), 1 / k) for i in range(k - 2)]
         law = DistributionSpec.discrete_atoms(atoms).atom_law
-        assert law.log_cross()[0, 1] == -math.inf
+        assert law.T[0, 1] == -math.inf
         for w, digits in enumerate(law.digits.tolist()):
             inside = any(d == (0, 1) for d in zip(digits, digits[1:]))
             assert bool(law.sums[w] == -math.inf) == inside
-        for w, row in enumerate(law.gather[0]):  # atom 0, then word w
+        for w, row in enumerate(law.gather[: len(law.sums), 0]):  # atom 0, then word w
             across = law.digits[w, 0] == 1
             assert bool(row == -math.inf) == bool(across or law.sums[w] == -math.inf)
 
@@ -268,6 +269,6 @@ def test_validation_builds_every_table_read_only(spec):
     # word tables, and every array of it is read-only (threads share it)
     law = dataclasses.replace(spec).atom_law
     tables = {name: arr for name, arr in vars(law).items() if isinstance(arr, np.ndarray)}
-    assert set(tables) == {"atoms", "p", "_table", "digits", "word_p", "sums",
+    assert set(tables) == {"atoms", "p", "T", "digits", "word_p", "sums",
                            "threshold", "word", "first", "offset", "gather", "steps"}
     assert not any(arr.flags.writeable for arr in tables.values())
